@@ -234,7 +234,7 @@ TRANSFER_DEFAULTS = {
 
 
 def _grid(lo: float, hi: float, step: float, name: str) -> np.ndarray:
-    if step <= 0 or hi < lo:
+    if not np.isfinite([lo, hi, step]).all() or step <= 0 or hi < lo:
         raise ConfigError(f"bad {name} grid [{lo}, {hi}] step {step}")
     pts = np.round(np.arange(lo, hi + step / 2, step), 10)
     # arange's inclusive-endpoint trick can overshoot hi when the span is
@@ -245,6 +245,8 @@ def _grid(lo: float, hi: float, step: float, name: str) -> np.ndarray:
 def run_transfer(config: dict):
     mode = config["mode"]
     if mode == "sweep":
+        if config["alpha_min"] < 0:
+            raise ConfigError("ancilla amplitude alpha_min must be >= 0")
         alphas = _grid(config["alpha_min"], config["alpha_max"],
                        config["alpha_step"], "alpha")
         rows = []
@@ -268,7 +270,7 @@ def run_transfer(config: dict):
     if mode == "lossy":
         etas = _grid(config["eta_min"], config["eta_max"],
                      config["eta_step"], "eta")
-        if etas.size == 0 or etas.max() > 1.0:
+        if etas.size == 0 or etas.min() < 0.0 or etas.max() > 1.0:
             raise ConfigError("lossy grid must stay inside [0, 1]")
         outs = [_transfer.lossy_transfer(float(e)) for e in etas]
         rows = [(e, o.fidelity, o.probability) for e, o in zip(etas, outs)]

@@ -20,13 +20,11 @@ two Poisson(alpha^2/2) variables.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import skellam
+from scipy.special import gammaln, ive
 
 from .qcore import (
     QuantumState,
@@ -45,6 +43,7 @@ from .util import make_rng
 
 BRANCH_PRUNE = 1e-12
 RATIO_TOL = 1e-9
+MC_BLOCK_ROWS = 65536
 
 
 class TransferError(RuntimeError):
@@ -195,39 +194,44 @@ def transfer_branches(table: AmplitudeTable, amps, prune: float = BRANCH_PRUNE):
 
     Every site uses the same ancilla table. Branch fidelities are taken
     after the local phase corrections; a branch is accepted (heralded)
-    when all ratio moduli are finite, nonzero, and equal.
+    when all ratio moduli are finite, nonzero, and equal. Records come in
+    ``itertools.product`` order over ``table.outcomes()``; all K^n of them
+    are evaluated in one array pass, so temporaries scale as K^n * n.
     """
     amps = _norm_amps(amps)
     n = len(amps)
     outs = table.outcomes()
-    branches = []
-    mass = 0.0
-    for record in itertools.product(outs, repeat=n):
-        c0s = np.array([table.c0.get(o, 0.0) for o in record], dtype=complex)
-        c1s = np.array([table.c1.get(o, 0.0) for o in record], dtype=complex)
-        site_amp = np.zeros(n, dtype=complex)
-        for s in range(n):
-            others = np.prod(np.delete(c0s, s)) if n > 1 else 1.0
-            site_amp[s] = amps[s] * c1s[s] * others
-        p = float(np.vdot(site_amp, site_amp).real)
-        if p <= prune:
-            mass += p
-            continue
-        mass += p
-        phases = np.ones(n, dtype=complex)
-        moduli = np.full(n, np.nan)
-        for s in range(n):
-            if c0s[s] != 0 and c1s[s] != 0:
-                ratio = c1s[s] / c0s[s]
-                phases[s] = np.exp(-1j * np.angle(ratio))
-                moduli[s] = abs(ratio)
-        overlap = np.sum(np.conj(amps) * site_amp * phases)
-        fid = float(abs(overlap) ** 2 / p)
-        finite = np.isfinite(moduli) & (moduli > 0)
-        accepted = bool(
-            finite.all() and moduli.max() - moduli.min() <= RATIO_TOL * moduli.max()
-        )
-        branches.append(Branch(record, p, fid, accepted))
+    c0 = np.array([table.c0.get(o, 0.0) for o in outs], dtype=complex)
+    c1 = np.array([table.c1.get(o, 0.0) for o in outs], dtype=complex)
+    both = (c0 != 0) & (c1 != 0)
+    ratio = np.divide(c1, c0, out=np.zeros_like(c1), where=both)
+    phase = np.exp(-1j * np.angle(ratio))
+    # NaN marks an outcome no phase correction can repair; any NaN in a
+    # record fails the equal-modulus test below
+    modulus = np.abs(ratio)
+    modulus[~(np.isfinite(modulus) & (modulus > 0))] = np.nan
+
+    # one row per site, one column per record, in itertools.product order
+    rec = np.indices((len(outs),) * n).reshape(n, -1)
+    r0 = c0[rec]
+    site_amp = amps[:, None] * c1[rec]
+    for s in range(n):
+        site_amp[s] *= np.prod(np.delete(r0, s, axis=0), axis=0)
+    p = (site_amp.real ** 2 + site_amp.imag ** 2).sum(axis=0)
+    mass = float(p.sum())
+
+    keep = np.flatnonzero(p > prune)
+    rec, site_amp, p = rec[:, keep], site_amp[:, keep], p[keep]
+    overlap = (np.conj(amps)[:, None] * site_amp * phase[rec]).sum(axis=0)
+    fid = np.abs(overlap) ** 2 / p
+    mod = modulus[rec]
+    top = mod.max(axis=0)
+    accepted = top - mod.min(axis=0) <= RATIO_TOL * top
+    branches = [
+        Branch(tuple(outs[i] for i in r), pk, fk, ak)
+        for r, pk, fk, ak in zip(rec.T.tolist(), p.tolist(), fid.tolist(),
+                                 accepted.tolist())
+    ]
     return branches, mass
 
 
@@ -297,9 +301,12 @@ def heralded_transfer(alpha=None, amps=(2 ** -0.5, 2 ** -0.5),
 
 def _skellam_support(alpha: float):
     """Count differences carrying all but < 1e-13 of the Skellam mass."""
+    if not alpha >= 0:
+        raise TransferError("ancilla amplitude must be >= 0")
     width = int(np.ceil(alpha ** 2 + 12.0 * alpha + 30.0))
     d = np.arange(-width, width + 1)
-    p0 = skellam.pmf(d, alpha ** 2 / 2.0, alpha ** 2 / 2.0)
+    # Skellam(mu, mu) pmf e^{-2 mu} I_|d|(2 mu) at mu = alpha^2 / 2
+    p0 = ive(np.abs(d), alpha ** 2)
     if abs(p0.sum() - 1.0) > 1e-13:
         raise TransferError("count-difference support too narrow")
     return d, p0
@@ -491,7 +498,11 @@ def network_monte_carlo(N: int, p1: float, trials: int, rng=None) -> dict:
     """Empirical failure rate and survivor-count distribution."""
     rng = make_rng(rng)
     trials = int(trials)
-    succ = rng.random((trials, N)) < p1
+    # row blocks of one uniform stream, so no trials x N float matrix exists
+    succ = np.empty((trials, N), dtype=bool)
+    for start in range(0, trials, MC_BLOCK_ROWS):
+        block = succ[start:start + MC_BLOCK_ROWS]
+        block[:] = rng.random(block.shape) < p1
     photon = rng.integers(0, N, size=trials)
     photon_ok = succ[np.arange(trials), photon]
     k = succ.sum(axis=1)

@@ -186,6 +186,12 @@ class TestTransferCommand:
         assert cli.main(["transfer", "--set", "alpha_step=0"]) == 2
         assert cli.main(["transfer", "--set", "mode=lossy",
                          "--set", "eta_max=1.5"]) == 2
+        for bad in ("alpha_step=nan", "alpha_max=inf", "alpha_min=-3",
+                    "alpha_min=-0.5"):
+            assert cli.main(["transfer", "--set", bad]) == 2, bad
+        for bad in ("eta_step=nan", "eta_min=-0.5"):
+            assert cli.main(["transfer", "--set", "mode=lossy",
+                             "--set", bad]) == 2, bad
 
     def test_byte_identical_reruns(self, tmp_path):
         argv = ["transfer", "--set", "alpha_max=0.5"]

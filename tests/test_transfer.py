@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.stats import skellam
 
 from qtelarray.qcore import (
     ModeRegistry,
@@ -13,7 +15,13 @@ from qtelarray.qcore import (
     fock,
 )
 from qtelarray.transfer import (
+    BRANCH_PRUNE,
+    AmplitudeTable,
+    MC_BLOCK_ROWS,
+    RATIO_TOL,
+    Branch,
     TransferError,
+    _skellam_support,
     coherent_amplitude_table,
     deterministic_fidelity_closed,
     deterministic_fidelity_sweep,
@@ -33,6 +41,57 @@ from qtelarray.transfer import (
 )
 
 UNIFORM = (2 ** -0.5, 2 ** -0.5)
+
+
+def _branches_by_record(table, amps, prune=BRANCH_PRUNE):
+    """Reference enumeration: one detection record at a time."""
+    amps = np.asarray(amps, dtype=complex)
+    amps = amps / np.linalg.norm(amps)
+    n = len(amps)
+    branches = []
+    mass = 0.0
+    for record in itertools.product(table.outcomes(), repeat=n):
+        c0s = np.array([table.c0.get(o, 0.0) for o in record], dtype=complex)
+        c1s = np.array([table.c1.get(o, 0.0) for o in record], dtype=complex)
+        site_amp = np.zeros(n, dtype=complex)
+        for s in range(n):
+            site_amp[s] = amps[s] * c1s[s] * np.prod(np.delete(c0s, s))
+        p = float(np.vdot(site_amp, site_amp).real)
+        mass += p
+        if p <= prune:
+            continue
+        phases = np.ones(n, dtype=complex)
+        moduli = np.full(n, np.nan)
+        for s in range(n):
+            if c0s[s] != 0 and c1s[s] != 0:
+                ratio = c1s[s] / c0s[s]
+                phases[s] = np.exp(-1j * np.angle(ratio))
+                moduli[s] = abs(ratio)
+        overlap = np.sum(np.conj(amps) * site_amp * phases)
+        fid = float(abs(overlap) ** 2 / p)
+        finite = np.isfinite(moduli) & (moduli > 0)
+        accepted = bool(
+            finite.all() and moduli.max() - moduli.min() <= RATIO_TOL * moduli.max()
+        )
+        branches.append(Branch(record, p, fid, accepted))
+    return branches, mass
+
+
+def assert_matches_oracle(table, amps):
+    got, got_mass = transfer_branches(table, amps)
+    want, want_mass = _branches_by_record(table, amps)
+    assert [b.record for b in got] == [b.record for b in want]
+    assert [b.accepted for b in got] == [b.accepted for b in want]
+    for field in ("probability", "fidelity"):
+        gap = np.abs(np.array([getattr(b, field) for b in got])
+                     - np.array([getattr(b, field) for b in want]))
+        assert gap.max() <= 1e-12, field
+    assert abs(got_mass - want_mass) <= 1e-12
+
+
+def _complex_amps(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
 
 
 def splitter_output_amplitudes(alpha, cutoff, photon):
@@ -118,6 +177,56 @@ class TestAmplitudeTable:
             multiport_amplitude_table(0)
 
 
+class TestVectorizedEnumeration:
+    @pytest.mark.parametrize("sites", [2, 3])
+    def test_plus_table(self, sites):
+        assert_matches_oracle(plus_amplitude_table(), _complex_amps(sites, 1))
+
+    @pytest.mark.parametrize("ports, sites", [(2, 2), (2, 3), (3, 2)])
+    def test_multiport_tables(self, ports, sites):
+        assert_matches_oracle(multiport_amplitude_table(ports),
+                              _complex_amps(sites, ports))
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.88, 1.2])
+    @pytest.mark.parametrize("sites, cutoff", [(2, 8), (3, 4)])
+    def test_coherent_tables(self, alpha, sites, cutoff):
+        table = coherent_amplitude_table(alpha, cutoff)
+        assert_matches_oracle(table, _complex_amps(sites, cutoff))
+        assert_matches_oracle(table, np.ones(sites))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        ports=st.sampled_from([1, 2]),
+        parts=st.lists(
+            st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+            min_size=2, max_size=3,
+        ).filter(lambda xs: sum(a * a + b * b for a, b in xs) > 1e-6),
+    )
+    def test_random_complex_amplitudes(self, ports, parts):
+        assume(ports == 1 or len(parts) == 2)  # keeps the oracle fast
+        amps = [complex(a, b) for a, b in parts]
+        assert_matches_oracle(multiport_amplitude_table(ports), amps)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), sites=st.integers(2, 3))
+    def test_random_complex_tables(self, seed, sites):
+        # the shipped tables all have real ratios c1/c0; complex ratios of
+        # two moduli and a few missing entries exercise the phase
+        # corrections and every branch of the acceptance rule
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 7))
+        c0 = rng.normal(size=k) + 1j * rng.normal(size=k)
+        c1 = c0 * rng.choice([0.5, 1.0], size=k) * np.exp(
+            2j * np.pi * rng.random(k))
+        tables = []
+        for c in (c0, c1):
+            kept = [o for o in range(k) if rng.random() > 0.2] or [0]
+            norm = np.linalg.norm(c[kept])
+            tables.append({o: c[o] / norm for o in kept})
+        table = AmplitudeTable(c0=tables[0], c1=tables[1], kind="random")
+        assert_matches_oracle(table, _complex_amps(sites, seed))
+
+
 class TestClosedForms:
     # values frozen from the count-difference aggregation
     @pytest.mark.parametrize("alpha, want", [
@@ -181,6 +290,19 @@ class TestClosedForms:
         accepted = [b for b in her.branches if b.accepted]
         assert accepted
         assert min(b.fidelity for b in accepted) >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize("alpha", np.linspace(0.1, 20.0, 40))
+    def test_skellam_pmf_matches_scipy_stats(self, alpha):
+        d, p0 = _skellam_support(alpha)
+        want = skellam.pmf(d, alpha ** 2 / 2.0, alpha ** 2 / 2.0)
+        assert np.abs(p0 - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("alpha", [-0.5, -3.0, float("nan")])
+    def test_closed_forms_reject_bad_alpha(self, alpha):
+        with pytest.raises(TransferError):
+            deterministic_fidelity_closed(alpha)
+        with pytest.raises(TransferError):
+            heralded_rate_closed(alpha)
 
     def test_closed_form_needs_two_sites(self):
         with pytest.raises(TransferError):
@@ -356,6 +478,22 @@ class TestNetwork:
             got = mc["k_counts"][k] / mc["successes"]
             se_k = np.sqrt(pk * (1 - pk) / mc["successes"])
             assert abs(got - pk) <= 4 * se_k + 1e-12
+
+    def test_monte_carlo_blocks_match_one_draw(self):
+        N, p1, trials = 8, 0.469, 2 * MC_BLOCK_ROWS + 7
+        rng = np.random.default_rng(41)
+        succ = rng.random((trials, N)) < p1
+        photon = rng.integers(0, N, size=trials)
+        k = succ.sum(axis=1)
+        fail = ~succ[np.arange(trials), photon] | (k <= 1)
+        counts = np.bincount(k[~fail], minlength=N + 1)
+        want = {
+            "trials": trials,
+            "p_fail": float(fail.mean()),
+            "k_counts": {kk: int(counts[kk]) for kk in range(2, N + 1)},
+            "successes": int((~fail).sum()),
+        }
+        assert network_monte_carlo(N, p1, trials, rng=41) == want
 
     def test_fidelity_scaling(self):
         assert network_fidelity(2, 0.93) == pytest.approx(0.93, abs=1e-15)
