@@ -29,6 +29,8 @@ from .codec import (
     parallel_frequency_compress,
 )
 from .imaging import (
+    QUADRATURE_MODES,
+    SAMPLERS,
     classical_pipeline,
     qft_image_diagonal,
     qft_process,
@@ -111,6 +113,8 @@ def resolve_config(defaults: dict, path, sets) -> dict:
                 known = ", ".join(sorted(defaults))
                 raise ConfigError(f"unknown config key {key!r} (known: {known})")
             merged[key] = _coerce(key, raw, defaults[key])
+    if merged.get("seed", 0) < 0:
+        raise ConfigError(f"seed must be >= 0, got {merged['seed']}")
     return merged
 
 
@@ -181,15 +185,24 @@ def _parse_source(text: str, N: int, d: float) -> IntensityDistribution:
         raise ConfigError(f"bad source value {text!r}") from None
     if weights.size != N:
         raise ConfigError(f"source needs {N} weights, got {weights.size}")
-    return IntensityDistribution.on_grid(N, d, weights, normalize=True)
+    try:
+        return IntensityDistribution.on_grid(N, d, weights, normalize=True)
+    except ValueError as exc:
+        raise ConfigError(f"bad source value {text!r}: {exc}") from None
 
 
 def run_imaging(config: dict):
     N, d = config["N"], config["d"]
     if N < 2:
         raise ConfigError("imaging needs N >= 2 sites")
+    if not (np.isfinite(d) and d > 0):
+        raise ConfigError(f"array span d must be positive and finite, got {d}")
     if config["shots"] < 1:
         raise ConfigError("shots must be positive")
+    if config["sampler"] not in SAMPLERS:
+        raise ConfigError(f"sampler must be one of {SAMPLERS}")
+    if config["quadratures"] not in QUADRATURE_MODES:
+        raise ConfigError(f"quadratures must be one of {QUADRATURE_MODES}")
     dist = _parse_source(config["source"], N, d)
     vis = visibility_from_intensity(dist, ArrayGeometry(N, d))
     closed = qft_image_diagonal(vis)
@@ -245,15 +258,16 @@ def _grid(lo: float, hi: float, step: float, name: str) -> np.ndarray:
 def run_transfer(config: dict):
     mode = config["mode"]
     if mode == "sweep":
-        if config["alpha_min"] < 0:
-            raise ConfigError("ancilla amplitude alpha_min must be >= 0")
         alphas = _grid(config["alpha_min"], config["alpha_max"],
                        config["alpha_step"], "alpha")
         rows = []
-        for alpha in alphas:
-            f_det = _transfer.deterministic_fidelity_closed(float(alpha))
-            p_her = _transfer.heralded_rate_closed(float(alpha))
-            rows.append((alpha, f_det, p_her, 1.0 if p_her > 0 else 0.0))
+        try:
+            for alpha in alphas:
+                f_det = _transfer.deterministic_fidelity_closed(float(alpha))
+                p_her = _transfer.heralded_rate_closed(float(alpha))
+                rows.append((alpha, f_det, p_her, 1.0 if p_her > 0 else 0.0))
+        except _transfer.TransferError as exc:
+            raise ConfigError(str(exc)) from None
         spot = _transfer.deterministic_transfer(0.8, cutoff=10)
         spot_her = _transfer.heralded_transfer(0.8, cutoff=10)
         gap = max(

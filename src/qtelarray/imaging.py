@@ -31,6 +31,7 @@ from .source import VisibilityModel, native_grid
 from .util import make_rng
 
 QUADRATURE_MODES = ("auto", "real", "both")
+SAMPLERS = ("w_state", "direct_pair")
 IMAG_TOL = 1e-12
 
 
@@ -118,15 +119,18 @@ def resolve_quadratures(vis: VisibilityModel, quadratures: str = "auto") -> str:
 
 
 def _pair_correlations(vis: VisibilityModel):
-    """Per-pair conditional collapse probabilities and X/Y correlators."""
+    """Per-pair conditional collapse probabilities and X/Y correlators.
+
+    Pairs (a, b), a < b, come in row-major order: a ascending, then b.
+    """
     N = vis.geometry.N
     rho = vis.g / N
-    pairs = [(a, b) for a in range(N) for b in range(a + 1, N)]
-    weight = np.array([(rho[a, a] + rho[b, b]).real for a, b in pairs])
-    cond = np.array([rho[a, b] / w for (a, b), w in zip(pairs, weight)])
+    a, b = np.triu_indices(N, 1)
+    weight = (rho[a, a] + rho[b, b]).real
+    cond = rho[a, b] / weight
     corr_xx = 2.0 * cond.real
     corr_xy = -2.0 * cond.imag
-    return pairs, weight, corr_xx, corr_xy
+    return a, b, weight, corr_xx, corr_xy
 
 
 def classical_pipeline(vis: VisibilityModel, shots: int, rng=None,
@@ -149,7 +153,7 @@ def classical_pipeline(vis: VisibilityModel, shots: int, rng=None,
     quadratures of g_k. It is independent of m and, for the real-g case,
     bounds the true propagated variance from above.
     """
-    if sampler not in ("w_state", "direct_pair"):
+    if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}")
     if shots < 1:
         raise ValueError("need a positive attempt budget")
@@ -158,8 +162,8 @@ def classical_pipeline(vis: VisibilityModel, shots: int, rng=None,
     mode = resolve_quadratures(vis, quadratures)
     settings = ("XX",) if mode == "real" else ("XX", "XY")
 
-    pairs, weight, corr_xx, corr_xy = _pair_correlations(vis)
-    n_pairs = len(pairs)
+    a, b, weight, corr_xx, corr_xy = _pair_correlations(vis)
+    n_pairs = a.size
     shots = int(shots)
     if sampler == "w_state":
         successes = int((rng.random(shots) >= 1.0 / N).sum())
@@ -167,9 +171,12 @@ def classical_pipeline(vis: VisibilityModel, shots: int, rng=None,
         successes = shots
     pair_idx = rng.choice(n_pairs, size=successes, p=weight / weight.sum())
 
-    # alternate settings shot by shot so every baseline splits its budget
-    sums = np.zeros((len(settings), n_pairs))
-    counts = np.zeros((len(settings), n_pairs), dtype=int)
+    # alternate settings shot by shot so every baseline splits its budget;
+    # pool each setting's shots and +-1 sums by baseline k = b - a (the
+    # sums are integer valued, so pooling in any order is exact)
+    k_of_pair = b - a - 1
+    n = np.zeros((len(settings), N - 1))
+    total = np.zeros((len(settings), N - 1))
     corr_by_setting = {"XX": corr_xx, "XY": corr_xy}
     for s_i, setting in enumerate(settings):
         sel = pair_idx[s_i::len(settings)]
@@ -177,35 +184,27 @@ def classical_pipeline(vis: VisibilityModel, shots: int, rng=None,
         corr = np.clip(corr_by_setting[setting], -1.0, 1.0)
         p_plus = 0.5 * (1.0 + corr)
         plus = rng.binomial(n_sel, p_plus)
-        sums[s_i] = 2.0 * plus - n_sel
-        counts[s_i] = n_sel
+        n[s_i] = np.bincount(k_of_pair, weights=n_sel, minlength=N - 1)
+        total[s_i] = np.bincount(k_of_pair, weights=2.0 * plus - n_sel,
+                                 minlength=N - 1)
 
-    # pool pairs by baseline separation
-    g_hat = np.zeros(N - 1, dtype=complex)
-    sigma2 = np.zeros(N - 1)
-    n_k = np.zeros(N - 1, dtype=int)
-    for ki, k in enumerate(range(1, N)):
-        sel = [i for i, (a, b) in enumerate(pairs) if b - a == k]
-        quad_means = []
-        quad_se2 = []
-        for s_i, setting in enumerate(settings):
-            n = int(counts[s_i, sel].sum())
-            total = float(sums[s_i, sel].sum())
-            if n == 0:
-                quad_means.append(0.0)
-                quad_se2.append(1.0)
-                continue
-            mean = total / n
-            quad_means.append(mean)
-            quad_se2.append(max(1.0 - mean ** 2, 0.0) / n)
-        n_k[ki] = int(counts[:, sel].sum())
-        if mode == "real":
-            g_hat[ki] = quad_means[0]
-        else:
-            # the stored pair coherence rho[a, a+k] is conj(g_k), so the XY
-            # mean estimates +Im g_k
-            g_hat[ki] = quad_means[0] + 1j * quad_means[1]
-        sigma2[ki] = float(np.mean(quad_se2))
+    shot = n > 0
+    # a baseline without shots reports mean 0 and squared error 1
+    quad_means = np.divide(total, n, out=np.zeros_like(total), where=shot)
+    # float_power squares through C pow, as the scalar formula
+    # max(1 - m ** 2, 0) / n does; m * m can differ in the last bit
+    quad_se2 = np.divide(
+        np.maximum(1.0 - np.float_power(quad_means, 2.0), 0.0), n,
+        out=np.ones_like(n), where=shot,
+    )
+    n_k = n.sum(axis=0).astype(int)
+    if mode == "real":
+        g_hat = quad_means[0].astype(complex)
+    else:
+        # the stored pair coherence rho[a, a+k] is conj(g_k), so the XY
+        # mean estimates +Im g_k
+        g_hat = quad_means[0] + 1j * quad_means[1]
+    sigma2 = quad_se2.mean(axis=0)
 
     i_hat = image_from_visibilities(g_hat, N)
     var = float((natural_weights(N) ** 2 * sigma2).sum())

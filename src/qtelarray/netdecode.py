@@ -105,15 +105,6 @@ def ghz_parity_branches(state: QuantumState, row_labels):
     return out
 
 
-def ghz_parity_check(state: QuantumState, row_labels, rng):
-    """Sample one GHZ parity check: (parity, outcomes, post_memory)."""
-    branches = ghz_parity_branches(state, row_labels)
-    probs = np.array([p for _, _, p, _ in branches])
-    pick = make_rng(rng).choice(len(branches), p=probs / probs.sum())
-    outcomes, parity, _, post = branches[pick]
-    return parity, outcomes, post
-
-
 # ---- arrival decoding on encode runs --------------------------------------------
 
 

@@ -35,6 +35,8 @@ class ArrayGeometry:
             pos = d * np.arange(N) / (N - 1)
         if pos.ndim != 1 or pos.size < 2:
             raise ValueError("need at least two sites")
+        if not np.all(np.isfinite(pos)):
+            raise ValueError("positions must be finite")
         if np.any(np.diff(pos) <= 0):
             raise ValueError("positions must be strictly increasing")
         self.positions = pos
@@ -70,8 +72,8 @@ class IntensityDistribution:
             raise ValueError("need at least one sample")
         y = np.array([s[0] for s in samples])
         w = np.array([s[1] for s in samples])
-        if np.any(w < 0):
-            raise ValueError("intensities must be nonnegative")
+        if not np.all(np.isfinite(w)) or np.any(w < 0):
+            raise ValueError("intensities must be finite and nonnegative")
         total = w.sum()
         if normalize:
             if total <= 0:
@@ -167,7 +169,10 @@ def visibility_from_intensity(
     """Van Cittert-Zernike step: coherence matrix from the intensity."""
     pos = geometry.positions
     diffs = pos[:, None] - pos[None, :]
-    g = visibility_function(intensity, diffs.reshape(-1)).reshape(diffs.shape)
+    # evaluate g once per distinct difference: a uniform array repeats each
+    # baseline along a diagonal, so only O(N) of the N^2 are distinct
+    x, inv = np.unique(diffs.reshape(-1), return_inverse=True)
+    g = visibility_function(intensity, x)[inv].reshape(diffs.shape)
     # force exact unit diagonal and Hermitian symmetry against roundoff
     np.fill_diagonal(g, 1.0)
     g = (g + g.conj().T) / 2

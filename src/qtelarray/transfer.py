@@ -44,6 +44,8 @@ from .util import make_rng
 BRANCH_PRUNE = 1e-12
 RATIO_TOL = 1e-9
 MC_BLOCK_ROWS = 65536
+# the closed forms hold (support size)^2 arrays, about 29 MB each at this cap
+SKELLAM_ALPHA_MAX = 25.0
 
 
 class TransferError(RuntimeError):
@@ -303,6 +305,11 @@ def _skellam_support(alpha: float):
     """Count differences carrying all but < 1e-13 of the Skellam mass."""
     if not alpha >= 0:
         raise TransferError("ancilla amplitude must be >= 0")
+    if alpha > SKELLAM_ALPHA_MAX:
+        raise TransferError(
+            f"ancilla amplitude {alpha} exceeds the closed-form limit "
+            f"SKELLAM_ALPHA_MAX = {SKELLAM_ALPHA_MAX}"
+        )
     width = int(np.ceil(alpha ** 2 + 12.0 * alpha + 30.0))
     d = np.arange(-width, width + 1)
     # Skellam(mu, mu) pmf e^{-2 mu} I_|d|(2 mu) at mu = alpha^2 / 2
@@ -460,6 +467,8 @@ def network_fidelity(N: int, f2: float) -> float:
     """W-state fidelity over N sites from the pairwise fidelity f2."""
     if N < 2:
         raise TransferError("a network needs at least 2 sites")
+    if not 0.0 <= f2 <= 1.0:
+        raise TransferError("pairwise fidelity f2 must lie in [0, 1]")
     return (1.0 + (N - 1) * (2.0 * f2 - 1.0)) / N
 
 

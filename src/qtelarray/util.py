@@ -12,11 +12,6 @@ def make_rng(seed_or_rng) -> np.random.Generator:
     return np.random.default_rng(seed_or_rng)
 
 
-def split_rng(rng: np.random.Generator, n: int):
-    """n independent child generators (deterministic given the parent)."""
-    return rng.spawn(n)
-
-
 def parse_key_value(text: str) -> dict:
     """Parse ``key = value`` lines into a string dict.
 

@@ -132,6 +132,16 @@ class TestImagingCommand:
         assert cli.main(["imaging", "--set", "source=point:9"]) == 2
         assert cli.main(["imaging", "--set", "source=0.5,0.5,0.5"]) == 2
         assert cli.main(["imaging", "--set", "source=widefield"]) == 2
+        for bad in ("-1,1,1,1", "0,0,0,0", "nan,1,1,1", "inf,1,1,1"):
+            assert cli.main(["imaging", "--set", f"source={bad}"]) == 2, bad
+
+    @pytest.mark.parametrize("bad", [
+        "d=0", "d=-1", "d=nan", "d=inf", "quadratures=bogus",
+        "sampler=bogus", "seed=-1",
+    ])
+    def test_bad_settings_exit_2(self, bad, capsys):
+        assert cli.main(["imaging", "--set", bad]) == 2
+        assert "qtelarray imaging:" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         argv = ["imaging", "--set", "shots=2000", "--set", "seed=11",
@@ -193,6 +203,13 @@ class TestTransferCommand:
             assert cli.main(["transfer", "--set", "mode=lossy",
                              "--set", bad]) == 2, bad
 
+    def test_alpha_past_closed_form_limit_exits_2(self, capsys):
+        code = cli.main(["transfer", "--set", "alpha_min=1e6",
+                         "--set", "alpha_max=1e6"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "SKELLAM_ALPHA_MAX = 25" in err and "1000000.0" in err
+
     def test_byte_identical_reruns(self, tmp_path):
         argv = ["transfer", "--set", "alpha_max=0.5"]
         _, first = run_to_file(tmp_path, argv, "a.txt")
@@ -230,3 +247,8 @@ class TestFormulasCommand:
     def test_degenerate_p1_exits_2(self):
         assert cli.main(["formulas", "--set", "p1=0"]) == 2
         assert cli.main(["formulas", "--set", "N=1"]) == 2
+
+    @pytest.mark.parametrize("bad", ["f2=nan", "f2=1.5", "f2=-0.1",
+                                     "seed=-1"])
+    def test_bad_fidelity_and_seed_exit_2(self, bad):
+        assert cli.main(["formulas", "--set", bad]) == 2

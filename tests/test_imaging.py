@@ -223,3 +223,107 @@ class TestClassicalPipeline:
         b = classical_pipeline(vis, 5000, rng=np.random.default_rng(11))
         assert np.array_equal(a.i_hat, b.i_hat)
         assert np.array_equal(a.extra["g_hat"], b.extra["g_hat"])
+
+
+def _classical_by_loop(vis, shots, rng, sampler, quadratures):
+    """Reference route: pairs as a list and pooling by a per-baseline scan.
+
+    Draws from ``rng`` in the same order as ``classical_pipeline`` (one
+    ``random``, one ``choice``, one ``binomial`` per setting) and returns
+    (i_hat, var, g_hat, sigma2, n_k, successes).
+    """
+    N = vis.geometry.N
+    mode = resolve_quadratures(vis, quadratures)
+    settings = ("XX",) if mode == "real" else ("XX", "XY")
+    rho = vis.g / N
+    pairs = [(a, b) for a in range(N) for b in range(a + 1, N)]
+    weight = np.array([(rho[a, a] + rho[b, b]).real for a, b in pairs])
+    cond = np.array([rho[a, b] / w for (a, b), w in zip(pairs, weight)])
+    corr_by_setting = {"XX": 2.0 * cond.real, "XY": -2.0 * cond.imag}
+    n_pairs = len(pairs)
+    if sampler == "w_state":
+        successes = int((rng.random(shots) >= 1.0 / N).sum())
+    else:
+        successes = shots
+    pair_idx = rng.choice(n_pairs, size=successes, p=weight / weight.sum())
+    sums = np.zeros((len(settings), n_pairs))
+    counts = np.zeros((len(settings), n_pairs), dtype=int)
+    for s_i, setting in enumerate(settings):
+        sel = pair_idx[s_i::len(settings)]
+        n_sel = np.bincount(sel, minlength=n_pairs)
+        corr = np.clip(corr_by_setting[setting], -1.0, 1.0)
+        plus = rng.binomial(n_sel, 0.5 * (1.0 + corr))
+        sums[s_i] = 2.0 * plus - n_sel
+        counts[s_i] = n_sel
+    g_hat = np.zeros(N - 1, dtype=complex)
+    sigma2 = np.zeros(N - 1)
+    n_k = np.zeros(N - 1, dtype=int)
+    for ki, k in enumerate(range(1, N)):
+        sel = [i for i, (a, b) in enumerate(pairs) if b - a == k]
+        quad_means = []
+        quad_se2 = []
+        for s_i in range(len(settings)):
+            n = int(counts[s_i, sel].sum())
+            total = float(sums[s_i, sel].sum())
+            if n == 0:
+                quad_means.append(0.0)
+                quad_se2.append(1.0)
+                continue
+            mean = total / n
+            quad_means.append(mean)
+            quad_se2.append(max(1.0 - mean ** 2, 0.0) / n)
+        n_k[ki] = int(counts[:, sel].sum())
+        if mode == "real":
+            g_hat[ki] = quad_means[0]
+        else:
+            g_hat[ki] = quad_means[0] + 1j * quad_means[1]
+        sigma2[ki] = float(np.mean(quad_se2))
+    i_hat = image_from_visibilities(g_hat, N)
+    var = np.full(N, float((natural_weights(N) ** 2 * sigma2).sum()))
+    return i_hat, var, g_hat, sigma2, n_k, successes
+
+
+class TestBaselinePooling:
+    @pytest.mark.parametrize("N, shots", [
+        (2, 500), (3, 2000), (5, 4000), (16, 3), (16, 20000), (33, 50000),
+        (64, 100000),
+    ])
+    @pytest.mark.parametrize("sampler", ["w_state", "direct_pair"])
+    @pytest.mark.parametrize("quadratures", ["real", "both"])
+    @pytest.mark.parametrize("scene", ["flat", "random"])
+    def test_matches_loop_oracle_exactly(self, N, shots, sampler,
+                                         quadratures, scene):
+        rng = np.random.default_rng(1000 + N)
+        weights = np.ones(N) if scene == "flat" else rng.random(N) + 0.01
+        vis, _ = on_grid_model(N, weights)
+        seed = 7 * N + shots
+        est = classical_pipeline(vis, shots, rng=np.random.default_rng(seed),
+                                 sampler=sampler, quadratures=quadratures)
+        i_hat, var, g_hat, sigma2, n_k, successes = _classical_by_loop(
+            vis, shots, np.random.default_rng(seed), sampler, quadratures
+        )
+        if shots < N:
+            # some baselines get no shots: they report mean 0 and se^2 1
+            assert np.any(sigma2 == 1.0)
+        assert np.array_equal(est.i_hat, i_hat)
+        assert np.array_equal(est.var, var)
+        assert np.array_equal(est.extra["g_hat"], g_hat)
+        assert np.array_equal(est.extra["sigma2"], sigma2)
+        assert np.array_equal(est.extra["n_k"], n_k)
+        assert est.extra["n_k"].dtype.kind == "i"
+        assert est.extra["successes"] == successes
+
+    def test_squared_means_round_like_python_pow(self):
+        # at this seed some baseline mean m has m ** 2 != m * m in the last
+        # bit, and the difference reaches sigma2
+        N, shots, seed = 64, 100000, 28
+        vis, _ = on_grid_model(N, np.eye(N)[N // 3])
+        est = classical_pipeline(vis, shots, rng=np.random.default_rng(seed),
+                                 quadratures="both")
+        means = np.concatenate([est.extra["g_hat"].real,
+                                est.extra["g_hat"].imag]).tolist()
+        assert any(m ** 2 != m * m for m in means)
+        ref = _classical_by_loop(vis, shots, np.random.default_rng(seed),
+                                 "w_state", "both")
+        assert np.array_equal(est.extra["sigma2"], ref[3])
+        assert np.array_equal(est.var, ref[1])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtelarray.qcore import StateError
 from qtelarray.source import (
@@ -29,6 +30,11 @@ def test_geometry_validation():
         ArrayGeometry(N=1, d=1.0)
     with pytest.raises(ValueError):
         ArrayGeometry(positions=[0.0, 1.0, 1.0])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            ArrayGeometry(positions=[0.0, 1.0, bad])
+    with pytest.raises(ValueError, match="finite"):
+        ArrayGeometry(N=4, d=float("nan"))
     geom = ArrayGeometry(positions=[0.0, 0.5, 2.0])
     assert not geom.is_uniform
     with pytest.raises(ValueError):
@@ -42,6 +48,9 @@ def test_intensity_normalization_rules():
     np.testing.assert_allclose(dist.weights, [0.5, 0.5])
     with pytest.raises(ValueError):
         IntensityDistribution([(0.0, -0.1), (1.0, 1.1)])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            IntensityDistribution([(0.0, bad), (1.0, 1.0)], normalize=True)
 
 
 def test_intensity_file_loader(tmp_path):
@@ -208,3 +217,44 @@ def test_visibility_function_matches_direct_sum():
         -2j * np.pi * x * 0.9
     )
     assert visibility_function(dist, x)[0] == pytest.approx(expect)
+
+
+def _visibility_by_full_grid(intensity, geometry):
+    """Reference route: g evaluated at every one of the N^2 differences."""
+    pos = geometry.positions
+    diffs = pos[:, None] - pos[None, :]
+    g = visibility_function(intensity, diffs.reshape(-1)).reshape(diffs.shape)
+    np.fill_diagonal(g, 1.0)
+    return (g + g.conj().T) / 2
+
+
+class TestUniqueBaselineRoute:
+    @pytest.mark.parametrize("N", [2, 3, 5, 16, 64, 128])
+    @pytest.mark.parametrize("scene", ["flat", "random", "point"])
+    def test_uniform_arrays_match_full_grid(self, N, scene):
+        rng = np.random.default_rng(N)
+        weights = {"flat": np.ones(N), "random": rng.random(N),
+                   "point": np.eye(N)[N // 3]}[scene]
+        d = 1.7
+        dist = IntensityDistribution.on_grid(N, d, weights, normalize=True)
+        geom = ArrayGeometry(N=N, d=d)
+        got = visibility_from_intensity(dist, geom).g
+        want = _visibility_by_full_grid(dist, geom)
+        assert np.abs(got - want).max() <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gaps=st.lists(st.floats(1e-3, 5.0), min_size=1, max_size=24),
+        start=st.floats(-10.0, 10.0),
+        sources=st.lists(
+            st.tuples(st.floats(-3.0, 3.0), st.floats(0.01, 1.0)),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_nonuniform_positions_match_full_grid(self, gaps, start, sources):
+        pos = start + np.concatenate([[0.0], np.cumsum(gaps)])
+        geom = ArrayGeometry(positions=pos)
+        dist = IntensityDistribution(sources, normalize=True)
+        got = visibility_from_intensity(dist, geom).g
+        want = _visibility_by_full_grid(dist, geom)
+        assert np.abs(got - want).max() <= 1e-12

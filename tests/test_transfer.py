@@ -19,6 +19,7 @@ from qtelarray.transfer import (
     AmplitudeTable,
     MC_BLOCK_ROWS,
     RATIO_TOL,
+    SKELLAM_ALPHA_MAX,
     Branch,
     TransferError,
     _skellam_support,
@@ -304,6 +305,13 @@ class TestClosedForms:
         with pytest.raises(TransferError):
             heralded_rate_closed(alpha)
 
+    def test_closed_forms_reject_alpha_past_limit(self):
+        assert deterministic_fidelity_closed(SKELLAM_ALPHA_MAX) > 0.8
+        above = SKELLAM_ALPHA_MAX * (1 + 1e-12)
+        for fn in (deterministic_fidelity_closed, heralded_rate_closed):
+            with pytest.raises(TransferError, match="SKELLAM_ALPHA_MAX"):
+                fn(above)
+
     def test_closed_form_needs_two_sites(self):
         with pytest.raises(TransferError):
             deterministic_fidelity_closed(1.0, (0.6, 0.6, 0.52915))
@@ -504,6 +512,9 @@ class TestNetwork:
     def test_rejects_bad_arguments(self):
         with pytest.raises(TransferError):
             network_fidelity(1, 0.9)
+        for f2 in (float("nan"), -0.1, 1.5):
+            with pytest.raises(TransferError):
+                network_fidelity(4, f2)
         with pytest.raises(TransferError):
             network_failure_probability(4, 1.5)
         with pytest.raises(TransferError):
