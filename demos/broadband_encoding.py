@@ -14,7 +14,7 @@ from qtelarray.codec import (
     encode_single_photon,
     parallel_frequency_compress,
 )
-from qtelarray.netdecode import decode_arrival, excitation_density
+from qtelarray.netdecode import decode_arrival
 
 config = RunConfig(M=5, R=2, N=2, layout="sequential", seed=7)
 book = Codebook(config.M, config.R)
@@ -40,7 +40,7 @@ print(f"  decoded (m, r) = ({result.m}, {result.r})")
 print(f"  parity checks spent: {result.checks}")
 print(f"  entangled pairs consumed: {run.ledger.as_dict()['bell_pairs']}")
 
-rho = excitation_density(result.state)
+rho = result.state
 print("  carrier density over sites (should be amps x amps^T):")
 print(np.round(rho, 6))
 

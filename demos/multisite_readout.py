@@ -11,7 +11,6 @@ import numpy as np
 from qtelarray.codec import RunConfig, encode_run_full
 from qtelarray.netdecode import (
     decode_arrival,
-    excitation_density,
     pair_correlators,
     sample_pair_products,
     w_state_readout,
@@ -30,7 +29,7 @@ for _ in range(400):
     result = decode_arrival(run.replay(), rng=rng)
     if result.is_vacuum:
         continue
-    kept.append(excitation_density(result.state))
+    kept.append(result.state)
 print(f"photon arrivals decoded: {len(kept)} of 400 "
       f"(vacuum rate tracks (1-eps)^M)")
 

@@ -17,6 +17,7 @@ consistency check fails.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -61,13 +62,16 @@ def _format_value(x) -> str:
     return str(x)
 
 
-def _render_table(headers, rows, config, notes=()) -> str:
-    lines = [f"# qtelarray {__version__}"]
+def _render_header(config, notes=()) -> list:
+    """The ``#`` lines every report opens with: version, config, seed, notes."""
     cfg = " ".join(f"{k}={_format_value(v)}" for k, v in sorted(config.items()))
-    lines.append(f"# config: {cfg}")
-    lines.append(f"# seed: {config.get('seed', 0)}")
-    for note in notes:
-        lines.append(f"# {note}")
+    lines = [f"# qtelarray {__version__}", f"# config: {cfg}",
+             f"# seed: {config.get('seed', 0)}"]
+    return lines + [f"# {note}" for note in notes]
+
+
+def _render_table(headers, rows, config, notes=()) -> str:
+    lines = _render_header(config, notes)
     lines.append(",".join(headers))
     for row in rows:
         lines.append(",".join(_format_value(x) for x in row))
@@ -85,7 +89,7 @@ def _coerce(key: str, raw, default):
             return int(val)
         if isinstance(default, float):
             return float(raw)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from None
     return raw
 
@@ -121,13 +125,11 @@ def resolve_config(defaults: dict, path, sets) -> dict:
 # ---- encode ---------------------------------------------------------------------
 
 
-ENCODE_DEFAULTS = {
-    "M": 5, "R": 2, "N": 2, "eps": 0.01, "layout": "sequential", "seed": 0,
-}
+ENCODE_DEFAULTS = dataclasses.asdict(RunConfig())
 
 
 def run_encode(config: dict):
-    run_config = RunConfig.from_mapping(config)
+    run_config = RunConfig(**config)
     rows = []
     ok = True
     checks_seen = set()
@@ -315,10 +317,7 @@ def run_formulas(config: dict):
         fid = _transfer.network_fidelity(N, f2)
     except _transfer.TransferError as exc:
         raise ConfigError(str(exc)) from None
-    lines = [f"# qtelarray {__version__}"]
-    cfg = " ".join(f"{k}={_format_value(v)}" for k, v in sorted(config.items()))
-    lines.append(f"# config: {cfg}")
-    lines.append(f"# seed: {config['seed']}")
+    lines = _render_header(config)
     lines.append("p_fail = %.12g" % p_fail)
     lines.append("fidelity = %.12g" % fid)
     for k in sorted(dist):

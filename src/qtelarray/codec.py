@@ -114,35 +114,6 @@ class RunConfig:
         if self.layout not in LAYOUTS:
             raise ConfigError(f"layout must be one of {LAYOUTS}")
 
-    @classmethod
-    def from_mapping(cls, mapping) -> "RunConfig":
-        known = {"M": int, "R": int, "N": int, "eps": float,
-                 "layout": str, "seed": int}
-        kwargs = {}
-        for key, raw in mapping.items():
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r}")
-            try:
-                kwargs[key] = known[key](raw)
-            except (TypeError, ValueError):
-                raise ConfigError(f"bad value for {key}: {raw!r}") from None
-        return cls(**kwargs)
-
-    @classmethod
-    def from_text(cls, text: str) -> "RunConfig":
-        from .util import parse_key_value
-
-        try:
-            mapping = parse_key_value(text)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        return cls.from_mapping(mapping)
-
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        with open(path) as fh:
-            return cls.from_text(fh.read())
-
 
 # ---- resource ledger -----------------------------------------------------------
 
@@ -321,6 +292,29 @@ def new_run(config: RunConfig) -> EncodeRun:
     )
 
 
+def _measure_and_correct(work, label, labels, bits, rng, verify):
+    """X-measure one qubit and undo the minus outcome's back-action.
+
+    The -1 branch gets the projector phase on ``labels`` holding ``bits``.
+    ``verify=True`` asserts that both corrected branches agree; ``rng``
+    picks a branch by its probability, None takes the first.
+    """
+    branches = work.measure_branches(label, basis="X")
+    corrected = [
+        post.phase_if_match(labels, bits) if outcome == -1 else post
+        for outcome, _p, post in branches
+    ]
+    if verify and len(corrected) == 2:
+        if abs(corrected[0].inner(corrected[1]) - 1.0) >= 1e-12:
+            raise EncodeError(
+                f"X branches of {label} disagree after phase correction"
+            )
+    if rng is None:
+        return corrected[0]
+    pick = rng.choice(len(branches), p=[p for _, p, _ in branches])
+    return corrected[int(pick)]
+
+
 def _write_photon(layout, sup, m, r, amps, rng, verify):
     """One-bit-teleportation write of a spatial single photon into memory.
 
@@ -343,24 +337,7 @@ def _write_photon(layout, sup, m, r, amps, rng, verify):
                 work = work.apply_cnot(recv[i], lab)
     for i in range(N):
         labels, bits = layout.write_pattern(i, m, r)
-        branches = work.measure_branches(recv[i], basis="X")
-        corrected = []
-        for outcome, _p, post in branches:
-            if outcome == -1:
-                post = post.phase_if_match(labels, bits)
-            corrected.append(post)
-        if verify and len(corrected) == 2:
-            a, b = corrected
-            agree = abs(a.inner(b) - 1.0) < 1e-12
-            if not agree:
-                raise EncodeError(
-                    "X-outcome branches disagree after phase correction"
-                )
-        if rng is None:
-            work = corrected[0]
-        else:
-            pick = rng.choice(len(branches), p=[p for _, p, _ in branches])
-            work = corrected[int(pick)]
+        work = _measure_and_correct(work, recv[i], labels, bits, rng, verify)
     return work
 
 
@@ -501,26 +478,10 @@ def parallel_frequency_compress(run: EncodeRun, rng=None, verify=False) -> Encod
                     if b == "1":
                         work = work.apply_cnot(flag, lab)
             for r in range(1, R + 1):
-                flag = layout.flag_label(i, r)
                 pattern = tuple(int(b) for b in layout.band_code(r))
-                branches = work.measure_branches(flag, basis="X")
-                corrected = []
-                for outcome, _p, post in branches:
-                    if outcome == -1:
-                        post = post.phase_if_match(comp, pattern)
-                    corrected.append(post)
-                if verify and len(corrected) == 2:
-                    if abs(corrected[0].inner(corrected[1]) - 1.0) > 1e-12:
-                        raise EncodeError(
-                            "flag X branches disagree after phase correction"
-                        )
-                if rng is None:
-                    work = corrected[0]
-                else:
-                    pick = rng.choice(
-                        len(branches), p=[p for _, p, _ in branches]
-                    )
-                    work = corrected[int(pick)]
+                work = _measure_and_correct(
+                    work, layout.flag_label(i, r), comp, pattern, rng, verify
+                )
         out.append((w, work, meta))
     return EncodeRun(
         config=run.config, layout=layout, ledger=run.ledger,

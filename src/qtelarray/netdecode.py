@@ -8,7 +8,9 @@ sector that is exactly the codeword bit, and the which-site amplitudes pass
 through untouched. Scanning the rows recovers (time bin, band). The
 excitation-carrying rows are then folded onto a single carrier row: the
 surplus rows are measured out in the X basis, whose random signs are undone
-by Z corrections on the carrier once the full record is known.
+by Z corrections on the carrier once the full record is known. Every
+surviving support string then holds the photon on exactly one carrier
+qubit, so the carrier is returned as its N x N which-site density.
 
 Readout entangles the carrier with a fresh W state by a CNOT per site and
 Z-measures the W qubits: the all-zeros outcome (probability exactly 1/N)
@@ -110,14 +112,18 @@ def ghz_parity_branches(state: QuantumState, row_labels):
 
 @dataclass
 class DecodeResult:
-    """Outcome of decoding one run: the arrival and the collapsed carrier."""
+    """Outcome of decoding one run: the arrival and the collapsed carrier.
+
+    ``state`` is the carrier's N x N which-site density (site order of
+    ``carrier_labels``), or None for a vacuum arrival.
+    """
 
     m: int
     r: int | None
     probability: float
     checks: int
     carrier_labels: tuple = ()
-    state: QuantumState | None = None
+    state: np.ndarray | None = None
     record: dict = field(default_factory=dict)
 
     @property
@@ -169,6 +175,27 @@ def _sample_pattern(comps, rows, rng):
         (comps[i][0] / weights[pick], comps[i][1]) for i in groups[pattern]
     ]
     return pattern, float(weights[pick] / total), survivors
+
+
+def _carrier_density(survivors, carrier, signs) -> np.ndarray:
+    """N x N which-site density of the folded survivors on the carrier row.
+
+    Every support string must hold the photon on exactly one carrier qubit;
+    the fold signs are the Z corrections on the carrier, one per site.
+    """
+    site = {lab: i for i, lab in enumerate(carrier)}
+    amps = np.zeros((len(survivors), len(carrier)), dtype=complex)
+    for k, (_, sup) in enumerate(survivors):
+        for mask, a in sup.amps.items():
+            q = mask.bit_length() - 1
+            if mask.bit_count() != 1 or sup.labels[q] not in site:
+                raise DecodeError(
+                    f"support string {mask:#b} is not one photon on the carrier"
+                )
+            amps[k, site[sup.labels[q]]] = a
+    amps *= np.asarray(signs)
+    weights = np.array([w for w, _ in survivors])
+    return (amps.T * weights) @ amps.conj()
 
 
 def decode_arrival(run: EncodeRun, rng=None) -> DecodeResult:
@@ -263,20 +290,7 @@ def decode_arrival(run: EncodeRun, rng=None) -> DecodeResult:
             survivors = folded
             if s < 0:
                 signs[i] = -signs[i]
-    fixed = []
-    for w, sup in survivors:
-        for i, lab in enumerate(carrier):
-            if signs[i] < 0:
-                sup = sup.apply_z(lab)
-        for lab in tuple(sup.labels):
-            if lab not in carrier:
-                sup = sup.remove_zero_qubit(lab)
-        fixed.append((w, sup))
-
-    reg = qubit_registry(carrier)
-    state = QuantumState.from_components(
-        reg, [(w, sup.to_vector()) for w, sup in fixed]
-    )
+    state = _carrier_density(survivors, carrier, signs)
     return DecodeResult(
         m=m, r=r, probability=record_p, checks=checks,
         carrier_labels=carrier, state=state,
@@ -333,22 +347,19 @@ def w_readout_branches(state: QuantumState):
     return enumerate_measure(joint, w_labels, basis="Z", remove=True)
 
 
-def w_state_readout(state_or_rho, rng, max_attempts: int = RETRY_CAP,
+def w_state_readout(rho, rng, max_attempts: int = RETRY_CAP,
                     ledger=None) -> WReadout:
     """Collapse a carrier onto a random site pair via fresh W resources.
 
-    Accepts the carrier as a QuantumState or an N x N which-site density.
-    Each attempt consumes one W state; the all-zeros outcome (probability
-    1/N) retries with the carrier intact.
+    ``rho`` is the carrier's N x N which-site density. Each attempt consumes
+    one W state; the all-zeros outcome (probability 1/N) retries with the
+    carrier intact.
     """
-    if isinstance(state_or_rho, np.ndarray):
-        rho = np.asarray(state_or_rho, dtype=complex)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise DecodeError("which-site density must be square")
-        if abs(rho.trace().real - 1.0) > 1e-10:
-            raise DecodeError("which-site density must have unit trace")
-    else:
-        rho = excitation_density(state_or_rho)
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise DecodeError("which-site density must be square")
+    if abs(rho.trace().real - 1.0) > 1e-10:
+        raise DecodeError("which-site density must have unit trace")
     n = rho.shape[0]
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     p_pairs = np.array([(rho[a, a] + rho[b, b]).real / n for a, b in pairs])

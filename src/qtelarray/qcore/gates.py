@@ -89,11 +89,7 @@ def apply(state: QuantumState, op: UnitaryOp, targets=None) -> QuantumState:
     labels = targets if targets is not None else op.targets
     if labels is None:
         raise StateError("UnitaryOp has no bound targets and none were given")
-    comps = [
-        (w, apply_matrix(v, state.registry, op.matrix, labels))
-        for w, v in state.components
-    ]
-    return QuantumState(state.registry, comps)
+    return _gate(state, op.matrix, labels)
 
 
 def _gate(state, matrix, labels):

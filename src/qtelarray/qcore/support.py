@@ -173,20 +173,6 @@ class SupportState:
             out.append((outcome, p, post))
         return out
 
-    def remove_zero_qubit(self, label) -> "SupportState":
-        """Drop a qubit that is |0> in every support string."""
-        b = 1 << self.bit(label)
-        pos = self.bit(label)
-        if any(m & b for m in self.amps):
-            raise StateError(f"qubit {label!r} is not |0> on all support")
-        new_labels = tuple(l for l in self.labels if l != label)
-        out = {}
-        for m, a in self.amps.items():
-            low = m & (b - 1)
-            high = (m >> (pos + 1)) << pos
-            out[high | low] = a
-        return SupportState(new_labels, out)
-
     def tensor(self, other: "SupportState") -> "SupportState":
         shift = self.n
         out = {}

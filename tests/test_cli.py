@@ -32,6 +32,42 @@ class TestConfigHandling:
     def test_missing_config_file_exits_2(self, capsys):
         assert cli.main(["encode", "--config", "/nonexistent.cfg"]) == 2
 
+    @pytest.mark.parametrize("command, setting", [
+        ("encode", "M=inf"),
+        ("encode", "M=1e400"),
+        ("imaging", "N=inf"),
+        ("formulas", "trials=inf"),
+    ])
+    def test_overflowing_integer_exits_2(self, command, setting, capsys):
+        assert cli.main([command, "--set", setting]) == 2
+        assert "config key" in capsys.readouterr().err
+
+    def test_config_file_parsing(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "# run\nM = 16\nR=4\nN = 2\neps = 0.01\nlayout = parallel\n"
+            "seed = 7\n"
+        )
+        code, body = run_to_file(tmp_path, ["encode", "--config", str(cfg)])
+        assert code == 0
+        assert (b"# config: M=16 N=2 R=4 eps=0.01 layout=parallel seed=7\n"
+                in body)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "M = 5\nQ = 3\n",            # unknown key
+            "M = 5\nM = 6\n",            # duplicate
+            "M five\n",                  # no equals sign
+            "eps = small\n",             # uncoercible value
+        ],
+    )
+    def test_bad_config_file_exits_2(self, tmp_path, text, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert cli.main(["encode", "--config", str(cfg)]) == 2
+        assert "qtelarray encode:" in capsys.readouterr().err
+
     def test_override_beats_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("M = 3\nR = 1\n# comment\n")

@@ -93,25 +93,6 @@ class TestRunConfig:
             with pytest.raises(ConfigError):
                 RunConfig(**bad)
 
-    def test_text_parsing(self):
-        cfg = RunConfig.from_text(
-            "# run\nM = 16\nR=4\nN = 2\neps = 0.01\nlayout = parallel\nseed = 7\n"
-        )
-        assert cfg == RunConfig(M=16, R=4, N=2, eps=0.01, layout="parallel", seed=7)
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "M = 5\nQ = 3\n",            # unknown key
-            "M = 5\nM = 6\n",            # duplicate
-            "M five\n",                  # no equals sign
-            "eps = small\n",             # uncoercible value
-        ],
-    )
-    def test_bad_text_rejected(self, text):
-        with pytest.raises(ConfigError):
-            RunConfig.from_text(text)
-
 
 class TestResourceLedger:
     def test_counters(self):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from qtelarray import netdecode
 from qtelarray.codec import (
+    Codebook,
     EncodeError,
     EncodeRun,
     RunConfig,
@@ -26,7 +28,44 @@ from qtelarray.netdecode import (
     w_state,
     w_state_readout,
 )
-from qtelarray.qcore import QuantumState, SupportState, cz, qubit_registry
+from qtelarray.qcore import (
+    QuantumState,
+    StateError,
+    SupportState,
+    cz,
+    qubit_registry,
+)
+
+
+def _drop_zero_qubit(sup, label):
+    """Remove a qubit that is |0> on every support string."""
+    b = 1 << sup.bit(label)
+    pos = sup.bit(label)
+    if any(m & b for m in sup.amps):
+        raise StateError(f"qubit {label!r} is not |0> on all support")
+    out = {}
+    for m, a in sup.amps.items():
+        out[((m >> (pos + 1)) << pos) | (m & (b - 1))] = a
+    return SupportState(tuple(l for l in sup.labels if l != label), out)
+
+
+def _carrier_by_dense(survivors, carrier, signs):
+    """Dense reference for the decoded carrier (at most 20 sites).
+
+    Z corrections on the carrier, every other qubit dropped as |0>, a 2^N
+    vector per survivor, then the which-site block of the mixture.
+    """
+    comps = []
+    for w, sup in survivors:
+        for i, lab in enumerate(carrier):
+            if signs[i] < 0:
+                sup = sup.apply_z(lab)
+        for lab in sup.labels:
+            if lab not in carrier:
+                sup = _drop_zero_qubit(sup, lab)
+        comps.append((w, sup.to_vector()))
+    state = QuantumState.from_components(qubit_registry(carrier), comps)
+    return excitation_density(state)
 
 
 def single_excitation_state(amps, labels=None):
@@ -138,7 +177,7 @@ class TestDecodeSequential:
                 assert res.checks == 4
                 assert run.ledger.bell_pairs == 4
                 assert run.ledger.ghz_states == 0
-                rho = excitation_density(res.state)
+                rho = res.state
                 assert np.allclose(
                     rho, np.outer(amps, amps.conj()), atol=1e-10
                 )
@@ -160,7 +199,7 @@ class TestDecodeSequential:
             run = encode_single_photon(cfg, 5, 2, amps=amps)
             res = decode_arrival(run, rng=np.random.default_rng(seed))
             assert res.carrier_labels == ("s0_c0", "s1_c0")
-            densities.append(excitation_density(res.state))
+            densities.append(res.state)
         for rho in densities[1:]:
             assert np.allclose(rho, densities[0], atol=1e-12)
         assert np.allclose(densities[0], np.outer(amps, amps.conj()), atol=1e-12)
@@ -180,7 +219,7 @@ class TestDecodeSequential:
             res = decode_arrival(template.replay(), rng=rng)
             counts[(res.m, res.r)] = counts.get((res.m, res.r), 0) + 1
             if res.m:
-                rho = excitation_density(res.state)
+                rho = res.state
                 assert np.allclose(rho, mats[res.r] / 2, atol=1e-10)
         p_vac = 0.7 ** 3
         seen_vac = counts.get((0, None), 0)
@@ -226,7 +265,7 @@ class TestDecodeParallel:
                 assert res.checks == 8
                 assert packed.ledger.bell_pairs == 8
                 assert packed.ledger.memory_qubits_per_site == 27
-                rho = excitation_density(res.state)
+                rho = res.state
                 assert np.allclose(rho, np.outer(amps, amps.conj()), atol=1e-10)
 
     def test_uncompressed_parallel_run_rejected(self):
@@ -254,12 +293,122 @@ class TestDecodeParallel:
             seen.add((res.m, res.r))
             if res.m:
                 g = 0.5 if res.r == 1 else -0.2
-                rho = excitation_density(res.state)
+                rho = res.state
                 assert np.allclose(
                     rho, np.array([[1, g], [np.conj(g), 1]]) / 2, atol=1e-10
                 )
         assert (0, None) in seen
         assert len(seen) > 5
+
+
+@pytest.fixture
+def dense_checked(monkeypatch):
+    """Check every decoded carrier against the dense route on its survivors.
+
+    Returns the list of (carrier sites, survivors, minus fold signs) seen.
+    """
+    seen = []
+    fast = netdecode._carrier_density
+
+    def checked(survivors, carrier, signs):
+        rho = fast(survivors, carrier, signs)
+        want = _carrier_by_dense(survivors, carrier, signs)
+        np.testing.assert_allclose(rho, want, rtol=0, atol=1e-12)
+        seen.append((len(carrier), len(survivors), signs.count(-1)))
+        return rho
+
+    monkeypatch.setattr(netdecode, "_carrier_density", checked)
+    return seen
+
+
+def _random_amps(rng, n):
+    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return amps / np.linalg.norm(amps)
+
+
+class TestCarrierDensity:
+    # sequential M=7 R=2 codewords occupy 1..4 rows; parallel M=7 R=3 runs
+    # occupy popcount(m) + popcount(r) rows, 2..5
+    CODEBOOKS = {"sequential": (7, 2), "parallel": (7, 3)}
+
+    @staticmethod
+    def _decode(cfg, m, r, amps, seed):
+        run = encode_single_photon(cfg, m, r, amps=amps)
+        if cfg.layout == "parallel":
+            run = parallel_frequency_compress(run)
+        return decode_arrival(run, rng=np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("layout", ["sequential", "parallel"])
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+    def test_single_photon_matches_dense_route(self, dense_checked, layout, N):
+        M, R = self.CODEBOOKS[layout]
+        cfg = RunConfig(M=M, R=R, N=N, layout=layout, seed=N)
+        rng = np.random.default_rng(100 + N)
+        words = [(m, r) for m in (1, 3, 5, 7) for r in range(1, R + 1)]
+        if layout == "sequential":
+            rows = {Codebook(M, R).codeword(m, r).count("1") for m, r in words}
+            assert rows == {1, 2, 3, 4}
+        for k, (m, r) in enumerate(words):
+            amps = _random_amps(rng, N)
+            res = self._decode(cfg, m, r, amps, seed=k)
+            assert (res.m, res.r) == (m, r)
+            np.testing.assert_allclose(
+                res.state, np.outer(amps, amps.conj()), rtol=0, atol=1e-12
+            )
+        assert all(sites == N for sites, _, _ in dense_checked)
+        assert any(minus for _, _, minus in dense_checked)
+
+    @pytest.mark.parametrize("layout", ["sequential", "parallel"])
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_mixture_matches_dense_route(self, dense_checked, layout, N):
+        cfg = RunConfig(M=3, R=2, N=N, eps=0.3, layout=layout, seed=N)
+        template = encode_run_full(cfg, band_g=[0.6 + 0.2j, -0.3j])
+        if layout == "parallel":
+            template = parallel_frequency_compress(template)
+        rng = np.random.default_rng(7 * N)
+        for _ in range(40):
+            decode_arrival(template.replay(), rng=rng)
+        assert any(survivors > 1 for _, survivors, _ in dense_checked)
+        assert any(minus for _, _, minus in dense_checked)
+
+    @pytest.mark.parametrize("M, R, mask", [
+        # photon on carrier s0_c0, even pair left on row c1
+        (1, 2, 0b1011),
+        # photon on carrier s1_c1, even pair left on row c0
+        (3, 1, 0b1101),
+    ])
+    def test_non_carrier_bits_raise(self, M, R, mask):
+        cfg = RunConfig(M=M, R=R, N=2)
+        run = new_run(cfg)
+        labels = run.layout.all_labels()
+        assert labels == ("s0_c0", "s0_c1", "s1_c0", "s1_c1")
+        bad = SupportState(labels, {mask: 1.0})
+        run = EncodeRun(
+            config=cfg, layout=run.layout, ledger=run.ledger,
+            components=[(1.0, bad, {"m": 1, "r": 1})],
+        )
+        with pytest.raises(DecodeError, match="not one photon"):
+            decode_arrival(run)
+
+    @pytest.mark.parametrize("layout", ["sequential", "parallel"])
+    @pytest.mark.parametrize("N", [21, 24, 32])
+    def test_past_dense_limit(self, layout, N):
+        M, R = self.CODEBOOKS[layout]
+        cfg = RunConfig(M=M, R=R, N=N, layout=layout, seed=N)
+        rng = np.random.default_rng(N)
+        phases = rng.uniform(0.0, 2 * np.pi, size=N)
+        amps = np.exp(1j * phases) / np.sqrt(N)
+        res = self._decode(cfg, M, R, amps, seed=N + 1)
+        assert (res.m, res.r) == (M, R)
+        assert res.state.shape == (N, N)
+        np.testing.assert_allclose(
+            res.state, np.outer(amps, amps.conj()), rtol=0, atol=1e-12
+        )
+        for seed in range(5):
+            w = w_state_readout(res.state, rng=np.random.default_rng(seed))
+            a, b = w.pair
+            g_hat = pair_correlators(w.density)["g_hat"]
+            assert abs(g_hat - np.exp(1j * (phases[a] - phases[b]))) <= 1e-9
 
 
 class TestWReadout:
@@ -295,10 +444,9 @@ class TestWReadout:
     def test_fast_route_matches_enumeration(self):
         rng = np.random.default_rng(9)
         amps = rng.normal(size=3) + 1j * rng.normal(size=3)
-        state = single_excitation_state(amps)
-        readout = w_state_readout(state, rng=np.random.default_rng(1))
+        rho = excitation_density(single_excitation_state(amps))
+        readout = w_state_readout(rho, rng=np.random.default_rng(1))
         a, b = readout.pair
-        rho = excitation_density(state)
         block = rho[np.ix_([a, b], [a, b])]
         assert np.allclose(readout.density, block / block.trace(), atol=1e-12)
         assert readout.p_pair == pytest.approx(
@@ -325,10 +473,10 @@ class TestWReadout:
             assert zero_branch[0][1] == pytest.approx(1.0 / n, abs=1e-12)
 
     def test_attempts_follow_geometric_law(self):
-        state = single_excitation_state(np.ones(3))
+        rho = excitation_density(single_excitation_state(np.ones(3)))
         rng = np.random.default_rng(12)
         attempts = np.array(
-            [w_state_readout(state, rng=rng).attempts for _ in range(3000)]
+            [w_state_readout(rho, rng=rng).attempts for _ in range(3000)]
         )
         mean = attempts.mean()
         # E = 1/(1 - 1/3) = 1.5, Var = (1/3)/(2/3)^2 = 0.75
@@ -347,8 +495,8 @@ class TestWReadout:
         from qtelarray.codec import ResourceLedger
 
         led = ResourceLedger()
-        state = single_excitation_state(np.ones(4))
-        w_state_readout(state, rng=np.random.default_rng(2), ledger=led)
+        rho = excitation_density(single_excitation_state(np.ones(4)))
+        w_state_readout(rho, rng=np.random.default_rng(2), ledger=led)
         assert led.w_states >= 1
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from qtelarray.qcore import (
     QuantumState,
-    StateError,
     SupportState,
     build_state,
     cnot,
@@ -106,15 +105,6 @@ def test_measure_branch_probabilities_sum():
     for basis in ("Z", "X"):
         total = sum(p for _, p, _ in sup.measure_branches("a", basis))
         assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_remove_zero_qubit():
-    sup = SupportState(["a", "b", "c"], {0b001: 1, 0b100: 1}, normalize=True)
-    out = sup.remove_zero_qubit("b")
-    assert out.labels == ("a", "c")
-    assert set(out.amps) == {0b01, 0b10}
-    with pytest.raises(StateError):
-        sup.remove_zero_qubit("a")
 
 
 def test_tensor_and_inner():
