@@ -16,16 +16,29 @@ Two memory layouts:
 - parallel: per band, a t_bits time register plus a flag qubit; flags are
   later compressed into ceil(log2(R+1)) qubits (see
   :func:`parallel_frequency_compress`).
+
+Site-vector form. Every site holds the same register, so a photon with site
+amplitudes a_i leaves the memories in sum_i a_i |P at site i>: one register
+pattern P at whichever site holds the photon, every other site blank. Each
+mixture component stores exactly that, a :class:`SiteState` with the
+N-vector ``amps`` and the int ``pattern`` (bit q is row q of
+:attr:`MemoryLayout.names`); the vacuum is pattern 0. The CNOTs of a write
+or a compression only XOR a fixed mask into P at the photon's site. The X
+measurement that ends each teleportation needs no branch either: its minus
+outcome puts -1 on exactly the term whose site holds the written pattern,
+and the projector phase takes it off again, so both outcomes leave the same
+state and the whole step is a pattern update. The gate-by-gate route lives
+on as the reference in the tests, on :class:`~qtelarray.qcore.SupportState`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .qcore import SupportState, QuantumState, log2_ceil, qubit_registry
-from .util import make_rng
+from .qcore import log2_ceil
 
 LAYOUTS = ("sequential", "parallel")
 
@@ -150,74 +163,73 @@ class ResourceLedger:
     def copy(self) -> "ResourceLedger":
         return ResourceLedger(**self.as_dict())
 
-    def delta(self, earlier: "ResourceLedger") -> dict:
-        return {
-            name: getattr(self, name) - getattr(earlier, name)
-            for name in LEDGER_FIELDS
-        }
-
 
 # ---- memory layout -------------------------------------------------------------
 
 
 class MemoryLayout:
-    """Labels and write patterns of the per-site memory registers."""
+    """Register rows, labels and write patterns of the per-site memories.
+
+    Every site holds the same register. ``names`` lists it in row order:
+    row q is bit q of a stored pattern, and its qubit at site i carries the
+    label ``f"s{i}_{names[q]}"``.
+    """
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.book = Codebook(config.M, config.R)
         self.c_bits = log2_ceil(config.R + 1)
+        bands = range(1, config.R + 1)
+        if config.layout == "sequential":
+            names = [f"c{p}" for p in range(self.book.length)]
+        else:
+            names = [f"r{r}_t{p}" for r in bands for p in range(self.book.t_bits)]
+            names += [f"f{r}" for r in bands]
+            names += [f"k{p}" for p in range(self.c_bits)]
+        self.names = tuple(names)
 
     @property
     def qubits_per_site(self) -> int:
-        book = self.book
-        if self.config.layout == "sequential":
-            return book.length
-        return self.config.R * book.t_bits + self.config.R + self.c_bits
+        return len(self.names)
 
-    def sequential_register(self, i: int):
-        return tuple(f"s{i}_c{p}" for p in range(self.book.length))
+    def code_rows(self) -> tuple:
+        """Sequential layout: codeword bit p sits on row p."""
+        return tuple(range(self.book.length))
 
-    def time_register(self, i: int, r: int):
-        return tuple(f"s{i}_r{r}_t{p}" for p in range(self.book.t_bits))
+    def time_rows(self, r: int) -> tuple:
+        """Parallel layout: band r's time register, binary(m) MSB first."""
+        t = self.book.t_bits
+        return tuple(range((r - 1) * t, r * t))
 
-    def flag_label(self, i: int, r: int) -> str:
-        return f"s{i}_f{r}"
+    def flag_row(self, r: int) -> int:
+        """Parallel layout: band r's flag qubit."""
+        return self.config.R * self.book.t_bits + r - 1
 
-    def comp_register(self, i: int):
-        return tuple(f"s{i}_k{p}" for p in range(self.c_bits))
+    def comp_rows(self) -> tuple:
+        """Parallel layout: the compressed band register."""
+        start = self.config.R * (self.book.t_bits + 1)
+        return tuple(range(start, start + self.c_bits))
 
-    def site_labels(self, i: int):
-        if self.config.layout == "sequential":
-            return self.sequential_register(i)
-        labels = []
-        for r in range(1, self.config.R + 1):
-            labels.extend(self.time_register(i, r))
-        labels.extend(
-            self.flag_label(i, r) for r in range(1, self.config.R + 1)
-        )
-        labels.extend(self.comp_register(i))
-        return tuple(labels)
+    def site_labels(self, i: int) -> tuple:
+        return tuple(f"s{i}_{name}" for name in self.names)
 
-    def all_labels(self):
-        out = []
-        for i in range(self.config.N):
-            out.extend(self.site_labels(i))
-        return tuple(out)
+    def row_labels(self, q: int) -> tuple:
+        """Labels of row q across the sites."""
+        return tuple(f"s{i}_{self.names[q]}" for i in range(self.config.N))
 
-    def write_pattern(self, i: int, m: int, r: int):
-        """(labels, bits) a photon at (m, r) imposes on site i's registers.
+    def write_pattern(self, m: int, r: int):
+        """(rows, bits) a photon at (m, r) imposes on the register it lands in.
 
-        The labels cover the entire written register (zeros included), so
+        The rows cover the entire written register (zeros included), so
         the pattern doubles as the phase-correction projector.
         """
         if self.config.layout == "sequential":
             word = self.book.codeword(m, r)
-            return self.sequential_register(i), tuple(int(b) for b in word)
+            return self.code_rows(), tuple(int(b) for b in word)
         tword = format(m, f"0{self.book.t_bits}b")
-        labels = self.time_register(i, r) + (self.flag_label(i, r),)
+        rows = self.time_rows(r) + (self.flag_row(r),)
         bits = tuple(int(b) for b in tword) + (1,)
-        return labels, bits
+        return rows, bits
 
     def band_code(self, r: int) -> str:
         """Compressed-register pattern for band r (vacuum stays zero)."""
@@ -226,14 +238,30 @@ class MemoryLayout:
         return format(r, f"0{self.c_bits}b")
 
 
+def _mask(rows, bits) -> int:
+    """Pattern with the given bits on the given rows."""
+    return sum(1 << q for q, b in zip(rows, bits) if int(b))
+
+
 # ---- encode run -----------------------------------------------------------------
+
+
+class SiteState(NamedTuple):
+    """One component: sum_i amps[i] |pattern at site i>, pattern 0 = vacuum.
+
+    The vacuum's amps are the unit vector on site 0, since every site then
+    holds the same blank register.
+    """
+
+    amps: np.ndarray
+    pattern: int
 
 
 @dataclass
 class EncodeRun:
-    """Mixture of compact pure memory states plus resource accounting.
+    """Mixture of site-vector memory states plus resource accounting.
 
-    components: list of (weight, SupportState, meta) with meta recording the
+    components: list of (weight, SiteState, meta) with meta recording the
     ground-truth arrival for verification ({"m": 0} marks the vacuum branch).
     Weights sum to one.
     """
@@ -255,9 +283,9 @@ class EncodeRun:
     def replay(self) -> "EncodeRun":
         """Fresh decodable handle on the same prepared mixture.
 
-        Components are immutable (every gate returns a new SupportState), so
-        repeated decodes of one preparation can share them; the ledger is
-        copied so each handle accounts its own consumption.
+        Components are never modified in place (every step builds new
+        SiteStates), so repeated decodes of one preparation can share them;
+        the ledger is copied so each handle accounts its own consumption.
         """
         return EncodeRun(
             config=self.config,
@@ -268,13 +296,6 @@ class EncodeRun:
             decoded=False,
         )
 
-    def dense_state(self) -> QuantumState:
-        """Materialize the memory mixture as a dense state (small runs)."""
-        labels = self.components[0][1].labels
-        reg = qubit_registry(labels)
-        comps = [(w, sup.to_vector()) for w, sup, _ in self.components]
-        return QuantumState.from_components(reg, comps)
-
 
 def new_run(config: RunConfig) -> EncodeRun:
     """Fresh all-zeros memories with the ledger primed."""
@@ -283,74 +304,41 @@ def new_run(config: RunConfig) -> EncodeRun:
     ledger.add("memory_qubits_per_site", layout.qubits_per_site)
     # receiving qubits: one per band at each site, reset between bins
     ledger.add("ancilla_qubits", config.N * config.R)
-    vacuum = SupportState.zeros(layout.all_labels())
+    vacuum = np.zeros(config.N, dtype=complex)
+    vacuum[0] = 1.0
     return EncodeRun(
         config=config,
         layout=layout,
         ledger=ledger,
-        components=[(1.0, vacuum, {"m": 0})],
+        components=[(1.0, SiteState(vacuum, 0), {"m": 0})],
     )
 
 
-def _measure_and_correct(work, label, labels, bits, rng, verify):
-    """X-measure one qubit and undo the minus outcome's back-action.
-
-    The -1 branch gets the projector phase on ``labels`` holding ``bits``.
-    ``verify=True`` asserts that both corrected branches agree; ``rng``
-    picks a branch by its probability, None takes the first.
-    """
-    branches = work.measure_branches(label, basis="X")
-    corrected = [
-        post.phase_if_match(labels, bits) if outcome == -1 else post
-        for outcome, _p, post in branches
-    ]
-    if verify and len(corrected) == 2:
-        if abs(corrected[0].inner(corrected[1]) - 1.0) >= 1e-12:
-            raise EncodeError(
-                f"X branches of {label} disagree after phase correction"
-            )
-    if rng is None:
-        return corrected[0]
-    pick = rng.choice(len(branches), p=[p for _, p, _ in branches])
-    return corrected[int(pick)]
-
-
-def _write_photon(layout, sup, m, r, amps, rng, verify):
-    """One-bit-teleportation write of a spatial single photon into memory.
-
-    ``amps`` are the per-site amplitudes of the photon. Returns the new
-    SupportState; measurement outcomes leave no trace after the projector
-    phase corrections, which ``verify=True`` asserts branch by branch.
-    """
-    N = layout.config.N
+def _photon_amps(amps, N: int) -> np.ndarray:
+    """Validated, normalized per-site amplitudes of a spatial single photon."""
     amps = np.asarray(amps, dtype=complex)
-    recv = tuple(f"recv{i}" for i in range(N))
-    photon = SupportState(
-        recv, {1 << i: amps[i] for i in range(N) if amps[i] != 0},
-        normalize=True,
-    )
-    work = sup.tensor(photon)
-    for i in range(N):
-        labels, bits = layout.write_pattern(i, m, r)
-        for lab, b in zip(labels, bits):
-            if b:
-                work = work.apply_cnot(recv[i], lab)
-    for i in range(N):
-        labels, bits = layout.write_pattern(i, m, r)
-        work = _measure_and_correct(work, recv[i], labels, bits, rng, verify)
-    return work
+    if amps.shape != (N,):
+        raise EncodeError(
+            f"photon amplitudes need shape ({N},) for N={N} sites, "
+            f"got {amps.shape}"
+        )
+    if not np.isfinite(amps).all():
+        raise EncodeError("photon amplitudes must be finite")
+    norm = np.linalg.norm(amps)
+    if norm == 0:
+        raise EncodeError("photon amplitudes are all zero")
+    return amps / norm
 
 
-def encode_bin(run: EncodeRun, m: int, photon=None, rng=None, verify=False) -> EncodeRun:
+def encode_bin(run: EncodeRun, m: int, photon=None) -> EncodeRun:
     """Advance the run through time bin m.
 
     ``photon`` is None for a vacuum bin or ``(r, amps)`` for a single photon
     in band r with per-site spatial amplitudes. Vacuum receiving qubits are
     an exact identity (CNOT from |0>, X measurement, correction projector
-    orthogonal to every stored codeword), so they are skipped.
-
-    ``verify=True`` checks that both X outcomes agree after correction on
-    every measured qubit; ``rng`` samples outcomes instead (same result).
+    orthogonal to every stored codeword), so they are skipped. A photon
+    write is one-bit teleportation into blank memories, which in site-vector
+    form sets the written pattern (see the module docstring).
     """
     if run.decoded:
         raise EncodeError("run already decoded")
@@ -360,15 +348,17 @@ def encode_bin(run: EncodeRun, m: int, photon=None, rng=None, verify=False) -> E
         return run
     r, amps = photon
     run.book.codeword(m, r)  # range check
+    written = SiteState(
+        _photon_amps(amps, run.config.N), _mask(*run.layout.write_pattern(m, r))
+    )
     out = []
-    for w, sup, meta in run.components:
+    for w, _, meta in run.components:
         if meta.get("m", 0) != 0:
             raise EncodeError(
                 "encode_bin writes one photon per run component; "
                 "this component already holds one"
             )
-        new_sup = _write_photon(run.layout, sup, m, r, amps, rng, verify)
-        out.append((w, new_sup, {"m": m, "r": r}))
+        out.append((w, written, {"m": m, "r": r}))
     return EncodeRun(
         config=run.config, layout=run.layout, ledger=run.ledger,
         components=out, compressed=run.compressed,
@@ -402,7 +392,7 @@ def _band_matrices(config, band_g):
     return mats
 
 
-def encode_run_full(config: RunConfig, band_g=None, rng=None, verify=False) -> EncodeRun:
+def encode_run_full(config: RunConfig, band_g=None) -> EncodeRun:
     """Exact post-encoding mixture over M weak-source time bins.
 
     Branch weights follow the at-most-one-photon model: vacuum carries
@@ -410,7 +400,6 @@ def encode_run_full(config: RunConfig, band_g=None, rng=None, verify=False) -> E
     uniformly over the R bands and over each band's coherence eigenstates.
     The weights sum to one identically.
     """
-    rng = make_rng(config.seed) if rng is None else rng
     run = new_run(config)
     base = run.components[0][1]
     eps, M, R = config.eps, config.M, config.R
@@ -422,15 +411,18 @@ def encode_run_full(config: RunConfig, band_g=None, rng=None, verify=False) -> E
             vals, vecs = np.linalg.eigh(mat / config.N)
             if vals.min() < -1e-10:
                 raise ConfigError("band g matrix is not positive semidefinite")
-            eigs.append(
-                [(float(v), vecs[:, e]) for e, v in enumerate(vals) if v > 1e-12]
-            )
+            eigs.append([
+                (float(v), _photon_amps(vecs[:, e], config.N))
+                for e, v in enumerate(vals) if v > 1e-12
+            ])
         for m in range(1, M + 1):
             p_bin = eps * (1 - eps) ** (m - 1)
             for r in range(1, R + 1):
+                pattern = _mask(*run.layout.write_pattern(m, r))
                 for lam, u in eigs[r - 1]:
-                    sup = _write_photon(run.layout, base, m, r, u, rng, verify)
-                    comps.append((p_bin / R * lam, sup, {"m": m, "r": r}))
+                    comps.append(
+                        (p_bin / R * lam, SiteState(u, pattern), {"m": m, "r": r})
+                    )
     total = sum(w for w, _, _ in comps)
     if abs(total - 1.0) > 1e-10:
         raise EncodeError(f"branch weights sum to {total}")
@@ -440,8 +432,7 @@ def encode_run_full(config: RunConfig, band_g=None, rng=None, verify=False) -> E
     )
 
 
-def encode_single_photon(config: RunConfig, m: int, r: int, amps=None,
-                         rng=None, verify=False) -> EncodeRun:
+def encode_single_photon(config: RunConfig, m: int, r: int, amps=None) -> EncodeRun:
     """Deterministic single-photon injection at (m, r) for roundtrip tests.
 
     ``amps`` defaults to the uniform spatial superposition across sites.
@@ -449,40 +440,34 @@ def encode_single_photon(config: RunConfig, m: int, r: int, amps=None,
     run = new_run(config)
     if amps is None:
         amps = np.ones(config.N) / np.sqrt(config.N)
-    rng = make_rng(config.seed) if rng is None else rng
-    return encode_bin(run, m, (r, amps), rng=rng, verify=verify)
+    return encode_bin(run, m, (r, amps))
 
 
-def parallel_frequency_compress(run: EncodeRun, rng=None, verify=False) -> EncodeRun:
+def parallel_frequency_compress(run: EncodeRun) -> EncodeRun:
     """Fold the R per-band flags into the ceil(log2(R+1)) compressed qubits.
 
     Per site: CNOT from flag r onto the compressed bits set in binary(r),
     then X-measure every flag with the usual projector phase corrections
-    (pattern: compressed register holding binary(r) exactly).
+    (pattern: compressed register holding binary(r) exactly). In site-vector
+    form that clears flag r and sets binary(r) on the compressed rows.
     """
     if run.config.layout != "parallel":
         raise EncodeError("frequency compression applies to the parallel layout")
     if run.compressed:
         raise EncodeError("run already compressed")
     layout = run.layout
-    N, R = run.config.N, run.config.R
-    rng = make_rng(run.config.seed + 1) if rng is None else rng
+    folds = [
+        (1 << layout.flag_row(r),
+         1 << layout.flag_row(r) | _mask(layout.comp_rows(), layout.band_code(r)))
+        for r in range(1, run.config.R + 1)
+    ]
     out = []
-    for w, sup, meta in run.components:
-        work = sup
-        for i in range(N):
-            comp = layout.comp_register(i)
-            for r in range(1, R + 1):
-                flag = layout.flag_label(i, r)
-                for lab, b in zip(comp, layout.band_code(r)):
-                    if b == "1":
-                        work = work.apply_cnot(flag, lab)
-            for r in range(1, R + 1):
-                pattern = tuple(int(b) for b in layout.band_code(r))
-                work = _measure_and_correct(
-                    work, layout.flag_label(i, r), comp, pattern, rng, verify
-                )
-        out.append((w, work, meta))
+    for w, state, meta in run.components:
+        pattern = state.pattern
+        for flag, flip in folds:
+            if pattern & flag:
+                pattern ^= flip
+        out.append((w, SiteState(state.amps, pattern), meta))
     return EncodeRun(
         config=run.config, layout=layout, ledger=run.ledger,
         components=out, compressed=True,

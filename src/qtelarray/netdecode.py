@@ -8,9 +8,11 @@ sector that is exactly the codeword bit, and the which-site amplitudes pass
 through untouched. Scanning the rows recovers (time bin, band). The
 excitation-carrying rows are then folded onto a single carrier row: the
 surplus rows are measured out in the X basis, whose random signs are undone
-by Z corrections on the carrier once the full record is known. Every
-surviving support string then holds the photon on exactly one carrier
-qubit, so the carrier is returned as its N x N which-site density.
+by Z corrections on the carrier once the full record is known. On the
+site-vector form of the codec a row check reads one bit of the register
+pattern, and an X outcome of -1 on site i only flips the sign of a_i, so the
+fold is one +-1 vector per row. The carrier is returned as its N x N
+which-site density.
 
 Readout entangles the carrier with a fresh W state by a CNOT per site and
 Z-measures the W qubits: the all-zeros outcome (probability exactly 1/N)
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import EncodeError, EncodeRun
+from .codec import EncodeError, EncodeRun, SiteState
 from .qcore import (
     QuantumState,
     cnot,
@@ -53,10 +55,6 @@ def ghz_state(n: int, labels=None) -> QuantumState:
     vec = np.zeros(2 ** n, dtype=complex)
     vec[0] = vec[-1] = 2 ** -0.5
     return QuantumState.from_vector(qubit_registry(labels), vec)
-
-
-def bell_pair(labels=("b0", "b1")) -> QuantumState:
-    return ghz_state(2, labels)
 
 
 def w_state(n: int, labels=None) -> QuantumState:
@@ -131,38 +129,24 @@ class DecodeResult:
         return self.m == 0
 
 
-def _support_row_bit(sup, row_labels) -> int:
-    """Row occupation parity read off a component's support strings.
-
-    Every string must agree; a GHZ parity check on a definite-codeword
-    component is deterministic, so disagreement means protocol misuse.
-    """
-    row_mask = 0
-    for lab in row_labels:
-        row_mask |= 1 << sup.bit(lab)
-    bits = {(m & row_mask).bit_count() % 2 for m in sup.amps}
-    if len(bits) != 1:
-        raise DecodeError("row parity is not definite across the support")
-    return bits.pop()
-
-
 def _ghz_outcome_pattern(parity: int, n: int, rng) -> tuple:
     """Uniform X-outcome pattern with the given minus-sign parity."""
     bits = rng.integers(0, 2, size=n)
     if int(bits.sum()) % 2 != parity:
         bits[-1] ^= 1
-    return tuple(1 - 2 * int(b) for b in bits)
+    return tuple((1 - 2 * bits).tolist())
 
 
 def _sample_pattern(comps, rows, rng):
     """Sample a joint parity pattern over rows from a weighted mixture.
 
-    comps is a list of (weight, SupportState). Returns the drawn pattern,
-    its probability, and the matching components renormalized to unit
-    weight. Parity checks have no back-action within a pattern class, so
-    sampling the joint record up front is exact.
+    comps is a list of (weight, SiteState); a row check reads the row's bit
+    of each component's register pattern. Returns the drawn pattern, its
+    probability, and the matching components renormalized to unit weight.
+    Parity checks have no back-action within a pattern class, so sampling
+    the joint record up front is exact.
     """
-    pats = [tuple(_support_row_bit(sup, row) for row in rows) for _, sup in comps]
+    pats = [tuple((st.pattern >> q) & 1 for q in rows) for _, st in comps]
     groups: dict[tuple, list[int]] = {}
     for idx, pat in enumerate(pats):
         groups.setdefault(pat, []).append(idx)
@@ -177,23 +161,19 @@ def _sample_pattern(comps, rows, rng):
     return pattern, float(weights[pick] / total), survivors
 
 
-def _carrier_density(survivors, carrier, signs) -> np.ndarray:
+def _carrier_density(survivors, carrier: int, signs) -> np.ndarray:
     """N x N which-site density of the folded survivors on the carrier row.
 
-    Every support string must hold the photon on exactly one carrier qubit;
-    the fold signs are the Z corrections on the carrier, one per site.
+    Every survivor's pattern must be the carrier bit alone; the signs are
+    the Z corrections on the carrier, one per site.
     """
-    site = {lab: i for i, lab in enumerate(carrier)}
-    amps = np.zeros((len(survivors), len(carrier)), dtype=complex)
-    for k, (_, sup) in enumerate(survivors):
-        for mask, a in sup.amps.items():
-            q = mask.bit_length() - 1
-            if mask.bit_count() != 1 or sup.labels[q] not in site:
-                raise DecodeError(
-                    f"support string {mask:#b} is not one photon on the carrier"
-                )
-            amps[k, site[sup.labels[q]]] = a
-    amps *= np.asarray(signs)
+    for _, st in survivors:
+        if st.pattern != 1 << carrier:
+            raise DecodeError(
+                f"register pattern {st.pattern:#b} is not one photon on "
+                f"carrier row {carrier}"
+            )
+    amps = np.array([st.amps for _, st in survivors]) * signs
     weights = np.array([w for w, _ in survivors])
     return (amps.T * weights) @ amps.conj()
 
@@ -215,20 +195,15 @@ def decode_arrival(run: EncodeRun, rng=None) -> DecodeResult:
     N = cfg.N
 
     if cfg.layout == "sequential":
-        lead_rows = [
-            tuple(f"s{i}_c{p}" for i in range(N)) for p in range(book.length)
-        ]
+        lead_rows = layout.code_rows()
     else:
-        lead_rows = [
-            tuple(layout.comp_register(i)[p] for i in range(N))
-            for p in range(layout.c_bits)
-        ]
+        lead_rows = layout.comp_rows()
 
-    comps = [(w, sup) for w, sup, _ in run.components]
+    comps = [(w, st) for w, st, _ in run.components]
     lead_pattern, record_p, survivors = _sample_pattern(comps, lead_rows, rng)
     ghz_outcomes = [_ghz_outcome_pattern(b, N, rng) for b in lead_pattern]
     checks = len(lead_rows)
-    one_rows = [row for row, b in zip(lead_rows, lead_pattern) if b]
+    one_rows = [q for q, b in zip(lead_rows, lead_pattern) if b]
 
     if cfg.layout == "sequential":
         word = "".join(str(b) for b in lead_pattern)
@@ -244,10 +219,7 @@ def decode_arrival(run: EncodeRun, rng=None) -> DecodeResult:
             m, r = 0, None
         else:
             r = r_val
-            time_rows = [
-                tuple(layout.time_register(i, r)[p] for i in range(N))
-                for p in range(book.t_bits)
-            ]
+            time_rows = layout.time_rows(r)
             time_pattern, p_time, survivors = _sample_pattern(
                 survivors, time_rows, rng
             )
@@ -261,7 +233,7 @@ def decode_arrival(run: EncodeRun, rng=None) -> DecodeResult:
                 raise DecodeError(f"time rows decode to bin {m}")
             # carrier preference: time rows first, then compressed rows
             one_rows = [
-                row for row, b in zip(time_rows, time_pattern) if b
+                q for q, b in zip(time_rows, time_pattern) if b
             ] + one_rows
 
     run.ledger.add("bell_pairs" if N == 2 else "ghz_states", checks)
@@ -273,27 +245,26 @@ def decode_arrival(run: EncodeRun, rng=None) -> DecodeResult:
             record={"lead_pattern": lead_pattern, "ghz_outcomes": ghz_outcomes},
         )
 
-    # fold surplus excitation rows onto the carrier, tracking X signs
+    # fold surplus excitation rows onto the carrier: X-measure each row
+    # qubit (one draw per qubit in row, then site order); outcome -1 on
+    # site i flips a_i, which the carrier's Z correction on site i undoes
     carrier = one_rows[0]
-    signs = [1] * N
+    signs = np.ones(N, dtype=int)
+    folded = 0
     sign_record = []
-    for row in one_rows[1:]:
-        for i, lab in enumerate(row):
-            s = 1 if rng.random() < 0.5 else -1
-            sign_record.append((lab, s))
-            folded = []
-            for w, sup in survivors:
-                match = [b for b in sup.measure_branches(lab, "X") if b[0] == s]
-                if not match:
-                    raise DecodeError(f"row qubit {lab} cannot give outcome {s}")
-                folded.append((w, match[0][2]))
-            survivors = folded
-            if s < 0:
-                signs[i] = -signs[i]
+    for q in one_rows[1:]:
+        s = np.where(rng.random(N) < 0.5, 1, -1)
+        sign_record.extend(zip(layout.row_labels(q), s.tolist()))
+        signs *= s
+        folded |= 1 << q
+    survivors = [
+        (w, SiteState(st.amps * signs, st.pattern & ~folded))
+        for w, st in survivors
+    ]
     state = _carrier_density(survivors, carrier, signs)
     return DecodeResult(
         m=m, r=r, probability=record_p, checks=checks,
-        carrier_labels=carrier, state=state,
+        carrier_labels=layout.row_labels(carrier), state=state,
         record={
             "lead_pattern": lead_pattern,
             "ghz_outcomes": ghz_outcomes,
@@ -361,25 +332,30 @@ def w_state_readout(rho, rng, max_attempts: int = RETRY_CAP,
     if abs(rho.trace().real - 1.0) > 1e-10:
         raise DecodeError("which-site density must have unit trace")
     n = rho.shape[0]
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    p_pairs = np.array([(rho[a, a] + rho[b, b]).real / n for a, b in pairs])
+    # site pairs a < b in row-major order
+    first, second = np.triu_indices(n, 1)
+    diag = rho.diagonal().real
+    p_pairs = (diag[first] + diag[second]) / n
     rng = make_rng(rng)
     for attempt in range(1, max_attempts + 1):
         if ledger is not None:
             ledger.add("w_states", 1)
         if rng.random() < 1.0 / n:
             continue
-        pick = pairs[rng.choice(len(pairs), p=p_pairs / p_pairs.sum())]
-        a, b = pick
+        k = rng.choice(len(p_pairs), p=p_pairs / p_pairs.sum())
+        a, b = int(first[k]), int(second[k])
         block = rho[np.ix_([a, b], [a, b])]
         norm = block.trace().real
         return WReadout(
-            pair=pick,
+            pair=(a, b),
             density=block / norm,
             attempts=attempt,
             p_pair=float(norm / n),
         )
-    raise DecodeError(f"no pair collapse within {max_attempts} attempts")
+    raise DecodeError(
+        f"no pair collapse within max_attempts={max_attempts} attempts "
+        f"(default RETRY_CAP={RETRY_CAP}) on N={n} sites"
+    )
 
 
 def pair_correlators(density: np.ndarray) -> dict:

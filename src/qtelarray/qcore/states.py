@@ -128,7 +128,8 @@ class QuantumState:
         """Materialize the dense density matrix (small dimensions only)."""
         if self.dim > DENSE_LIMIT:
             raise StateError(
-                f"refusing to materialize a {self.dim}-dimensional density matrix"
+                f"refusing to materialize a {self.dim}-dimensional density "
+                f"matrix: DENSE_LIMIT is {DENSE_LIMIT}"
             )
         rho = np.zeros((self.dim, self.dim), dtype=complex)
         for w, v in self.components:
@@ -202,7 +203,10 @@ class QuantumState:
         other = tuple(i for i in range(len(reg)) if i not in axes)
         sub = reg.subset(keep)
         if sub.dim > DENSE_LIMIT:
-            raise StateError("partial_trace target dimension too large")
+            raise StateError(
+                f"partial_trace: kept modes {keep} span dimension {sub.dim}, "
+                f"over DENSE_LIMIT {DENSE_LIMIT}"
+            )
         d_keep = sub.dim
         rho = np.zeros((d_keep, d_keep), dtype=complex)
         for w, v in self.components:

@@ -1,11 +1,13 @@
-"""Compact pure qubit states with small basis support.
+"""Compact pure qubit states with small basis support: the gate-level reference.
 
-The encode pipeline entangles a handful of basis strings over dozens of
-memory qubits (two-site parallel layouts reach 50+ qubits), far past any
-dense vector. Every mixture component there is a pure state whose support
-never exceeds a few basis strings, so it is stored as a map from basis
-bitmask to amplitude. All gates used by the codec (X, H, CNOT, CZ, pattern
-phases, single-qubit measurement) act on that map directly.
+An encoded memory entangles a handful of basis strings over dozens of
+qubits (two-site parallel layouts reach 50+ qubits), far past any dense
+vector, but each mixture component is a pure state with a small support.
+``SupportState`` stores it as a map from basis bitmask to amplitude, and
+every gate of the protocol (X, H, CNOT, CZ, pattern phases, single-qubit
+measurement) acts on that map directly. It has no production caller: the
+codec and decoder run on the site-vector form, and this engine replays the
+same protocol gate by gate as their reference in the tests.
 
 Bit convention: bit ``q`` of a mask is the occupation of ``labels[q]``
 (labels[0] is the least significant bit). ``to_vector`` converts to the
@@ -19,6 +21,7 @@ import numpy as np
 from .states import StateError
 
 AMP_FLOOR = 1e-15
+TO_VECTOR_LIMIT = 20
 
 
 class SupportState:
@@ -184,8 +187,11 @@ class SupportState:
     def to_vector(self) -> np.ndarray:
         """Dense amplitude vector with labels[0] as the slowest axis."""
         n = self.n
-        if n > 20:
-            raise StateError("dense conversion limited to 20 qubits")
+        if n > TO_VECTOR_LIMIT:
+            raise StateError(
+                f"to_vector: {n} qubits exceed the {TO_VECTOR_LIMIT}-qubit "
+                "dense conversion limit (TO_VECTOR_LIMIT)"
+            )
         vec = np.zeros(1 << n, dtype=complex)
         for m, a in self.amps.items():
             dense = 0
@@ -194,11 +200,6 @@ class SupportState:
                     dense |= 1 << (n - 1 - q)
             vec[dense] = a
         return vec
-
-    def occupations(self, label) -> set:
-        """Set of bit values the qubit takes across the support."""
-        b = 1 << self.bit(label)
-        return {1 if m & b else 0 for m in self.amps}
 
     def __repr__(self):
         terms = ", ".join(

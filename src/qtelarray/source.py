@@ -15,6 +15,8 @@ from .qcore import ModeRegistry, QuantumState, StateError, fock, qubit
 
 EPS_DEFAULT = 0.01
 EPS_WARN = 0.1
+# Complex entries of one block of the visibility phase matrix (16 MiB).
+VIS_BLOCK = 1 << 20
 
 
 class ArrayGeometry:
@@ -155,10 +157,18 @@ class VisibilityModel:
 
 
 def visibility_function(intensity: IntensityDistribution, x) -> np.ndarray:
-    """g(x) = sum_j I_j exp(-2 pi i x y_j) evaluated at baseline(s) x."""
+    """g(x) = sum_j I_j exp(-2 pi i x y_j) evaluated at baseline(s) x.
+
+    The (baselines x samples) phase matrix is built in row blocks of at most
+    about VIS_BLOCK entries, so memory stays bounded on irregular arrays,
+    where almost all N^2 baselines are distinct.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    phases = np.exp(-2j * np.pi * np.outer(x, intensity.y))
-    return phases @ intensity.weights
+    blocks = max(1, -(-x.size * len(intensity) // VIS_BLOCK))
+    return np.concatenate([
+        np.exp(-2j * np.pi * np.outer(part, intensity.y)) @ intensity.weights
+        for part in np.array_split(x, blocks)
+    ])
 
 
 def visibility_from_intensity(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import gate_route
 from qtelarray.codec import (
     Codebook,
     ConfigError,
@@ -25,11 +26,20 @@ def basis_mask(labels, bits_by_label):
     return next(iter(state.amps))
 
 
-def assert_support_equal(sup, expected, tol=1e-12):
-    assert sup.labels == expected.labels
-    assert set(sup.amps) == set(expected.amps)
-    for mask, amp in expected.amps.items():
-        assert sup.amps[mask] == pytest.approx(amp, abs=tol)
+def gate_view(run):
+    """Components of a production run expanded to SupportStates."""
+    labels = gate_route.gate_labels(run.layout)
+    if run.compressed:
+        flags = {
+            run.layout.site_labels(i)[run.layout.flag_row(r)]
+            for i in range(run.config.N) for r in range(1, run.config.R + 1)
+        }
+        labels = tuple(lab for lab in labels if lab not in flags)
+    return [gate_route.expand(run.layout, st, labels) for _, st, _ in run.components]
+
+
+def pattern_of(rows, bits):
+    return sum(1 << q for q, b in zip(rows, bits) if int(b))
 
 
 class TestCodebook:
@@ -102,13 +112,7 @@ class TestResourceLedger:
         before = led.copy()
         led.add("w_states", 2)
         assert led.bell_pairs == 4
-        assert led.delta(before) == {
-            "memory_qubits_per_site": 0,
-            "bell_pairs": 0,
-            "ghz_states": 0,
-            "w_states": 2,
-            "ancilla_qubits": 0,
-        }
+        assert (before.w_states, led.w_states) == (0, 2)
         with pytest.raises(ValueError):
             led.add("w_states", -1)
         with pytest.raises(KeyError):
@@ -119,19 +123,24 @@ class TestMemoryLayout:
     def test_sequential_footprint(self):
         layout = MemoryLayout(RunConfig(M=5, R=2, layout="sequential"))
         assert layout.qubits_per_site == 4
-        labels, bits = layout.write_pattern(0, 5, 2)
+        rows, bits = layout.write_pattern(5, 2)
+        labels = tuple(layout.site_labels(0)[q] for q in rows)
         assert labels == ("s0_c0", "s0_c1", "s0_c2", "s0_c3")
         assert bits == (1, 0, 1, 1)
+        assert layout.row_labels(2) == ("s0_c2", "s1_c2")
 
     def test_parallel_footprint(self):
         layout = MemoryLayout(RunConfig(M=16, R=4, layout="parallel"))
         # 4 time registers of 5, 4 flags, 3 compressed
         assert layout.qubits_per_site == 27
         assert len(layout.site_labels(1)) == 27
-        labels, bits = layout.write_pattern(1, 3, 2)
+        rows, bits = layout.write_pattern(3, 2)
+        labels = tuple(layout.site_labels(1)[q] for q in rows)
         assert labels == ("s1_r2_t0", "s1_r2_t1", "s1_r2_t2", "s1_r2_t3",
                           "s1_r2_t4", "s1_f2")
         assert bits == (0, 0, 0, 1, 1, 1)
+        comp = tuple(layout.site_labels(1)[q] for q in layout.comp_rows())
+        assert comp == ("s1_k0", "s1_k1", "s1_k2")
 
     @pytest.mark.parametrize(
         "R, r, code",
@@ -153,33 +162,46 @@ class TestEncodeBin:
         cfg = RunConfig(M=5, R=2, N=2, layout="sequential", seed=3)
         run = encode_single_photon(cfg, m=5, r=2)
         assert len(run.components) == 1
-        _, sup, meta = run.components[0]
+        _, state, meta = run.components[0]
         assert meta == {"m": 5, "r": 2}
-        labels = run.layout.all_labels()
+        assert state.pattern == 0b1101  # row p holds codeword bit p
+        np.testing.assert_allclose(state.amps, [2 ** -0.5] * 2, rtol=0, atol=1e-15)
+        labels = gate_route.gate_labels(run.layout)
         word = run.book.codeword(5, 2)
         m0 = basis_mask(labels, {f"s0_c{p}": int(b) for p, b in enumerate(word)})
         m1 = basis_mask(labels, {f"s1_c{p}": int(b) for p, b in enumerate(word)})
         expected = SupportState(labels, {m0: 2 ** -0.5, m1: 2 ** -0.5})
-        assert_support_equal(sup, expected)
+        gate_route.assert_support_close(gate_view(run)[0], expected)
 
     def test_measurement_outcomes_leave_no_trace(self):
+        # gate route: every sampled X outcome leaves the same corrected state,
+        # the one the site-vector write produces
         cfg = RunConfig(M=5, R=2, N=3, layout="sequential")
         amps = np.array([0.6, -0.64j, 0.48])
-        states = []
+        run = encode_single_photon(cfg, 4, 1, amps=amps)
         for seed in range(4):
-            run = encode_single_photon(cfg, 4, 1, amps=amps,
-                                       rng=np.random.default_rng(seed))
-            states.append(run.components[0][1])
-        for sup in states[1:]:
-            assert_support_equal(sup, states[0])
+            sup = gate_route.write_photon(
+                run.layout, 4, 1, amps, rng=np.random.default_rng(seed)
+            )
+            gate_route.assert_support_close(gate_view(run)[0], sup)
 
     @pytest.mark.parametrize("layout", ["sequential", "parallel"])
     def test_verify_mode_checks_every_branch(self, layout):
         cfg = RunConfig(M=4, R=2, N=3, layout=layout)
         rng = np.random.default_rng(11)
         amps = rng.normal(size=3) + 1j * rng.normal(size=3)
-        run = encode_single_photon(cfg, 2, 2, amps=amps, verify=True)
-        assert run.components[0][1].norm2() == pytest.approx(1.0)
+        run = encode_single_photon(cfg, 2, 2, amps=amps)
+        sup = gate_route.write_photon(run.layout, 2, 2, amps, verify=True)
+        assert sup.norm2() == pytest.approx(1.0)
+        gate_route.assert_support_close(gate_view(run)[0], sup)
+
+    @pytest.mark.parametrize("amps", [
+        np.ones(2), np.ones(4), [1.0, np.nan, 0.0], [1.0, np.inf, 0.0],
+        np.zeros(3),
+    ])
+    def test_bad_amplitudes_rejected(self, amps):
+        with pytest.raises(EncodeError, match="amplitudes"):
+            encode_single_photon(RunConfig(M=3, R=1, N=3), 1, 1, amps=amps)
 
     def test_superposed_photon_keeps_coherence(self):
         # one time bin, one band: each site holds a single memory qubit
@@ -187,7 +209,9 @@ class TestEncodeBin:
         phi = 0.7
         amps = np.array([1.0, np.exp(1j * phi)]) / np.sqrt(2)
         run = encode_single_photon(cfg, 1, 1, amps=amps)
-        rho = run.dense_state().density_matrix()
+        gate = gate_route.encode_single_photon(run.layout, 1, 1, amps)
+        gate_route.assert_components_match(run.layout, run.components, gate)
+        rho = gate_route.dense_state(gate).density_matrix()
         # registry order (s0_c0, s1_c0): |10> -> index 2, |01> -> index 1
         assert rho[2, 1] == pytest.approx(np.exp(-1j * phi) / 2, abs=1e-12)
         assert rho[2, 2] == pytest.approx(0.5, abs=1e-12)
@@ -212,8 +236,10 @@ class TestEncodeRunFull:
         # vacuum + 3 bins x (rank-1 band + rank-2 band)
         assert len(run.components) == 1 + 3 * (1 + 2)
         assert run.weights_total() == pytest.approx(1.0, abs=1e-12)
-        rho = run.dense_state().density_matrix()
-        labels = run.layout.all_labels()
+        gate = gate_route.encode_run_full(run.layout, band_g=[1.0, 0.0])
+        gate_route.assert_components_match(run.layout, run.components, gate)
+        rho = gate_route.dense_state(gate).density_matrix()
+        labels = gate_route.gate_labels(run.layout)
         vac = basis_mask(labels, {})
 
         def dense_index(mask, n=len(labels)):
@@ -284,10 +310,15 @@ class TestEncodeRunFull:
 class TestParallelCompress:
     def test_compress_folds_flags_into_band_code(self):
         cfg = RunConfig(M=2, R=2, N=2, layout="parallel", seed=2)
-        run = encode_single_photon(cfg, m=2, r=2, verify=True)
-        packed = parallel_frequency_compress(run, verify=True)
+        run = encode_single_photon(cfg, m=2, r=2)
+        packed = parallel_frequency_compress(run)
         assert packed.compressed
-        _, sup, _ = packed.components[0]
+        written = gate_route.encode_single_photon(
+            run.layout, 2, 2, [1, 1], verify=True
+        )
+        gate = gate_route.compress(run.layout, written, verify=True)
+        gate_route.assert_components_match(packed.layout, packed.components, gate)
+        sup = gate_view(packed)[0]
         # flags are measured away: 2 time registers of 2 + 2 compressed per site
         assert sup.n == 12
         bits0 = {"s0_r2_t0": 1, "s0_r2_t1": 0, "s0_k0": 1, "s0_k1": 0}
@@ -299,37 +330,28 @@ class TestParallelCompress:
                 basis_mask(sup.labels, bits1): 2 ** -0.5,
             },
         )
-        assert_support_equal(sup, expected)
+        gate_route.assert_support_close(sup, expected)
 
     def test_compress_preserves_mixture_weights_and_states(self):
         cfg = RunConfig(M=2, R=2, N=2, eps=0.1, layout="parallel", seed=4)
-        run = encode_run_full(cfg, band_g=[0.6, 0.2], verify=True)
-        packed = parallel_frequency_compress(run, verify=True)
+        run = encode_run_full(cfg, band_g=[0.6, 0.2])
+        packed = parallel_frequency_compress(run)
+        layout = packed.layout
         assert [w for w, _, _ in packed.components] == [
             w for w, _, _ in run.components
         ]
-        for (_, sup, meta), (_, orig, _) in zip(
+        for (_, state, meta), (_, orig, _) in zip(
             packed.components, run.components
         ):
-            assert sup.norm2() == pytest.approx(1.0, abs=1e-12)
+            assert state.amps is orig.amps
             if meta["m"] == 0:
-                assert sup.amps == pytest.approx({0: 1.0})
-            else:
-                r = meta["r"]
-                code = packed.layout.band_code(r)
-                for i in (0, 1):
-                    comp = packed.layout.comp_register(i)
-                    for mask in sup.amps:
-                        has_photon = any(
-                            mask & (1 << sup.bit(t))
-                            for t in packed.layout.time_register(i, r)
-                        )
-                        want = code if has_photon else "0" * len(code)
-                        got = "".join(
-                            "1" if mask & (1 << sup.bit(c)) else "0"
-                            for c in comp
-                        )
-                        assert got == want
+                assert state.pattern == 0
+                continue
+            m, r = meta["m"], meta["r"]
+            rows, bits = layout.write_pattern(m, r)
+            want = pattern_of(rows[:-1], bits[:-1])
+            want |= pattern_of(layout.comp_rows(), layout.band_code(r))
+            assert state.pattern == want  # flag cleared, band code set
 
     def test_compress_requires_parallel_layout(self):
         run = new_run(RunConfig(M=2, R=2, N=2, layout="sequential"))

@@ -3,20 +3,21 @@
 import numpy as np
 import pytest
 
-from qtelarray import netdecode
+import gate_route
 from qtelarray.codec import (
     Codebook,
     EncodeError,
     EncodeRun,
     RunConfig,
+    SiteState,
     encode_run_full,
     encode_single_photon,
     new_run,
     parallel_frequency_compress,
 )
 from qtelarray.netdecode import (
+    RETRY_CAP,
     DecodeError,
-    bell_pair,
     decode_arrival,
     excitation_density,
     ghz_parity_branches,
@@ -28,44 +29,7 @@ from qtelarray.netdecode import (
     w_state,
     w_state_readout,
 )
-from qtelarray.qcore import (
-    QuantumState,
-    StateError,
-    SupportState,
-    cz,
-    qubit_registry,
-)
-
-
-def _drop_zero_qubit(sup, label):
-    """Remove a qubit that is |0> on every support string."""
-    b = 1 << sup.bit(label)
-    pos = sup.bit(label)
-    if any(m & b for m in sup.amps):
-        raise StateError(f"qubit {label!r} is not |0> on all support")
-    out = {}
-    for m, a in sup.amps.items():
-        out[((m >> (pos + 1)) << pos) | (m & (b - 1))] = a
-    return SupportState(tuple(l for l in sup.labels if l != label), out)
-
-
-def _carrier_by_dense(survivors, carrier, signs):
-    """Dense reference for the decoded carrier (at most 20 sites).
-
-    Z corrections on the carrier, every other qubit dropped as |0>, a 2^N
-    vector per survivor, then the which-site block of the mixture.
-    """
-    comps = []
-    for w, sup in survivors:
-        for i, lab in enumerate(carrier):
-            if signs[i] < 0:
-                sup = sup.apply_z(lab)
-        for lab in sup.labels:
-            if lab not in carrier:
-                sup = _drop_zero_qubit(sup, lab)
-        comps.append((w, sup.to_vector()))
-    state = QuantumState.from_components(qubit_registry(carrier), comps)
-    return excitation_density(state)
+from qtelarray.qcore import QuantumState, cz, qubit_registry
 
 
 def single_excitation_state(amps, labels=None):
@@ -85,7 +49,7 @@ class TestResources:
         assert vec[0] == pytest.approx(2 ** -0.5)
         assert vec[7] == pytest.approx(2 ** -0.5)
         assert np.count_nonzero(vec) == 2
-        bell = bell_pair().vector
+        bell = ghz_state(2).vector
         assert bell[0] == bell[3] == pytest.approx(2 ** -0.5)
 
     def test_w_state(self):
@@ -237,18 +201,6 @@ class TestDecodeSequential:
         with pytest.raises(EncodeError):
             decode_arrival(run)
 
-    def test_indefinite_row_parity_rejected(self):
-        cfg = RunConfig(M=1, R=1, N=2)
-        run = new_run(cfg)
-        labels = run.layout.all_labels()
-        bad = SupportState(labels, {0: 2 ** -0.5, 1: 2 ** -0.5})
-        run = EncodeRun(
-            config=cfg, layout=run.layout, ledger=run.ledger,
-            components=[(1.0, bad, {"m": 1, "r": 1})],
-        )
-        with pytest.raises(DecodeError):
-            decode_arrival(run)
-
 
 class TestDecodeParallel:
     def test_roundtrip_every_codeword_full_scale(self):
@@ -302,23 +254,26 @@ class TestDecodeParallel:
 
 
 @pytest.fixture
-def dense_checked(monkeypatch):
-    """Check every decoded carrier against the dense route on its survivors.
+def dense_checked():
+    """Decode production and gate-route runs side by side with equal seeds.
 
-    Returns the list of (carrier sites, survivors, minus fold signs) seen.
+    Every decode is checked with ``gate_route.assert_decodes_agree``, whose
+    density reference is the dense carrier of the gate route's folded
+    survivors. Returns ``(check, seen)``: ``check(run, gate, rng_a, rng_b)``
+    decodes both and ``seen`` lists (carrier sites, survivors, minus signs).
     """
     seen = []
-    fast = netdecode._carrier_density
 
-    def checked(survivors, carrier, signs):
-        rho = fast(survivors, carrier, signs)
-        want = _carrier_by_dense(survivors, carrier, signs)
-        np.testing.assert_allclose(rho, want, rtol=0, atol=1e-12)
-        seen.append((len(carrier), len(survivors), signs.count(-1)))
-        return rho
+    def check(run, gate, rng_a, rng_b):
+        res = decode_arrival(run, rng=rng_a)
+        ref = gate_route.decode(run.layout, gate, rng_b)
+        gate_route.assert_decodes_agree(res, ref)
+        if res.m:
+            seen.append((len(ref["carrier"]), len(ref["survivors"]),
+                         ref["signs"].count(-1)))
+        return res
 
-    monkeypatch.setattr(netdecode, "_carrier_density", checked)
-    return seen
+    return check, seen
 
 
 def _random_amps(rng, n):
@@ -341,6 +296,7 @@ class TestCarrierDensity:
     @pytest.mark.parametrize("layout", ["sequential", "parallel"])
     @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
     def test_single_photon_matches_dense_route(self, dense_checked, layout, N):
+        check, seen = dense_checked
         M, R = self.CODEBOOKS[layout]
         cfg = RunConfig(M=M, R=R, N=N, layout=layout, seed=N)
         rng = np.random.default_rng(100 + N)
@@ -350,45 +306,49 @@ class TestCarrierDensity:
             assert rows == {1, 2, 3, 4}
         for k, (m, r) in enumerate(words):
             amps = _random_amps(rng, N)
-            res = self._decode(cfg, m, r, amps, seed=k)
+            run = encode_single_photon(cfg, m, r, amps=amps)
+            gate = gate_route.encode_single_photon(run.layout, m, r, amps)
+            if layout == "parallel":
+                run = parallel_frequency_compress(run)
+                gate = gate_route.compress(run.layout, gate)
+            res = check(run, gate, np.random.default_rng(k),
+                        np.random.default_rng(k))
             assert (res.m, res.r) == (m, r)
             np.testing.assert_allclose(
                 res.state, np.outer(amps, amps.conj()), rtol=0, atol=1e-12
             )
-        assert all(sites == N for sites, _, _ in dense_checked)
-        assert any(minus for _, _, minus in dense_checked)
+        assert all(sites == N for sites, _, _ in seen)
+        assert any(minus for _, _, minus in seen)
 
     @pytest.mark.parametrize("layout", ["sequential", "parallel"])
     @pytest.mark.parametrize("N", [2, 3, 4])
     def test_mixture_matches_dense_route(self, dense_checked, layout, N):
+        check, seen = dense_checked
+        band_g = [0.6 + 0.2j, -0.3j]
         cfg = RunConfig(M=3, R=2, N=N, eps=0.3, layout=layout, seed=N)
-        template = encode_run_full(cfg, band_g=[0.6 + 0.2j, -0.3j])
+        template = encode_run_full(cfg, band_g=band_g)
+        gate = gate_route.encode_run_full(template.layout, band_g)
         if layout == "parallel":
             template = parallel_frequency_compress(template)
-        rng = np.random.default_rng(7 * N)
+            gate = gate_route.compress(template.layout, gate)
+        rng_a, rng_b = np.random.default_rng(7 * N), np.random.default_rng(7 * N)
         for _ in range(40):
-            decode_arrival(template.replay(), rng=rng)
-        assert any(survivors > 1 for _, survivors, _ in dense_checked)
-        assert any(minus for _, _, minus in dense_checked)
+            check(template.replay(), gate, rng_a, rng_b)
+        assert any(survivors > 1 for _, survivors, _ in seen)
+        assert any(minus for _, _, minus in seen)
 
-    @pytest.mark.parametrize("M, R, mask", [
-        # photon on carrier s0_c0, even pair left on row c1
-        (1, 2, 0b1011),
-        # photon on carrier s1_c1, even pair left on row c0
-        (3, 1, 0b1101),
-    ])
-    def test_non_carrier_bits_raise(self, M, R, mask):
-        cfg = RunConfig(M=M, R=R, N=2)
-        run = new_run(cfg)
-        labels = run.layout.all_labels()
-        assert labels == ("s0_c0", "s0_c1", "s1_c0", "s1_c1")
-        bad = SupportState(labels, {mask: 1.0})
-        run = EncodeRun(
+    def test_unread_register_bits_raise(self):
+        # a band-1 time bit left in a band-2 parallel record is never read
+        cfg = RunConfig(M=3, R=2, N=2, layout="parallel")
+        run = parallel_frequency_compress(encode_single_photon(cfg, 3, 2))
+        w, state, meta = run.components[0]
+        stray = SiteState(state.amps, state.pattern | 1 << run.layout.time_rows(1)[0])
+        bad = EncodeRun(
             config=cfg, layout=run.layout, ledger=run.ledger,
-            components=[(1.0, bad, {"m": 1, "r": 1})],
+            components=[(w, stray, meta)], compressed=True,
         )
-        with pytest.raises(DecodeError, match="not one photon"):
-            decode_arrival(run)
+        with pytest.raises(DecodeError, match="not one photon on carrier row"):
+            decode_arrival(bad)
 
     @pytest.mark.parametrize("layout", ["sequential", "parallel"])
     @pytest.mark.parametrize("N", [21, 24, 32])
@@ -409,6 +369,28 @@ class TestCarrierDensity:
             a, b = w.pair
             g_hat = pair_correlators(w.density)["g_hat"]
             assert abs(g_hat - np.exp(1j * (phases[a] - phases[b]))) <= 1e-9
+
+
+    @pytest.mark.parametrize("layout, m, r", [
+        ("sequential", 63, 8), ("parallel", 63, 7),
+    ])
+    def test_array_scale(self, layout, m, r):
+        # M=64, R=8 widest codewords at N=1024: 8 or 9 occupied rows
+        N = 1024
+        cfg = RunConfig(M=64, R=8, N=N, layout=layout, seed=1)
+        rng = np.random.default_rng(N)
+        amps = _random_amps(rng, N)
+        res = self._decode(cfg, m, r, amps, seed=3)
+        assert (res.m, res.r) == (m, r)
+        assert len(res.record["fold_signs"]) == 8 * N
+        np.testing.assert_allclose(
+            res.state, np.outer(amps, amps.conj()), rtol=0, atol=1e-12
+        )
+        w = w_state_readout(res.state, rng=np.random.default_rng(0))
+        a, b = w.pair
+        pair = amps[[a, b]] / np.linalg.norm(amps[[a, b]])
+        assert abs(pair_correlators(w.density)["g_hat"]
+                   - 2 * pair[0] * np.conj(pair[1])) <= 1e-12
 
 
 class TestWReadout:
@@ -483,13 +465,31 @@ class TestWReadout:
         assert abs(mean - 1.5) < 3 * np.sqrt(0.75 / 3000)
 
     def test_retry_cap(self):
-        class ZeroRng:
-            def random(self):
-                return 0.0
-
-        rho = np.eye(2) / 2
-        with pytest.raises(DecodeError):
+        rho = np.eye(3) / 3
+        with pytest.raises(
+            DecodeError,
+            match=rf"max_attempts=0 attempts \(default RETRY_CAP={RETRY_CAP}\) on N=3",
+        ):
             w_state_readout(rho, rng=np.random.default_rng(0), max_attempts=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 17, 32, 64])
+    def test_pair_draws_match_list_route(self, n):
+        # the pair list a < b in row-major order, as the readout once built it
+        def list_route(rho, rng):
+            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            p = np.array([(rho[a, a] + rho[b, b]).real / n for a, b in pairs])
+            for attempt in range(1, RETRY_CAP + 1):
+                if rng.random() < 1.0 / n:
+                    continue
+                return pairs[rng.choice(len(pairs), p=p / p.sum())], attempt
+
+        rng = np.random.default_rng(n)
+        for seed in range(6):
+            amps = _random_amps(rng, n)
+            rho = np.outer(amps, amps.conj())
+            got = w_state_readout(rho, rng=np.random.default_rng(seed))
+            want = list_route(rho, np.random.default_rng(seed))
+            assert (got.pair, got.attempts) == want
 
     def test_ledger_counts_attempts(self):
         from qtelarray.codec import ResourceLedger

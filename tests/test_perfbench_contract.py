@@ -1,0 +1,73 @@
+"""What the benchmark harness in perfbench/ reads from the package.
+
+perfbench/ is kept fixed between changes and sits outside the default test
+paths, so this module checks, from inside them, every name and field its
+tracer and workloads rely on.
+"""
+
+import importlib
+import inspect
+
+import numpy as np
+
+from qtelarray import codec, imaging, netdecode
+from qtelarray.qcore import SupportState
+from qtelarray.source import ArrayGeometry, IntensityDistribution, visibility_from_intensity
+
+TRACER_MODULES = (
+    "qtelarray.qcore.registry",
+    "qtelarray.qcore.states",
+    "qtelarray.qcore.gates",
+    "qtelarray.qcore.optics",
+    "qtelarray.qcore.support",
+    "qtelarray.source",
+    "qtelarray.codec",
+    "qtelarray.netdecode",
+    "qtelarray.imaging",
+    "qtelarray.transfer",
+    "qtelarray.cli",
+)
+TRACED_FUNCTIONS = (
+    (codec, "encode_bin"),
+    (codec, "parallel_frequency_compress"),
+    (netdecode, "decode_arrival"),
+    (netdecode, "w_state_readout"),
+)
+
+
+def test_tracer_modules_import():
+    for name in TRACER_MODULES:
+        importlib.import_module(name)
+
+
+def test_traced_functions_exist():
+    for module, name in TRACED_FUNCTIONS:
+        fn = getattr(module, name)
+        assert inspect.isfunction(fn) and fn.__module__ == module.__name__
+
+
+def test_support_state_methods_the_tracer_wraps():
+    assert inspect.isfunction(SupportState.__dict__["apply_cnot"])
+    assert isinstance(SupportState.__dict__["zeros"], classmethod)
+
+
+def test_encode_decode_readout_fields():
+    for layout in ("sequential", "parallel"):
+        cfg = codec.RunConfig(M=4, R=2, N=3, layout=layout)
+        run = codec.encode_single_photon(cfg, 3, 2)
+        if layout == "parallel":
+            run = codec.parallel_frequency_compress(run)
+        for w, state, meta in run.components:
+            assert len(state.amps) == cfg.N
+            assert isinstance(w, float) and isinstance(meta, dict)
+        res = netdecode.decode_arrival(run)
+        assert isinstance(res.checks, int) and res.checks > 0
+        readout = netdecode.w_state_readout(res.state, rng=0)
+        assert isinstance(readout.attempts, int) and readout.attempts >= 1
+
+
+def test_classical_estimate_reports_successes():
+    dist = IntensityDistribution.flat_on_grid(4, 1.0)
+    vis = visibility_from_intensity(dist, ArrayGeometry(N=4, d=1.0))
+    est = imaging.classical_pipeline(vis, shots=200, rng=np.random.default_rng(0))
+    assert 0 < est.extra["successes"] <= 200

@@ -181,5 +181,15 @@ def test_product_state_factors():
 def test_density_matrix_guard():
     reg = qubit_registry([f"q{i}" for i in range(13)])  # dim 8192
     st = build_state(reg, {"0" * 13: 1})
-    with pytest.raises(StateError):
+    with pytest.raises(StateError, match="8192-dimensional.*DENSE_LIMIT is 4096"):
         st.density_matrix()
+
+
+def test_partial_trace_guard_names_limit_and_input():
+    labels = [f"q{i}" for i in range(13)]
+    st = build_state(qubit_registry(labels), {"0" * 13: 1})
+    with pytest.raises(
+        StateError, match=r"kept modes \('q0', .*'q12'\) span dimension 8192, "
+                          r"over DENSE_LIMIT 4096",
+    ):
+        st.partial_trace(labels)

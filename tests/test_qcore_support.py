@@ -5,6 +5,7 @@ import pytest
 
 from qtelarray.qcore import (
     QuantumState,
+    StateError,
     SupportState,
     build_state,
     cnot,
@@ -128,3 +129,11 @@ def test_large_register_stays_compact():
     # an entangled pair of strings over 60 qubits is still two entries
     sup = sup.apply_h(labels[0])
     assert len(sup.amps) == 2
+
+
+def test_to_vector_limit_names_itself_and_the_qubit_count():
+    assert SupportState.zeros([f"m{i}" for i in range(20)]).to_vector().size == 2**20
+    with pytest.raises(
+        StateError, match="to_vector: 21 qubits exceed the 20-qubit .*TO_VECTOR_LIMIT"
+    ):
+        SupportState.zeros([f"m{i}" for i in range(21)]).to_vector()

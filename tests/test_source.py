@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qtelarray import source
 from qtelarray.qcore import StateError
 from qtelarray.source import (
     ArrayGeometry,
@@ -258,3 +259,45 @@ class TestUniqueBaselineRoute:
         got = visibility_from_intensity(dist, geom).g
         want = _visibility_by_full_grid(dist, geom)
         assert np.abs(got - want).max() <= 1e-12
+
+
+def _visibility_one_piece(intensity, x):
+    """Reference route: the whole (baselines x samples) phase matrix at once."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return np.exp(-2j * np.pi * np.outer(x, intensity.y)) @ intensity.weights
+
+
+class TestVisibilityBlocks:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gaps=st.lists(st.floats(1e-3, 5.0), min_size=1, max_size=24),
+        sources=st.lists(
+            st.tuples(st.floats(-3.0, 3.0), st.floats(0.01, 1.0)),
+            min_size=1, max_size=8,
+        ),
+        block=st.integers(1, 64),
+    )
+    def test_row_blocks_match_one_piece(self, gaps, sources, block):
+        pos = np.concatenate([[0.0], np.cumsum(gaps)])
+        dist = IntensityDistribution(sources, normalize=True)
+        x = np.unique((pos[:, None] - pos[None, :]).reshape(-1))
+        want = _visibility_one_piece(dist, x)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(source, "VIS_BLOCK", block)
+            got = visibility_function(dist, x)
+            vis = visibility_from_intensity(dist, ArrayGeometry(positions=pos))
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+        want_g = _visibility_by_full_grid(dist, ArrayGeometry(positions=pos))
+        assert np.abs(vis.g - want_g).max() <= 1e-12
+
+    @pytest.mark.parametrize("N", [32, 64, 128, 256])
+    def test_uniform_frames_stay_in_one_block(self, N):
+        # the imaging frames evaluate every distinct baseline in one piece,
+        # exactly as before blocking, so their reports do not move
+        pos = ArrayGeometry(N=N, d=1.0).positions
+        x = np.unique((pos[:, None] - pos[None, :]).reshape(-1))
+        assert x.size * N <= source.VIS_BLOCK
+        dist = IntensityDistribution.flat_on_grid(N, 1.0)
+        assert np.array_equal(visibility_function(dist, x),
+                              _visibility_one_piece(dist, x))
