@@ -9,7 +9,6 @@ exactly the density-matrix update rule.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse as _sp
 
 from .registry import ModeRegistry
 from .states import QuantumState, StateError
@@ -64,7 +63,7 @@ def qft_unitary(n: int, target=None) -> UnitaryOp:
 
 
 def apply_matrix(vec, registry: ModeRegistry, matrix, labels) -> np.ndarray:
-    """Apply a (possibly sparse) matrix to the named modes of a flat vector."""
+    """Apply a dense or :class:`FockMatrix` matrix to the named modes of a vector."""
     labels = tuple(labels)
     axes = registry.axes(labels)
     dims = registry.dims
@@ -78,7 +77,7 @@ def apply_matrix(vec, registry: ModeRegistry, matrix, labels) -> np.ndarray:
     t = np.moveaxis(t, axes, range(len(axes)))
     moved_shape = t.shape
     t = t.reshape(d_t, -1)
-    t = matrix @ t if not _sp.issparse(matrix) else matrix.dot(t)
+    t = matrix @ t
     t = t.reshape(moved_shape)
     t = np.moveaxis(t, range(len(axes)), axes)
     return np.ascontiguousarray(t).reshape(-1)

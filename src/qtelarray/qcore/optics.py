@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import sparse as _sp
-from scipy.special import gammaln
 
 from .registry import ModeRegistry, fock
 from .states import QuantumState, StateError
@@ -29,6 +27,11 @@ COHERENT_TAIL = 1e-12
 
 class TruncationLeakageError(RuntimeError):
     """Amplitude pushed past the Fock cutoff beyond the allowed leakage."""
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log(k!) for k = 0..n."""
+    return np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
 
 
 def min_coherent_cutoff(alpha) -> int:
@@ -54,7 +57,7 @@ def coherent_amplitudes(alpha, cutoff: int):
         amps = np.zeros(cutoff + 1, dtype=complex)
         amps[0] = 1.0
         return amps, 0.0
-    log_mag = -0.5 * a * a + n * np.log(a) - 0.5 * gammaln(n + 1.0)
+    log_mag = -0.5 * a * a + n * np.log(a) - 0.5 * _log_factorials(cutoff)
     phase = np.angle(complex(alpha)) * n
     amps = np.exp(log_mag) * np.exp(1j * phase)
     kept = float(np.sum(np.exp(2.0 * log_mag)))
@@ -87,6 +90,45 @@ def coherent_state(alpha, cutoff=None, label="a", enforce_cutoff=True):
 _LO_CACHE = {}
 
 
+class FockMatrix:
+    """Sparse (dim_out, dim_in) matrix stored as row-sorted triples.
+
+    ``rows``, ``cols`` and ``vals`` list the nonzero entries in row order;
+    ``matrix @ x`` contracts the first axis of ``x`` and ``toarray()``
+    gives the dense matrix.
+    """
+
+    def __init__(self, rows, cols, vals, shape):
+        rows = np.asarray(rows, dtype=np.int64)
+        order = np.argsort(rows, kind="stable")
+        self.rows = rows[order]
+        self.cols = np.asarray(cols, dtype=np.int64)[order]
+        self.vals = np.asarray(vals, dtype=complex)[order]
+        self.shape = (int(shape[0]), int(shape[1]))
+        # first entry of each nonempty row, for np.add.reduceat
+        self._starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
+        self._out_rows = self.rows[self._starts]
+
+    def __matmul__(self, x):
+        x = np.asarray(x)
+        if x.ndim == 0 or x.shape[0] != self.shape[1]:
+            raise ValueError(
+                f"matrix of shape {self.shape} cannot act on shape {x.shape}"
+            )
+        dtype = np.result_type(self.vals, x)
+        out = np.zeros((self.shape[0],) + x.shape[1:], dtype=dtype)
+        terms = x[self.cols].astype(dtype, copy=False)
+        terms *= self.vals.reshape((-1,) + (1,) * (x.ndim - 1))
+        out[self._out_rows] = np.add.reduceat(terms, self._starts, axis=0)
+        return out
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape, dtype=complex)
+        np.add.at(dense, (self.rows, self.cols), self.vals)
+        return dense
+
+
+# Kept over _lo_columns_general, which is 2.5x slower at cutoff 8, 25x at 31.
 def _lo_columns_two_mode(S, dims_in, dims_out, log_fact):
     """Column data for a 2-port device via binomial convolution."""
     rows, cols, vals = [], [], []
@@ -172,9 +214,10 @@ def linear_optics_matrix(S, cutoffs, out_cutoffs=None):
     Returns
     -------
     (matrix, leakage)
-        ``matrix`` is sparse of shape (dim_out, dim_in); ``leakage[c]`` is
-        the probability weight the basis input ``c`` pushes past the output
-        cutoffs. Columns are exact up to that truncation.
+        ``matrix`` is a :class:`FockMatrix` of shape (dim_out, dim_in);
+        ``leakage[c]`` is the probability weight the basis input ``c``
+        pushes past the output cutoffs. Columns are exact up to that
+        truncation.
     """
     S = np.asarray(S, dtype=complex)
     k = S.shape[0]
@@ -193,7 +236,7 @@ def linear_optics_matrix(S, cutoffs, out_cutoffs=None):
     dims_in = tuple(c + 1 for c in cutoffs)
     dims_out = tuple(c + 1 for c in out_cutoffs)
     max_n = max(sum(cutoffs), sum(out_cutoffs)) + 1
-    log_fact = gammaln(np.arange(max_n + 1) + 1.0)
+    log_fact = _log_factorials(max_n)
     if k == 2:
         rows, cols, vals, leakage = _lo_columns_two_mode(
             S, dims_in, dims_out, log_fact
@@ -202,9 +245,8 @@ def linear_optics_matrix(S, cutoffs, out_cutoffs=None):
         rows, cols, vals, leakage = _lo_columns_general(
             S, dims_in, dims_out, log_fact
         )
-    mat = _sp.csr_matrix(
-        (vals, (rows, cols)),
-        shape=(int(np.prod(dims_out)), int(np.prod(dims_in))),
+    mat = FockMatrix(
+        rows, cols, vals, (int(np.prod(dims_out)), int(np.prod(dims_in)))
     )
     _LO_CACHE[key] = (mat, leakage)
     return mat, leakage
@@ -238,9 +280,11 @@ def apply_linear_optics(state, S, labels, max_leakage=LEAKAGE_DEFAULT):
         kept_total += w * n2
     leak = 1.0 - kept_total
     if leak > max_leakage:
+        modes = ", ".join(f"{lab!r} (cutoff {c})" for lab, c in zip(labels, cutoffs))
         raise TruncationLeakageError(
-            f"truncation leakage {leak:.3e} exceeds {max_leakage:.1e}; "
-            "raise the mode cutoffs"
+            f"truncation leakage {leak:.3e} exceeds max_leakage = "
+            f"{max_leakage:.1e} (default LEAKAGE_DEFAULT = {LEAKAGE_DEFAULT:.0e}) "
+            f"on modes {modes}; raise the mode cutoffs"
         )
     total = sum(w for w, _ in comps)
     return QuantumState(reg, [(w / total, v) for w, v in comps])

@@ -136,18 +136,6 @@ class QuantumState:
             rho += w * np.outer(v, v.conj())
         return rho
 
-    def purity(self) -> float:
-        """tr(rho^2), computed from component overlaps."""
-        n = len(self.components)
-        total = 0.0
-        for i in range(n):
-            wi, vi = self.components[i]
-            total += wi * wi
-            for j in range(i + 1, n):
-                wj, vj = self.components[j]
-                total += 2 * wi * wj * abs(np.vdot(vi, vj)) ** 2
-        return float(total)
-
     def probabilities(self, labels=None) -> np.ndarray:
         """Marginal basis-occupation probabilities for the named modes.
 

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, ive
 
 from .qcore import (
     QuantumState,
@@ -104,8 +103,8 @@ def _coherent_raw(alpha: float, i: int, j: int) -> float:
     log_mag = (
         -alpha ** 2 / 2.0
         + (i + j) * (np.log(alpha) - 0.5 * np.log(2.0))
-        - 0.5 * gammaln(i + 1)
-        - 0.5 * gammaln(j + 1)
+        - 0.5 * math.lgamma(i + 1)
+        - 0.5 * math.lgamma(j + 1)
     )
     return (-1.0) ** j * float(np.exp(log_mag))
 
@@ -303,6 +302,9 @@ def heralded_transfer(alpha=None, amps=(2 ** -0.5, 2 ** -0.5),
 
 def _skellam_support(alpha: float):
     """Count differences carrying all but < 1e-13 of the Skellam mass."""
+    # imported here so that no other route pays for loading scipy
+    from scipy.special import ive
+
     if not alpha >= 0:
         raise TransferError("ancilla amplitude must be >= 0")
     if alpha > SKELLAM_ALPHA_MAX:
@@ -349,10 +351,6 @@ def heralded_rate_closed(alpha: float) -> float:
     d, p0 = _skellam_support(alpha)
     pos = d > 0
     return float(4.0 * (p0[pos] ** 2 * d[pos] ** 2).sum() / alpha ** 2)
-
-
-def deterministic_fidelity_sweep(alphas, amps=(2 ** -0.5, 2 ** -0.5)) -> np.ndarray:
-    return np.array([deterministic_fidelity_closed(a, amps) for a in alphas])
 
 
 def heralded_rate_sweep(alphas) -> np.ndarray:

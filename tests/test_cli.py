@@ -1,5 +1,11 @@
 """Tests for the command-line front end."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -288,3 +294,33 @@ class TestFormulasCommand:
                                      "seed=-1"])
     def test_bad_fidelity_and_seed_exit_2(self, bad):
         assert cli.main(["formulas", "--set", bad]) == 2
+
+
+NO_SCIPY_SCRIPT = textwrap.dedent("""
+    import contextlib, io, sys
+    from qtelarray import cli
+    runs = (["encode"], ["imaging"], ["formulas"],
+            ["transfer", "--set", "mode=lossy"])
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [cli.main(argv) for argv in runs]
+    assert codes == [0, 0, 0, 0], codes
+    loaded = sorted(k for k in sys.modules if k.startswith("scipy"))
+    assert not loaded, loaded
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["transfer"]) == 0
+    assert "scipy.special" in sys.modules
+""")
+
+
+def test_cli_paths_load_no_scipy():
+    """Only the transfer closed forms load scipy, and only when they run."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT], cwd=root, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -23,6 +23,7 @@ from qtelarray.qcore import (
     qft_matrix,
     qubit,
 )
+from qtelarray.qcore.optics import HADAMARD_MATRIX
 
 
 def two_mode(cutoff=4):
@@ -82,8 +83,20 @@ def test_beam_splitter_requirements():
 def test_truncation_leakage_raises():
     reg = two_mode(2)
     st = build_state(reg, {"22": 1})  # 4 photons cannot fit one output port
-    with pytest.raises(TruncationLeakageError):
+    with pytest.raises(
+        TruncationLeakageError,
+        match=r"exceeds max_leakage = 1\.0e-09 \(default LEAKAGE_DEFAULT = "
+              r"1e-09\) on modes 'a' \(cutoff 2\), 'b' \(cutoff 2\)",
+    ):
         beam_splitter(st, "a", "b")
+    reg = ModeRegistry([fock("x", 1), fock("y", 3)])
+    st = build_state(reg, {"03": 1})
+    with pytest.raises(
+        TruncationLeakageError,
+        match=r"max_leakage = 1\.0e-03 .* on modes 'y' \(cutoff 3\), "
+              r"'x' \(cutoff 1\)",
+    ):
+        apply_linear_optics(st, loss_mixer(0.6), ("y", "x"), max_leakage=1e-3)
 
 
 def test_coherent_state_examples():
@@ -173,13 +186,16 @@ def test_linear_optics_columns_orthonormal_below_cutoff():
 
 
 def test_two_mode_and_general_paths_agree():
-    from qtelarray.qcore.optics import _lo_columns_general, _lo_columns_two_mode
-    from scipy.special import gammaln
+    from qtelarray.qcore.optics import (
+        _lo_columns_general,
+        _lo_columns_two_mode,
+        _log_factorials,
+    )
 
     rng = np.random.default_rng(77)
     S = random_unitary(2, rng)
     dims = (5, 5)
-    log_fact = gammaln(np.arange(12) + 1.0)
+    log_fact = _log_factorials(11)
     fast = _lo_columns_two_mode(S, dims, dims, log_fact)
     slow = _lo_columns_general(S, dims, dims, log_fact)
 
@@ -193,6 +209,47 @@ def test_two_mode_and_general_paths_agree():
         as_dense(*fast[:3]), as_dense(*slow[:3]), atol=1e-12
     )
     np.testing.assert_allclose(fast[3], slow[3], atol=1e-12)
+
+
+def test_log_factorials_match_gammaln():
+    from scipy.special import gammaln
+
+    from qtelarray.qcore.optics import _log_factorials
+
+    np.testing.assert_allclose(
+        _log_factorials(200), gammaln(np.arange(201) + 1.0), rtol=1e-15, atol=0
+    )
+
+
+def _fock_devices():
+    rng = np.random.default_rng(2024)
+    for c in range(1, 19):
+        yield pytest.param(HADAMARD_MATRIX, (c, c), None, id=f"hadamard-c{c}")
+    for eta in (0.0, 0.25, 0.6, 0.9, 1.0):
+        yield pytest.param(loss_mixer(eta), (6, 6), None, id=f"loss-{eta}")
+    for k in (2, 3, 4):
+        yield pytest.param(qft_matrix(k), (1,) * k, (k,) * k, id=f"qft-{k}")
+    for cutoffs in ((4, 7), (9, 9), (2, 3, 2), (4, 4, 4)):
+        S = random_unitary(len(cutoffs), rng)
+        yield pytest.param(S, cutoffs, None, id=f"random-{cutoffs}")
+
+
+@pytest.mark.parametrize("S, cutoffs, out_cutoffs", list(_fock_devices()))
+def test_fock_matrix_apply_matches_csr(S, cutoffs, out_cutoffs):
+    """The numpy row-sum apply equals scipy's CSR product on the same triples."""
+    from scipy.sparse import csr_matrix
+
+    mat, _ = linear_optics_matrix(S, cutoffs, out_cutoffs)
+    oracle = csr_matrix((mat.vals, (mat.rows, mat.cols)), shape=mat.shape)
+    np.testing.assert_array_equal(mat.toarray(), oracle.toarray())
+    rng = np.random.default_rng(sum(mat.shape))
+    for shape in ((mat.shape[1],), (mat.shape[1], 1), (mat.shape[1], 7)):
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = mat @ x
+        assert got.shape == (mat.shape[0],) + shape[1:]
+        np.testing.assert_allclose(got, oracle @ x, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="cannot act on shape"):
+        mat @ np.ones(mat.shape[1] + 1)
 
 
 def test_multiport_qft_single_photon_distribution():

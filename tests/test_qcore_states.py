@@ -99,7 +99,7 @@ def test_state_invariants_hold_for_mixtures():
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
     assert np.linalg.eigvalsh(rho).min() > -1e-10
-    assert st.purity() == pytest.approx(0.25**2 + 0.75**2)
+    assert np.trace(rho @ rho).real == pytest.approx(0.25**2 + 0.75**2)
 
 
 def test_partial_trace_examples():
