@@ -22,7 +22,6 @@ from .states import QuantumState, StateError
 from .gates import H as HADAMARD_MATRIX
 
 LEAKAGE_DEFAULT = 1e-9
-COHERENT_TAIL = 1e-12
 
 
 class TruncationLeakageError(RuntimeError):

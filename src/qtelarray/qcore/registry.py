@@ -165,11 +165,6 @@ class ModeRegistry:
         self.basis_index(occ)  # range check
         return occ
 
-    def format_assignment(self, assignment) -> str:
-        if all(d <= 10 for d in self.dims):
-            return "".join(str(int(a)) for a in assignment)
-        return ",".join(str(int(a)) for a in assignment)
-
 
 def qubit_registry(labels) -> ModeRegistry:
     """Registry of qubits with the given labels."""

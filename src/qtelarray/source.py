@@ -103,14 +103,6 @@ class IntensityDistribution:
             raise ValueError("need one weight per grid point")
         return cls(list(zip(grid, weights)), normalize=normalize)
 
-    @classmethod
-    def from_file(cls, path) -> "IntensityDistribution":
-        """Two-column text (y, I); '#' lines are comments; normalized."""
-        data = np.loadtxt(path, comments="#", ndmin=2)
-        if data.shape[1] != 2:
-            raise ValueError("intensity file needs two columns (y, I)")
-        return cls([(row[0], row[1]) for row in data], normalize=True)
-
     @property
     def samples(self):
         return list(zip(self.y, self.weights))

@@ -13,9 +13,9 @@ of equal modulus are repaired exactly by local phase corrections
 phi_s = -arg(c1/c0) (for a real coherent ancilla this is a Z precisely when
 the second port saw more photons than the first); that is the heralded
 acceptance rule. Keeping every branch instead gives the deterministic
-fidelity, which for coherent ancillas of amplitude alpha aggregates in
-closed form over count-difference classes distributed as the difference of
-two Poisson(alpha^2/2) variables.
+fidelity. For coherent ancillas of amplitude alpha both have closed forms
+in exponentially scaled modified Bessel functions of x = alpha^2: the
+deterministic fidelity for any number of sites, the heralded rate for two.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ from .util import make_rng
 BRANCH_PRUNE = 1e-12
 RATIO_TOL = 1e-9
 MC_BLOCK_ROWS = 65536
-# the closed forms hold (support size)^2 arrays, about 29 MB each at this cap
-SKELLAM_ALPHA_MAX = 25.0
 
 
 class TransferError(RuntimeError):
@@ -83,6 +81,15 @@ def _norm_amps(amps) -> np.ndarray:
     return amps / norm
 
 
+def _check_alpha(alpha) -> float:
+    alpha = float(alpha)
+    if not 0.0 <= alpha < math.inf:
+        raise TransferError(
+            f"ancilla amplitude {alpha} must be finite and >= 0"
+        )
+    return alpha
+
+
 # ---- per-site amplitude tables ---------------------------------------------------
 
 
@@ -118,8 +125,7 @@ def coherent_amplitude_table(alpha: float, cutoff: int) -> AmplitudeTable:
     unit mass, matching a cutoff Fock simulation that conditions away its
     truncation leakage.
     """
-    if alpha < 0:
-        raise TransferError("ancilla amplitude must be >= 0")
+    _check_alpha(alpha)
     if cutoff < 1:
         raise TransferError("cutoff must be >= 1")
     if alpha == 0.0:
@@ -180,11 +186,6 @@ def multiport_amplitude_table(ports: int) -> AmplitudeTable:
             )
         tables.append(table)
     return AmplitudeTable(c0=tables[0], c1=tables[1], kind=f"multiport({ports})")
-
-
-def plus_amplitude_table() -> AmplitudeTable:
-    """Balanced splitter with one plus-state ancilla (two detectors)."""
-    return multiport_amplitude_table(1)
 
 
 # ---- joint branch enumeration ----------------------------------------------------
@@ -270,14 +271,19 @@ def heralded_transfer(alpha=None, amps=(2 ** -0.5, 2 ** -0.5),
                       cutoff: int | None = None) -> TransferOutcome:
     """Accept only equal-ratio records; accepted branches have unit fidelity.
 
-    Without a table or cutoff the coherent acceptance rate comes from the
-    count-difference classes in closed form.
+    Without a table or cutoff the coherent acceptance rate comes from its
+    closed form, which covers two sites only.
     """
     amps = _norm_amps(amps)
     if table is None:
         if alpha is None:
             raise TransferError("need alpha or an amplitude table")
         if cutoff is None:
+            if len(amps) != 2:
+                raise TransferError(
+                    f"the closed-form heralded rate covers two sites, not "
+                    f"{len(amps)}; pass a cutoff to enumerate the records"
+                )
             p = heralded_rate_closed(alpha)
             return TransferOutcome(
                 kind="heralded", fidelity=1.0 if p > 0 else 0.0, probability=p,
@@ -297,71 +303,64 @@ def heralded_transfer(alpha=None, amps=(2 ** -0.5, 2 ** -0.5),
     )
 
 
-# ---- closed forms over count-difference classes -----------------------------------
+# ---- closed forms in modified Bessel functions ------------------------------------
 
 
-def _skellam_support(alpha: float):
-    """Count differences carrying all but < 1e-13 of the Skellam mass."""
-    # imported here so that no other route pays for loading scipy
-    from scipy.special import ive
-
-    if not alpha >= 0:
-        raise TransferError("ancilla amplitude must be >= 0")
-    if alpha > SKELLAM_ALPHA_MAX:
+def _check_value(value, alpha: float) -> float:
+    # scipy's ive turns NaN once its argument passes about 1.07e9
+    if not math.isfinite(value):
         raise TransferError(
-            f"ancilla amplitude {alpha} exceeds the closed-form limit "
-            f"SKELLAM_ALPHA_MAX = {SKELLAM_ALPHA_MAX}"
+            f"ancilla amplitude {alpha} is past the range of the closed "
+            f"forms: scipy.special.ive returns {value} there"
         )
-    width = int(np.ceil(alpha ** 2 + 12.0 * alpha + 30.0))
-    d = np.arange(-width, width + 1)
-    # Skellam(mu, mu) pmf e^{-2 mu} I_|d|(2 mu) at mu = alpha^2 / 2
-    p0 = ive(np.abs(d), alpha ** 2)
-    if abs(p0.sum() - 1.0) > 1e-13:
-        raise TransferError("count-difference support too narrow")
-    return d, p0
+    return float(value)
 
 
 def deterministic_fidelity_closed(alpha: float, amps=(2 ** -0.5, 2 ** -0.5)) -> float:
-    """Deterministic two-site fidelity for a real coherent ancilla.
+    """Deterministic N-site fidelity for a real coherent ancilla.
 
-    Averages the corrected branch fidelity over the two sites' independent
-    count-difference classes d ~ Skellam(alpha^2/2, alpha^2/2):
+    Each site's count difference d_s is independently Skellam(x/2, x/2)
+    with x = alpha^2, and the corrected branch fidelity averages to
 
-        f = sum_{dA,dB} P(dA) P(dB) (wA |dA| + wB |dB|)^2 / alpha^2
+        f = E[(sum_s w_s |d_s|)^2] / x = S2 + (1 - S2) (E|d|)^2 / x
+          = S2 + (1 - S2) x (ive(0, x) + ive(1, x))^2
 
-    with w the site weights |c_s|^2. The photon reaches the memory in every
-    branch; only the superposition phase is at stake.
+    with w_s = |c_s|^2, S2 = sum_s w_s^2, E d^2 = x and
+    E|d| = x (ive(0, x) + ive(1, x)). The photon reaches the memory in
+    every branch; only the superposition phase is at stake.
     """
-    amps = _norm_amps(amps)
-    if len(amps) != 2:
-        raise TransferError("the closed form covers two sites")
-    wa, wb = float(abs(amps[0]) ** 2), float(abs(amps[1]) ** 2)
-    if alpha == 0.0:
-        return wa ** 2 + wb ** 2
-    d, p0 = _skellam_support(alpha)
-    absd = np.abs(d)
-    num = (wa * absd[:, None] + wb * absd[None, :]) ** 2
-    return float((np.outer(p0, p0) * num).sum() / alpha ** 2)
+    # imported here so that no other route pays for loading scipy
+    from scipy.special import ive
+
+    alpha = _check_alpha(alpha)
+    w = np.abs(_norm_amps(amps)) ** 2
+    s2 = float(w @ w)
+    x = alpha ** 2
+    return _check_value(s2 + (1.0 - s2) * x * (ive(0, x) + ive(1, x)) ** 2,
+                        alpha)
 
 
 def heralded_rate_closed(alpha: float) -> float:
-    """Acceptance rate of equal-magnitude count differences, both nonzero."""
-    if alpha == 0.0:
-        return 0.0
-    d, p0 = _skellam_support(alpha)
-    pos = d > 0
-    return float(4.0 * (p0[pos] ** 2 * d[pos] ** 2).sum() / alpha ** 2)
+    """Two-site acceptance rate: equal-magnitude nonzero count differences.
 
+    With p(D) = e^{-x} I_D(x) the Skellam(x/2, x/2) pmf at x = alpha^2,
+    the rate is 4/x sum_{D>0} D^2 p(D)^2. Neumann's addition theorem,
+    sum_D I_D(x)^2 e^{iD theta} = I_0(2x cos(theta/2)), differentiated
+    twice at theta = 0 gives sum_D D^2 I_D(x)^2 = (x/2) I_1(2x), so
 
-def heralded_rate_sweep(alphas) -> np.ndarray:
-    return np.array([heralded_rate_closed(a) for a in alphas])
+        rate = e^{-2x} I_1(2x) = ive(1, 2x).
+    """
+    from scipy.special import ive
+
+    alpha = _check_alpha(alpha)
+    return _check_value(ive(1, 2.0 * alpha ** 2), alpha)
 
 
 def find_heralded_optimum(lo: float = 0.0, hi: float = 2.0,
                           step: float = 0.005):
     """Grid search of the heralded acceptance rate: (best alpha, best rate)."""
     alphas = np.arange(lo, hi + step / 2, step)
-    rates = heralded_rate_sweep(alphas)
+    rates = np.array([heralded_rate_closed(a) for a in alphas])
     best = int(np.argmax(rates))
     return float(alphas[best]), float(rates[best])
 

@@ -2,15 +2,20 @@
 
 perfbench/ is kept fixed between changes and sits outside the default test
 paths, so this module checks, from inside them, every name and field its
-tracer and workloads rely on.
+tracer and workloads rely on, and that every CLI report still matches the
+digest pinned in perfbench/golden.json.
 """
 
+import hashlib
 import importlib
 import inspect
+import json
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from qtelarray import codec, imaging, netdecode
+from qtelarray import cli, codec, imaging, netdecode
 from qtelarray.qcore import SupportState
 from qtelarray.source import ArrayGeometry, IntensityDistribution, visibility_from_intensity
 
@@ -27,6 +32,8 @@ TRACER_MODULES = (
     "qtelarray.transfer",
     "qtelarray.cli",
 )
+GOLDEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 TRACED_FUNCTIONS = (
     (codec, "encode_bin"),
     (codec, "parallel_frequency_compress"),
@@ -71,3 +78,10 @@ def test_classical_estimate_reports_successes():
     vis = visibility_from_intensity(dist, ArrayGeometry(N=4, d=1.0))
     est = imaging.classical_pipeline(vis, shots=200, rng=np.random.default_rng(0))
     assert 0 < est.extra["successes"] <= 200
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_report_matches_golden_digest(key, capsys):
+    assert cli.main(key.split()) == 0
+    report = capsys.readouterr().out
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == GOLDEN[key]

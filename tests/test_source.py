@@ -54,16 +54,6 @@ def test_intensity_normalization_rules():
             IntensityDistribution([(0.0, bad), (1.0, 1.0)], normalize=True)
 
 
-def test_intensity_file_loader(tmp_path):
-    path = tmp_path / "source.txt"
-    path.write_text(
-        "# toy source\n# y I\n0.0 2.0\n0.25 1.0\n0.75 1.0\n"
-    )
-    dist = IntensityDistribution.from_file(path)
-    np.testing.assert_allclose(dist.weights, [0.5, 0.25, 0.25])
-    np.testing.assert_allclose(dist.y, [0.0, 0.25, 0.75])
-
-
 def test_point_source_visibility_all_ones():
     geom = ArrayGeometry(N=4, d=2.0)
     vis = visibility_from_intensity(IntensityDistribution.point(0.0), geom)

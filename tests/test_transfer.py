@@ -1,10 +1,12 @@
 """Tests for ancilla-interference state transfer."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.special import ive
 from scipy.stats import skellam
 
 from qtelarray.qcore import (
@@ -19,10 +21,8 @@ from qtelarray.transfer import (
     AmplitudeTable,
     MC_BLOCK_ROWS,
     RATIO_TOL,
-    SKELLAM_ALPHA_MAX,
     Branch,
     TransferError,
-    _skellam_support,
     coherent_amplitude_table,
     deterministic_fidelity_closed,
     deterministic_transfer,
@@ -35,7 +35,6 @@ from qtelarray.transfer import (
     network_fidelity,
     network_monte_carlo,
     network_pair_distribution,
-    plus_amplitude_table,
     plus_ancilla_transfer,
     transfer_branches,
 )
@@ -92,6 +91,34 @@ def assert_matches_oracle(table, amps):
 def _complex_amps(n, seed):
     rng = np.random.default_rng(seed)
     return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+def _skellam_support(alpha):
+    """Count differences d and their Skellam(x/2, x/2) pmf at x = alpha^2,
+    carrying all but < 1e-13 of the mass."""
+    x = alpha ** 2
+    width = int(np.ceil(x + 12.0 * alpha + 30.0))
+    d = np.arange(-width, width + 1)
+    p = skellam.pmf(d, x / 2.0, x / 2.0)
+    assert abs(p.sum() - 1.0) <= 1e-13
+    return d, p
+
+
+def skellam_sums(alpha, amps):
+    """Two-site (deterministic fidelity, heralded rate) summed over the two
+    sites' independent count-difference classes; the reference route the
+    Bessel closed forms replace."""
+    w = np.abs(np.asarray(amps, dtype=complex)) ** 2
+    wa, wb = w / w.sum()
+    if alpha == 0.0:
+        return wa ** 2 + wb ** 2, 0.0
+    d, p = _skellam_support(alpha)
+    absd = np.abs(d)
+    num = (wa * absd[:, None] + wb * absd[None, :]) ** 2
+    f = (np.outer(p, p) * num).sum() / alpha ** 2
+    pos = d > 0
+    rate = 4.0 * (p[pos] ** 2 * d[pos] ** 2).sum() / alpha ** 2
+    return float(f), float(rate)
 
 
 def splitter_output_amplitudes(alpha, cutoff, photon):
@@ -151,7 +178,7 @@ class TestAmplitudeTable:
         assert table.c1[(0, 1)] == pytest.approx(2 ** -0.5, abs=1e-15)
 
     def test_plus_table_hand_values(self):
-        table = plus_amplitude_table()
+        table = multiport_amplitude_table(1)
         assert table.c0[(0, 0)] == pytest.approx(2 ** -0.5, abs=1e-12)
         assert table.c0[(1, 0)] == pytest.approx(0.5, abs=1e-12)
         assert table.c0[(0, 1)] == pytest.approx(-0.5, abs=1e-12)
@@ -161,16 +188,10 @@ class TestAmplitudeTable:
         assert table.c1[(2, 0)] == pytest.approx(0.5, abs=1e-12)
         assert table.c1[(0, 2)] == pytest.approx(-0.5, abs=1e-12)
 
-    def test_multiport_one_reduces_to_plus(self):
-        one = multiport_amplitude_table(1)
-        plus = plus_amplitude_table()
-        for a, b in ((one.c0, plus.c0), (one.c1, plus.c1)):
-            assert set(a) == set(b)
-            assert all(abs(a[k] - b[k]) <= 1e-12 for k in a)
-
     def test_rejects_bad_arguments(self):
-        with pytest.raises(TransferError):
-            coherent_amplitude_table(-0.5, 6)
+        for alpha in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(TransferError, match="ancilla amplitude"):
+                coherent_amplitude_table(alpha, 6)
         with pytest.raises(TransferError):
             coherent_amplitude_table(1.0, 0)
         with pytest.raises(TransferError):
@@ -180,7 +201,8 @@ class TestAmplitudeTable:
 class TestVectorizedEnumeration:
     @pytest.mark.parametrize("sites", [2, 3])
     def test_plus_table(self, sites):
-        assert_matches_oracle(plus_amplitude_table(), _complex_amps(sites, 1))
+        assert_matches_oracle(multiport_amplitude_table(1),
+                              _complex_amps(sites, 1))
 
     @pytest.mark.parametrize("ports, sites", [(2, 2), (2, 3), (3, 2)])
     def test_multiport_tables(self, ports, sites):
@@ -293,9 +315,40 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("alpha", np.linspace(0.1, 20.0, 40))
     def test_skellam_pmf_matches_scipy_stats(self, alpha):
-        d, p0 = _skellam_support(alpha)
-        want = skellam.pmf(d, alpha ** 2 / 2.0, alpha ** 2 / 2.0)
-        assert np.abs(p0 - want).max() <= 1e-15
+        # the closed forms rest on the Skellam(x/2, x/2) pmf being
+        # e^{-x} I_|d|(x) at x = alpha^2
+        d, want = _skellam_support(alpha)
+        assert np.abs(ive(np.abs(d), alpha ** 2) - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("alpha", np.linspace(0.0, 25.0, 11))
+    def test_closed_forms_match_skellam_sums(self, alpha):
+        for amps in (UNIFORM, *(_complex_amps(2, seed) for seed in range(3))):
+            f, rate = skellam_sums(alpha, amps)
+            assert abs(deterministic_fidelity_closed(alpha, amps) - f) <= 1e-12
+            assert abs(heralded_rate_closed(alpha) - rate) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.88, 1.2])
+    @pytest.mark.parametrize("amps", [np.ones(3), _complex_amps(3, 7)])
+    def test_three_site_fidelity_matches_enumeration(self, alpha, amps):
+        # the gap left is the cutoff-12 truncation
+        want = deterministic_transfer(alpha, amps=amps, cutoff=12).fidelity
+        assert abs(deterministic_fidelity_closed(alpha, amps) - want) <= 1e-7
+        closed = deterministic_transfer(alpha, amps=amps).fidelity
+        assert closed == pytest.approx(want, abs=1e-7)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.88, 3.0])
+    def test_uniform_fidelity_follows_network_scaling(self, alpha):
+        f2 = deterministic_fidelity_closed(alpha)
+        for N in range(2, 65):
+            got = deterministic_fidelity_closed(alpha, np.ones(N))
+            assert abs(network_fidelity(N, f2) - got) <= 1e-12
+
+    def test_large_alpha_asymptotes(self):
+        alpha = 1e3
+        assert abs(deterministic_fidelity_closed(alpha)
+                   - (0.5 + 1.0 / np.pi)) <= 1e-6
+        want = 1.0 / (2.0 * alpha * np.sqrt(np.pi))
+        assert abs(heralded_rate_closed(alpha) / want - 1.0) <= 1e-6
 
     @pytest.mark.parametrize("alpha", [-0.5, -3.0, float("nan")])
     def test_closed_forms_reject_bad_alpha(self, alpha):
@@ -305,22 +358,26 @@ class TestClosedForms:
             heralded_rate_closed(alpha)
 
     def test_closed_forms_reject_alpha_past_limit(self):
-        assert deterministic_fidelity_closed(SKELLAM_ALPHA_MAX) > 0.8
-        above = SKELLAM_ALPHA_MAX * (1 + 1e-12)
-        for fn in (deterministic_fidelity_closed, heralded_rate_closed):
-            with pytest.raises(TransferError, match="SKELLAM_ALPHA_MAX"):
-                fn(above)
+        # scipy's ive returns NaN past an argument of about 1.07e9
+        for alpha in (1e5, float("inf")):
+            for fn in (deterministic_fidelity_closed, heralded_rate_closed):
+                with pytest.raises(TransferError, match=re.escape(str(alpha))):
+                    fn(alpha)
 
     def test_closed_form_needs_two_sites(self):
-        with pytest.raises(TransferError):
-            deterministic_fidelity_closed(1.0, (0.6, 0.6, 0.52915))
+        # only the heralded rate is two-site; its route must not answer
+        # for three sites with the two-site rate
+        with pytest.raises(TransferError, match="two sites.*cutoff"):
+            heralded_transfer(0.88, amps=np.ones(3))
+        enumerated = heralded_transfer(0.88, amps=np.ones(3), cutoff=6)
+        assert enumerated.probability < 0.1
         with pytest.raises(TransferError):
             deterministic_transfer()
 
 
 class TestPlusAncillaPair:
     def test_two_site_deterministic_and_heralded(self):
-        table = plus_amplitude_table()
+        table = multiport_amplitude_table(1)
         det = deterministic_transfer(table=table)
         her = heralded_transfer(table=table)
         # hand enumeration: each site fails with probability 3/4 given the
@@ -332,17 +389,19 @@ class TestPlusAncillaPair:
 
     def test_two_site_weighted(self):
         wa, wb = 0.64, 0.36
-        det = deterministic_transfer(table=plus_amplitude_table(),
+        det = deterministic_transfer(table=multiport_amplitude_table(1),
                                      amps=(0.8, 0.6))
         want = 0.25 + 0.75 * (wa ** 2 + wb ** 2)
         assert det.fidelity == pytest.approx(want, abs=1e-12)
-        her = heralded_transfer(table=plus_amplitude_table(), amps=(0.8, 0.6))
+        her = heralded_transfer(table=multiport_amplitude_table(1),
+                                amps=(0.8, 0.6))
         assert her.probability == pytest.approx(0.25, abs=1e-12)
         assert her.fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_which_path_branch_fidelity(self):
         # a (0, 0) record at one site pins the photon to the other
-        branches, _ = transfer_branches(plus_amplitude_table(), (0.8, 0.6))
+        branches, _ = transfer_branches(multiport_amplitude_table(1),
+                                        (0.8, 0.6))
         rec = {b.record: b for b in branches}
         tied = rec[((1, 0), (0, 0))]
         assert not tied.accepted
@@ -350,15 +409,15 @@ class TestPlusAncillaPair:
 
     def test_three_sites(self):
         amps = np.ones(3) / np.sqrt(3.0)
-        her = heralded_transfer(table=plus_amplitude_table(), amps=amps)
+        her = heralded_transfer(table=multiport_amplitude_table(1), amps=amps)
         assert her.probability == pytest.approx(0.125, abs=1e-12)
         assert her.fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_degenerate_amplitudes(self):
         with pytest.raises(TransferError):
-            transfer_branches(plus_amplitude_table(), (1.0,))
+            transfer_branches(multiport_amplitude_table(1), (1.0,))
         with pytest.raises(TransferError):
-            transfer_branches(plus_amplitude_table(), (0.0, 0.0))
+            transfer_branches(multiport_amplitude_table(1), (0.0, 0.0))
 
 
 class TestMultiport:
@@ -374,7 +433,9 @@ class TestMultiport:
         assert min(b.fidelity for b in accepted) >= 1.0 - 1e-9
 
     def test_more_ports_beat_the_splitter(self):
-        base = deterministic_transfer(table=plus_amplitude_table()).fidelity
+        base = deterministic_transfer(
+            table=multiport_amplitude_table(1)
+        ).fidelity
         better = deterministic_transfer(
             table=multiport_amplitude_table(3)
         ).fidelity
