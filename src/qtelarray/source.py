@@ -103,10 +103,6 @@ class IntensityDistribution:
             raise ValueError("need one weight per grid point")
         return cls(list(zip(grid, weights)), normalize=normalize)
 
-    @property
-    def samples(self):
-        return list(zip(self.y, self.weights))
-
     def __len__(self):
         return self.y.size
 

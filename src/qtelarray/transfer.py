@@ -13,9 +13,16 @@ of equal modulus are repaired exactly by local phase corrections
 phi_s = -arg(c1/c0) (for a real coherent ancilla this is a Z precisely when
 the second port saw more photons than the first); that is the heralded
 acceptance rule. Keeping every branch instead gives the deterministic
-fidelity. For coherent ancillas of amplitude alpha both have closed forms
-in exponentially scaled modified Bessel functions of x = alpha^2: the
+fidelity. ``deterministic_transfer`` and ``heralded_transfer`` always
+enumerate the records of an amplitude table. For coherent ancillas of
+amplitude alpha both figures also have closed forms, called by name, in
+exponentially scaled modified Bessel functions of x = alpha^2: the
 deterministic fidelity for any number of sites, the heralded rate for two.
+
+The single-site teleport with a memory-paired plus ancilla, ideal or behind
+lossy detectors, has five detection records whose probabilities and
+fidelities are written in closed form; ``tests/teleport_route.py`` holds the
+dense state-vector route they are checked against.
 """
 
 from __future__ import annotations
@@ -25,19 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import (
-    QuantumState,
-    beam_splitter,
-    build_state,
-    enumerate_measure,
-    fock,
-    linear_optics_matrix,
-    lossy_detector,
-    pauli_z,
-    qft_matrix,
-    qubit,
-    ModeRegistry,
-)
+from .qcore import linear_optics_matrix, qft_matrix
 from .util import make_rng
 
 BRANCH_PRUNE = 1e-12
@@ -237,32 +232,33 @@ def transfer_branches(table: AmplitudeTable, amps, prune: float = BRANCH_PRUNE):
     return branches, mass
 
 
+def _enumerate(alpha, amps, table, cutoff):
+    """The records of ``table``, or of the coherent table at ``alpha`` and
+    ``cutoff``: (table, branches, mass)."""
+    if table is None:
+        if alpha is None or cutoff is None:
+            raise TransferError(
+                "need an amplitude table, or alpha with a cutoff for the "
+                "coherent table; the closed forms are "
+                "deterministic_fidelity_closed and heralded_rate_closed"
+            )
+        table = coherent_amplitude_table(alpha, cutoff)
+    return (table, *transfer_branches(table, amps))
+
+
 def deterministic_transfer(alpha=None, amps=(2 ** -0.5, 2 ** -0.5),
                            table: AmplitudeTable | None = None,
                            cutoff: int | None = None) -> TransferOutcome:
     """Keep every branch; the fidelity averages the corrected branches.
 
-    Pass either a coherent amplitude ``alpha`` (with an optional ``cutoff``
-    for the enumeration route; omit it for the closed-form route) or an
-    explicit table.
+    Enumerates the records of an explicit table, or of the coherent table
+    at amplitude ``alpha`` truncated at ``cutoff``.
     """
-    amps = _norm_amps(amps)
-    if table is None:
-        if alpha is None:
-            raise TransferError("need alpha or an amplitude table")
-        if cutoff is None:
-            f = deterministic_fidelity_closed(alpha, amps)
-            return TransferOutcome(
-                kind="deterministic", fidelity=f, probability=1.0,
-                extra={"route": "closed_form", "alpha": alpha},
-            )
-        table = coherent_amplitude_table(alpha, cutoff)
-    branches, mass = transfer_branches(table, amps)
+    table, branches, mass = _enumerate(alpha, amps, table, cutoff)
     f = sum(b.probability * b.fidelity for b in branches) / mass
     return TransferOutcome(
         kind="deterministic", fidelity=f, probability=1.0,
-        branches=branches, mass=mass,
-        extra={"route": "enumerate", "table": table.kind},
+        branches=branches, mass=mass, extra={"table": table.kind},
     )
 
 
@@ -271,26 +267,10 @@ def heralded_transfer(alpha=None, amps=(2 ** -0.5, 2 ** -0.5),
                       cutoff: int | None = None) -> TransferOutcome:
     """Accept only equal-ratio records; accepted branches have unit fidelity.
 
-    Without a table or cutoff the coherent acceptance rate comes from its
-    closed form, which covers two sites only.
+    Enumerates the records of an explicit table, or of the coherent table
+    at amplitude ``alpha`` truncated at ``cutoff``.
     """
-    amps = _norm_amps(amps)
-    if table is None:
-        if alpha is None:
-            raise TransferError("need alpha or an amplitude table")
-        if cutoff is None:
-            if len(amps) != 2:
-                raise TransferError(
-                    f"the closed-form heralded rate covers two sites, not "
-                    f"{len(amps)}; pass a cutoff to enumerate the records"
-                )
-            p = heralded_rate_closed(alpha)
-            return TransferOutcome(
-                kind="heralded", fidelity=1.0 if p > 0 else 0.0, probability=p,
-                extra={"route": "closed_form", "alpha": alpha},
-            )
-        table = coherent_amplitude_table(alpha, cutoff)
-    branches, mass = transfer_branches(table, amps)
+    table, branches, mass = _enumerate(alpha, amps, table, cutoff)
     kept = [b for b in branches if b.accepted]
     p = sum(b.probability for b in kept)
     f = (
@@ -298,8 +278,7 @@ def heralded_transfer(alpha=None, amps=(2 ** -0.5, 2 ** -0.5),
     )
     return TransferOutcome(
         kind="heralded", fidelity=f, probability=p,
-        branches=branches, mass=mass,
-        extra={"route": "enumerate", "table": table.kind},
+        branches=branches, mass=mass, extra={"table": table.kind},
     )
 
 
@@ -368,22 +347,35 @@ def find_heralded_optimum(lo: float = 0.0, hi: float = 2.0,
 # ---- single-site teleport with a memory-paired plus ancilla ------------------------
 
 
-def _teleport_registry() -> ModeRegistry:
-    return ModeRegistry([fock("a", 2), fock("b", 2), qubit("m")])
+def _teleport(eta: float, theta: float, kind: str, extra: dict) -> TransferOutcome:
+    """The teleport's detection records behind detectors of amplitude
+    transmission eta, in closed form with T = eta^2:
 
+        (0, 0)           p = (1 - T/2)^2     f = 1/2                     rejected
+        (0, 1), (1, 0)   p = T (2 - T) / 4   f = (3 - T) / (2 (2 - T))   accepted
+        (0, 2), (2, 0)   p = T^2 / 8         f = 1/2                     rejected
 
-def _teleport_input(theta: float) -> QuantumState:
-    """(|0>_a + e^{i theta} |1>_a)/sqrt2 with the memory-ancilla pair."""
-    reg = _teleport_registry()
-    z = np.exp(1j * theta)
-    return build_state(
-        reg,
-        {
-            "0,1,0": 0.5,
-            "0,0,1": 0.5,
-            "1,1,0": 0.5 * z,
-            "1,0,1": 0.5 * z,
-        },
+    The one-photon sector (weight 1/2) carries the input phase, and a single
+    count from it is repaired exactly (Z on the (0, 1) record). The
+    two-photon sector (weight 1/4) leaves the memory in |0>: its photons
+    bunch, and a single count from it means the other photon was lost. No
+    value depends on the input phase theta.
+    """
+    if not math.isfinite(theta):
+        raise TransferError(f"input phase theta = {theta} must be finite")
+    T = float(eta) ** 2
+    single, double = T * (2.0 - T) / 4.0, T * T / 8.0
+    f_single = (3.0 - T) / (2.0 * (2.0 - T))
+    records = (((0, 0), (1.0 - T / 2.0) ** 2, 0.5), ((0, 1), single, f_single),
+               ((0, 2), double, 0.5), ((1, 0), single, f_single),
+               ((2, 0), double, 0.5))
+    branches = [Branch(r, p, f, sum(r) == 1)
+                for r, p, f in records if p > BRANCH_PRUNE]
+    p_acc = sum((b.probability for b in branches if b.accepted), 0.0)
+    return TransferOutcome(
+        kind=kind, fidelity=f_single if p_acc > 0 else 0.0, probability=p_acc,
+        branches=branches, mass=sum(b.probability for b in branches),
+        extra=extra,
     )
 
 
@@ -396,27 +388,7 @@ def plus_ancilla_transfer(theta: float = 0.0) -> TransferOutcome:
     fidelity is exactly 1 at exactly half the total probability, for every
     input phase theta.
     """
-    state = beam_splitter(_teleport_input(theta), "a", "b")
-    target = np.array([1.0, np.exp(1j * theta)]) / np.sqrt(2.0)
-    branches = []
-    p_acc = 0.0
-    f_acc = 0.0
-    for counts, p, post in enumerate_measure(state, ("a", "b"), basis="number",
-                                             remove=True):
-        i, j = counts
-        if (i, j) == (0, 1):
-            post = pauli_z(post, "m")
-        accepted = i + j == 1
-        fid = float(post.fidelity(target))
-        if accepted:
-            p_acc += p
-            f_acc += p * fid
-        branches.append(Branch((i, j), float(p), fid, accepted))
-    return TransferOutcome(
-        kind="plus_teleport", fidelity=f_acc / p_acc, probability=p_acc,
-        branches=branches, mass=float(sum(b.probability for b in branches)),
-        extra={"theta": theta},
-    )
+    return _teleport(1.0, theta, "plus_teleport", {"theta": theta})
 
 
 def lossy_transfer(eta: float, theta: float = 0.0) -> TransferOutcome:
@@ -428,36 +400,18 @@ def lossy_transfer(eta: float, theta: float = 0.0) -> TransferOutcome:
     counts, trading acceptance for fidelity.
     """
     if not 0.0 <= eta <= 1.0:
-        raise TransferError("transmission must lie in [0, 1]")
-    state = beam_splitter(_teleport_input(theta), "a", "b")
-    target = np.array([1.0, np.exp(1j * theta)]) / np.sqrt(2.0)
-    branches = []
-    p_acc = 0.0
-    f_acc = 0.0
-    for i, p_i, post_i in lossy_detector(state, "a", eta):
-        for j, p_j, post in lossy_detector(post_i, "b", eta):
-            p = p_i * p_j
-            if p <= BRANCH_PRUNE:
-                continue
-            if (i, j) == (0, 1):
-                post = pauli_z(post, "m")
-            accepted = i + j == 1
-            fid = float(post.fidelity(target))
-            if accepted:
-                p_acc += p
-                f_acc += p * fid
-            branches.append(Branch((i, j), float(p), fid, accepted))
-    return TransferOutcome(
-        kind="lossy_teleport",
-        fidelity=f_acc / p_acc if p_acc > 0 else 0.0,
-        probability=p_acc,
-        branches=branches,
-        mass=float(sum(b.probability for b in branches)),
-        extra={"eta": eta, "theta": theta},
-    )
+        raise TransferError(f"transmission eta = {eta} must lie in [0, 1]")
+    return _teleport(eta, theta, "lossy_teleport", {"eta": eta, "theta": theta})
 
 
 # ---- network scaling ----------------------------------------------------------------
+
+
+def _check_network(N: int, p1: float):
+    if N < 2:
+        raise TransferError(f"a network needs at least 2 sites, not N = {N}")
+    if not 0.0 <= p1 <= 1.0:
+        raise TransferError(f"per-site success p1 = {p1} must lie in [0, 1]")
 
 
 def network_fidelity(N: int, f2: float) -> float:
@@ -476,10 +430,7 @@ def network_failure_probability(N: int, p1: float) -> float:
     attempt fails when the photon's site failed or fewer than two sites
     succeeded. Equals (1-p1) (1 + p1 (1-p1)^(N-2)).
     """
-    if N < 2:
-        raise TransferError("a network needs at least 2 sites")
-    if not 0.0 <= p1 <= 1.0:
-        raise TransferError("per-site success must lie in [0, 1]")
+    _check_network(N, p1)
     q = 1.0 - p1
     return q * (1.0 + p1 * q ** (N - 2))
 
@@ -502,8 +453,11 @@ def network_pair_distribution(N: int, p1: float) -> dict:
 
 def network_monte_carlo(N: int, p1: float, trials: int, rng=None) -> dict:
     """Empirical failure rate and survivor-count distribution."""
-    rng = make_rng(rng)
+    _check_network(N, p1)
     trials = int(trials)
+    if trials < 1:
+        raise TransferError(f"need at least one trial, not trials = {trials}")
+    rng = make_rng(rng)
     # row blocks of one uniform stream, so no trials x N float matrix exists
     succ = np.empty((trials, N), dtype=bool)
     for start in range(0, trials, MC_BLOCK_ROWS):

@@ -10,8 +10,10 @@ its 0.82 +/- 0.01 band where the protocol reaches it. The fidelity
 f = 1/2 + (E|d|)^2 / (2 alpha^2) rises monotonically towards its large-alpha
 limit 1/2 + 1/pi = 0.8183 and enters the band only near alpha = 3.12, so the
 band is checked on a closed-form grid alpha in [4, 8] and at the limit. The
-value at alpha = 3 (0.809333, below the band) stays pinned: the closed form
-must match an independent Bessel-function expression for E|d| to 1e-12.
+value at alpha = 3 (0.809333, below the band) stays pinned, and so does the
+grid: the closed form must match 1/2 + (E|d|)^2 / (2 alpha^2) with E|d|
+summed over ``scipy.stats.skellam.pmf`` to 1e-12, a route that shares no
+Bessel algebra with it.
 Closed form and branch enumeration are compared in
 ``tests/test_transfer.py::TestClosedForms::test_enumeration_matches_closed_form``;
 the amplitude tables both routes share are checked by criterion 11.
@@ -22,7 +24,9 @@ import time
 
 import numpy as np
 import pytest
-from scipy.special import ive
+from scipy.stats import skellam
+
+import teleport_route
 
 from qtelarray.codec import RunConfig, encode_single_photon, parallel_frequency_compress
 from qtelarray.imaging import (
@@ -112,11 +116,16 @@ def oracle_gate():
     return gap
 
 
-def bessel_fidelity(alpha):
-    """1/2 + (E|d|)^2 / (2 alpha^2), d ~ Skellam(alpha^2/2, alpha^2/2)."""
-    a2 = alpha ** 2
-    mean_abs = a2 * (ive(0, a2) + ive(1, a2))
-    return 0.5 + mean_abs ** 2 / (2.0 * a2)
+def skellam_fidelity(alpha):
+    """1/2 + (E|d|)^2 / (2 alpha^2), with E|d| summed over the
+    Skellam(alpha^2/2, alpha^2/2) pmf on all but < 1e-13 of its mass."""
+    x = alpha ** 2
+    width = int(np.ceil(x + 12.0 * alpha + 30.0))
+    d = np.arange(-width, width + 1)
+    p = skellam.pmf(d, x / 2.0, x / 2.0)
+    assert abs(p.sum() - 1.0) <= 1e-13
+    mean_abs = (np.abs(d) * p).sum()
+    return 0.5 + mean_abs ** 2 / (2.0 * x)
 
 
 def band_onset():
@@ -138,7 +147,7 @@ def test_criterion_01_deterministic_transfer_band(oracle_gate):
     limit = 0.5 + 1.0 / np.pi
     f3 = deterministic_fidelity_closed(3.0)
     gap = max(
-        abs(deterministic_fidelity_closed(a) - bessel_fidelity(a))
+        abs(deterministic_fidelity_closed(a) - skellam_fidelity(a))
         for a in (3.0, *alphas)
     )
     onset = band_onset()
@@ -152,7 +161,7 @@ def test_criterion_01_deterministic_transfer_band(oracle_gate):
         f"deterministic fidelity {grid[0]:.6f}..{grid[-1]:.6f} on alpha "
         f"4..8 (in 0.82 +/- 0.01: {in_band}, rising below the limit "
         f"{limit:.6f}: {rising}); band begins at alpha={onset:.3f}; "
-        f"f(3)={f3:.6f}; closed form vs Bessel route at alpha=3 and on the "
+        f"f(3)={f3:.6f}; closed form vs Skellam sum at alpha=3 and on the "
         f"grid: max gap {gap:.1e}; "
         f"runtime {elapsed:.3f}s < 60s: {in_time}",
     )
@@ -175,13 +184,15 @@ def test_criterion_03_plus_ancilla_exact():
     worst_p = 0.0
     worst_f = 0.0
     for theta in (0.0, np.pi / 4, np.pi / 2, np.pi):
-        out = plus_ancilla_transfer(theta)
-        worst_p = max(worst_p, abs(out.probability - 0.5))
-        worst_f = max(worst_f, abs(out.fidelity - 1.0))
+        for out in (plus_ancilla_transfer(theta),
+                    teleport_route.plus_ancilla_transfer(theta)):
+            worst_p = max(worst_p, abs(out.probability - 0.5))
+            worst_f = max(worst_f, abs(out.fidelity - 1.0))
     ok = worst_p <= 1e-12 and worst_f <= 1e-12
     report(
         3, ok,
-        f"plus-ancilla teleport by enumeration: |p - 1/2| <= {worst_p:.2e}, "
+        f"plus-ancilla teleport in closed form and on the dense route: "
+        f"|p - 1/2| <= {worst_p:.2e}, "
         f"|f - 1| <= {worst_f:.2e}",
     )
 

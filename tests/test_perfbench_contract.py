@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qtelarray import cli, codec, imaging, netdecode
-from qtelarray.qcore import SupportState
+from qtelarray import cli, codec, imaging, netdecode, source, transfer
+from qtelarray.qcore import SupportState, gates, optics
 from qtelarray.source import ArrayGeometry, IntensityDistribution, visibility_from_intensity
 
 TRACER_MODULES = (
@@ -34,11 +34,28 @@ TRACER_MODULES = (
 )
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+# every function SPAN_GROUPS in perfbench/tracer.py sums into a per-layer
+# metric; a missing one would read as zero time, not as an error
 TRACED_FUNCTIONS = (
+    (optics, "linear_optics_matrix"),
+    (optics, "apply_linear_optics"),
+    (gates, "enumerate_measure"),
+    (source, "visibility_from_intensity"),
     (codec, "encode_bin"),
     (codec, "parallel_frequency_compress"),
     (netdecode, "decode_arrival"),
     (netdecode, "w_state_readout"),
+    (imaging, "qft_image_diagonal"),
+    (imaging, "qft_process"),
+    (imaging, "sample_qft"),
+    (imaging, "classical_pipeline"),
+    (transfer, "coherent_amplitude_table"),
+    (transfer, "multiport_amplitude_table"),
+    (transfer, "transfer_branches"),
+    (transfer, "heralded_rate_closed"),
+    (transfer, "deterministic_fidelity_closed"),
+    (transfer, "lossy_transfer"),
+    (transfer, "network_monte_carlo"),
 )
 
 
@@ -55,6 +72,7 @@ def test_traced_functions_exist():
 
 def test_support_state_methods_the_tracer_wraps():
     assert inspect.isfunction(SupportState.__dict__["apply_cnot"])
+    assert inspect.isfunction(SupportState.__dict__["to_vector"])
     assert isinstance(SupportState.__dict__["zeros"], classmethod)
 
 

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.special import ive
 from scipy.stats import skellam
 
+import teleport_route
 from qtelarray.qcore import (
     ModeRegistry,
     QuantumState,
@@ -333,8 +334,6 @@ class TestClosedForms:
         # the gap left is the cutoff-12 truncation
         want = deterministic_transfer(alpha, amps=amps, cutoff=12).fidelity
         assert abs(deterministic_fidelity_closed(alpha, amps) - want) <= 1e-7
-        closed = deterministic_transfer(alpha, amps=amps).fidelity
-        assert closed == pytest.approx(want, abs=1e-7)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.88, 3.0])
     def test_uniform_fidelity_follows_network_scaling(self, alpha):
@@ -364,15 +363,16 @@ class TestClosedForms:
                 with pytest.raises(TransferError, match=re.escape(str(alpha))):
                     fn(alpha)
 
-    def test_closed_form_needs_two_sites(self):
-        # only the heralded rate is two-site; its route must not answer
-        # for three sites with the two-site rate
-        with pytest.raises(TransferError, match="two sites.*cutoff"):
-            heralded_transfer(0.88, amps=np.ones(3))
-        enumerated = heralded_transfer(0.88, amps=np.ones(3), cutoff=6)
-        assert enumerated.probability < 0.1
-        with pytest.raises(TransferError):
-            deterministic_transfer()
+    def test_enumeration_needs_a_cutoff(self):
+        # the closed forms are called by name; the transfer functions
+        # always enumerate a table and never fall back to a closed form
+        for fn in (deterministic_transfer, heralded_transfer):
+            with pytest.raises(TransferError, match="cutoff"):
+                fn(0.88)
+            with pytest.raises(TransferError, match="cutoff"):
+                fn(0.88, amps=np.ones(3))
+            with pytest.raises(TransferError, match="cutoff"):
+                fn()
 
 
 class TestPlusAncillaPair:
@@ -497,6 +497,64 @@ class TestLossyTransfer:
             lossy_transfer(1.2)
 
 
+ORACLE_ETAS = np.round(np.arange(0.0, 1.0001, 0.05), 10)
+ORACLE_THETAS = (0.0, np.pi / 4, np.pi / 2, np.pi, 2.3)
+
+
+def assert_teleport_matches(got, want):
+    assert [b.record for b in got.branches] == [b.record for b in want.branches]
+    assert [b.accepted for b in got.branches] == [
+        b.accepted for b in want.branches
+    ]
+    for g, w in zip(got.branches, want.branches):
+        assert abs(g.probability - w.probability) <= 1e-12, g.record
+        assert abs(g.fidelity - w.fidelity) <= 1e-12, g.record
+    assert (got.kind, got.extra) == (want.kind, want.extra)
+    assert abs(got.probability - want.probability) <= 1e-12
+    assert abs(got.fidelity - want.fidelity) <= 1e-12
+    assert abs(got.mass - want.mass) <= 1e-12
+
+
+class TestTeleportRoute:
+    """Closed-form teleport records against the dense state-vector route."""
+
+    @pytest.mark.parametrize("theta", ORACLE_THETAS)
+    def test_lossy_matches_dense_route(self, theta):
+        for eta in ORACLE_ETAS:
+            assert_teleport_matches(
+                lossy_transfer(float(eta), theta),
+                teleport_route.lossy_transfer(float(eta), theta),
+            )
+
+    @pytest.mark.parametrize("theta", ORACLE_THETAS)
+    def test_plus_matches_dense_route(self, theta):
+        assert_teleport_matches(plus_ancilla_transfer(theta),
+                                teleport_route.plus_ancilla_transfer(theta))
+
+    def test_plus_teleport_is_the_lossless_case(self):
+        plus, lossless = plus_ancilla_transfer(0.7), lossy_transfer(1.0, 0.7)
+        assert plus.branches == lossless.branches
+        assert (plus.probability, plus.fidelity) == (
+            lossless.probability, lossless.fidelity)
+
+    def test_faint_records_are_pruned(self):
+        # T^2/8 falls below BRANCH_PRUNE first, then the single counts
+        T = 2e-6
+        out = lossy_transfer(T ** 0.5)
+        assert [b.record for b in out.branches] == [(0, 0), (0, 1), (1, 0)]
+        assert [b.record for b in lossy_transfer(1e-7).branches] == [(0, 0)]
+        assert lossy_transfer(0.0).fidelity == 0.0
+
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_rejects_non_finite_phase(self, theta):
+        for call in (lambda: plus_ancilla_transfer(theta),
+                     lambda: lossy_transfer(0.5, theta)):
+            with pytest.raises(TransferError,
+                               match=re.escape(f"theta = {theta}")):
+                call()
+
+
 def enumerate_network(N, p1):
     """Brute-force failure rate and survivor distribution."""
     q = 1.0 - p1
@@ -579,3 +637,19 @@ class TestNetwork:
             network_failure_probability(4, 1.5)
         with pytest.raises(TransferError):
             network_pair_distribution(4, 0.0)
+
+    @pytest.mark.parametrize("N, p1, trials, name", [
+        (1, 0.5, 100, "N = 1"),
+        (4, 1.5, 100, "p1 = 1.5"),
+        (4, -0.1, 100, "p1 = -0.1"),
+        (4, float("nan"), 100, "p1 = nan"),
+        (4, 0.5, 0, "trials = 0"),
+        (4, 0.5, -3, "trials = -3"),
+    ])
+    def test_monte_carlo_rejects_bad_input_before_drawing(self, N, p1,
+                                                          trials, name):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        with pytest.raises(TransferError, match=re.escape(name)):
+            network_monte_carlo(N, p1, trials, rng=rng)
+        assert rng.bit_generator.state == before
