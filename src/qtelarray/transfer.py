@@ -407,17 +407,20 @@ def lossy_transfer(eta: float, theta: float = 0.0) -> TransferOutcome:
 # ---- network scaling ----------------------------------------------------------------
 
 
-def _check_network(N: int, p1: float):
+def _check_sites(N: int):
     if N < 2:
         raise TransferError(f"a network needs at least 2 sites, not N = {N}")
+
+
+def _check_network(N: int, p1: float):
+    _check_sites(N)
     if not 0.0 <= p1 <= 1.0:
         raise TransferError(f"per-site success p1 = {p1} must lie in [0, 1]")
 
 
 def network_fidelity(N: int, f2: float) -> float:
     """W-state fidelity over N sites from the pairwise fidelity f2."""
-    if N < 2:
-        raise TransferError("a network needs at least 2 sites")
+    _check_sites(N)
     if not 0.0 <= f2 <= 1.0:
         raise TransferError("pairwise fidelity f2 must lie in [0, 1]")
     return (1.0 + (N - 1) * (2.0 * f2 - 1.0)) / N

@@ -373,6 +373,10 @@ class TestClosedForms:
                 fn(0.88, amps=np.ones(3))
             with pytest.raises(TransferError, match="cutoff"):
                 fn()
+        # the enumeration route still answers for three coherent sites;
+        # cutoff 12 gives 0.0753473858377, so cutoff 6 is 1e-7 off
+        enumerated = heralded_transfer(0.88, amps=np.ones(3), cutoff=6)
+        assert enumerated.probability == pytest.approx(0.0753474, abs=1e-6)
 
 
 class TestPlusAncillaPair:
@@ -628,7 +632,7 @@ class TestNetwork:
         assert network_fidelity(4, 0.75) == pytest.approx(0.625, abs=1e-15)
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(TransferError):
+        with pytest.raises(TransferError, match="N = 1"):
             network_fidelity(1, 0.9)
         for f2 in (float("nan"), -0.1, 1.5):
             with pytest.raises(TransferError):
