@@ -33,6 +33,8 @@ from .util import make_rng
 QUADRATURE_MODES = ("auto", "real", "both")
 SAMPLERS = ("w_state", "direct_pair")
 IMAG_TOL = 1e-12
+# Pair draws resolved per block of _draw_pairs (128 KiB of indices).
+DRAW_BLOCK = 1 << 14
 
 
 @dataclass
@@ -93,15 +95,15 @@ def sample_qft(vis: VisibilityModel, shots: int, rng=None) -> ImagingEstimate:
     if shots < 1:
         raise ValueError("need a positive detection budget")
     rng = make_rng(rng)
-    p = qft_image_diagonal(vis)
-    p = np.clip(p, 0.0, None)
+    i_exact = qft_image_diagonal(vis)
+    p = np.clip(i_exact, 0.0, None)
     counts = rng.multinomial(int(shots), p / p.sum())
     i_hat = counts / float(shots)
     return ImagingEstimate(
         y=_grid(vis),
         i_hat=i_hat,
         var=i_hat * (1.0 - i_hat) / float(shots),
-        i_exact=qft_image_diagonal(vis),
+        i_exact=i_exact,
         method="qft",
         shots=int(shots),
         extra={"counts": counts},
@@ -131,6 +133,42 @@ def _pair_correlations(vis: VisibilityModel):
     corr_xx = 2.0 * cond.real
     corr_xy = -2.0 * cond.imag
     return a, b, weight, corr_xx, corr_xy
+
+
+def _draw_pairs(rng, weight: np.ndarray, size: int) -> np.ndarray:
+    """Pair indices as ``rng.choice(weight.size, size, p=weight / weight.sum())``.
+
+    The same p, CDF and uniforms give the same indices and leave ``rng`` in
+    the same state, but ``cdf.searchsorted(u, side="right")`` is answered
+    from a guide table over G = 2^ceil(log2 n) equal cells: a draw starts at
+    the first CDF entry above its cell's left edge (exact, as G is a power
+    of two) and steps forward while ``cdf[idx] <= u``. The CDF is
+    nondecreasing in floating point and the start never passes the answer,
+    so the result is exact. A draw takes as many steps as its cell holds
+    CDF entries, n / G <= 1 on average; the pipeline's pair weights are all
+    2/N, so no cell holds more than a few.
+    """
+    total = weight.sum()
+    # a NaN or infinite weight makes the total NaN or infinite
+    if not (0 < total < np.inf and weight.min() >= 0):
+        raise ValueError("pair weights must be finite, nonnegative and not "
+                         "all zero")
+    cdf = (weight / total).cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    G = 1 << (cdf.size - 1).bit_length()
+    guide = cdf.searchsorted(np.arange(G) / G, side="right")
+    idx = np.empty(size, dtype=np.intp)
+    # blocks keep the temporaries small beside u and idx
+    for lo in range(0, size, DRAW_BLOCK):
+        ub = u[lo:lo + DRAW_BLOCK]
+        ib = guide[(ub * G).astype(np.intp)]
+        active = np.flatnonzero(cdf[ib] <= ub)
+        while active.size:
+            ib[active] += 1
+            active = active[cdf[ib[active]] <= ub[active]]
+        idx[lo:lo + DRAW_BLOCK] = ib
+    return idx
 
 
 def classical_pipeline(vis: VisibilityModel, shots: int, rng=None,
@@ -169,7 +207,7 @@ def classical_pipeline(vis: VisibilityModel, shots: int, rng=None,
         successes = int((rng.random(shots) >= 1.0 / N).sum())
     else:
         successes = shots
-    pair_idx = rng.choice(n_pairs, size=successes, p=weight / weight.sum())
+    pair_idx = _draw_pairs(rng, weight, successes)
 
     # alternate settings shot by shot so every baseline splits its budget;
     # pool each setting's shots and +-1 sums by baseline k = b - a (the

@@ -115,6 +115,9 @@ class VisibilityModel:
         N = geometry.N
         if g.shape != (N, N):
             raise ValueError("g must be N x N")
+        # NaN passes the tolerance checks below, so reject it first
+        if not np.isfinite(g).all():
+            raise ValueError("g must be finite")
         if np.max(np.abs(np.diagonal(g) - 1.0)) > 1e-12:
             raise ValueError("g must have unit diagonal")
         if np.max(np.abs(g - g.conj().T)) > 1e-12:

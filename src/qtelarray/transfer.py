@@ -37,7 +37,8 @@ from .util import make_rng
 
 BRANCH_PRUNE = 1e-12
 RATIO_TOL = 1e-9
-MC_BLOCK_ROWS = 65536
+# Uniforms per block of the network Monte Carlo's success draws (4 MiB).
+MC_BLOCK = 1 << 19
 
 
 class TransferError(RuntimeError):
@@ -461,15 +462,18 @@ def network_monte_carlo(N: int, p1: float, trials: int, rng=None) -> dict:
     if trials < 1:
         raise TransferError(f"need at least one trial, not trials = {trials}")
     rng = make_rng(rng)
-    # row blocks of one uniform stream, so no trials x N float matrix exists
-    succ = np.empty((trials, N), dtype=bool)
-    for start in range(0, trials, MC_BLOCK_ROWS):
-        block = succ[start:start + MC_BLOCK_ROWS]
-        block[:] = rng.random(block.shape) < p1
+    # row blocks of one uniform stream; each row keeps only its success bits
+    # (packed) and its success count, so no trials x N matrix exists
+    rows = max(1, MC_BLOCK // N)
+    bits = np.empty((trials, (N + 7) // 8), dtype=np.uint8)
+    k = np.empty(trials, dtype=np.min_scalar_type(N))
+    for start in range(0, trials, rows):
+        succ = rng.random((min(rows, trials - start), N)) < p1
+        bits[start:start + rows] = np.packbits(succ, axis=1, bitorder="little")
+        k[start:start + rows] = np.count_nonzero(succ, axis=1)
     photon = rng.integers(0, N, size=trials)
-    photon_ok = succ[np.arange(trials), photon]
-    k = succ.sum(axis=1)
-    fail = (~photon_ok) | (k <= 1)
+    photon_ok = (bits[np.arange(trials), photon >> 3] >> (photon & 7)) & 1
+    fail = (photon_ok == 0) | (k <= 1)
     kept = k[~fail]
     counts = np.bincount(kept, minlength=N + 1)
     return {

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtelarray.imaging import (
     ImagingEstimate,
+    _draw_pairs,
     classical_pipeline,
     image_from_visibilities,
     natural_weights,
@@ -106,6 +108,14 @@ class TestSampleQft:
         assert est.i_hat[2] == pytest.approx(1.0)
         assert np.all(est.var == 0.0)
         assert est.extra["counts"][2] == 5000
+
+    def test_exact_image_keeps_rounding_negatives(self):
+        # only the sampling distribution is clipped at zero
+        vis, _ = on_grid_model(8, np.eye(8)[0])
+        exact = qft_image_diagonal(vis)
+        assert exact.min() < 0
+        est = sample_qft(vis, 1000, rng=np.random.default_rng(0))
+        assert np.array_equal(est.i_exact, exact)
 
     def test_flat_source_statistics(self):
         N, shots = 4, 40000
@@ -327,3 +337,114 @@ class TestBaselinePooling:
                                  "w_state", "both")
         assert np.array_equal(est.extra["sigma2"], ref[3])
         assert np.array_equal(est.var, ref[1])
+
+
+def _assert_draws_like_choice(weight, size, seed):
+    """``_draw_pairs`` equals ``rng.choice`` in indices and final rng state."""
+    weight = np.asarray(weight, dtype=float)
+    want_rng = np.random.default_rng(seed)
+    want = want_rng.choice(weight.size, size=size, p=weight / weight.sum())
+    got_rng = np.random.default_rng(seed)
+    got = _draw_pairs(got_rng, weight, size)
+    assert np.array_equal(got, want)
+    assert got.dtype == want.dtype
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+_zero_run = st.integers(0, 40).map(lambda n: [0.0] * n)
+# mantissa times a power of ten: flat, mildly and very heavy-tailed bodies
+_heavy = st.builds(lambda m, e: m * 10.0 ** e,
+                   st.floats(0.5, 1.0), st.integers(-30, 30))
+_body = st.lists(st.one_of(_heavy, st.just(0.0), st.just(1.0)),
+                 min_size=1, max_size=300)
+
+
+class _FixedUniforms:
+    """Stands in for a generator whose next uniforms are ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u
+
+
+class TestDrawPairs:
+    @settings(max_examples=300, deadline=None)
+    @given(lead=_zero_run, body=_body, tail=_zero_run, last=_heavy,
+           size=st.integers(0, 3000), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_choice(self, lead, body, tail, last, size, seed):
+        # ``last`` keeps the total positive; zero runs lead, sit inside and
+        # trail the body
+        _assert_draws_like_choice(lead + body + [last] + tail, size, seed)
+
+    @given(size=st.integers(0, 50), seed=st.integers(0, 2 ** 32 - 1))
+    def test_one_pair(self, size, seed):
+        # N = 2: every draw lands on the single pair
+        _assert_draws_like_choice([1.0], size, seed)
+
+    @pytest.mark.parametrize("N", [2, 3, 32, 256, 1024])
+    @pytest.mark.parametrize("scene", ["w_state", "pareto"])
+    def test_matches_choice_at_array_sizes(self, N, scene):
+        n_pairs = N * (N - 1) // 2
+        if scene == "w_state":
+            weight = np.full(n_pairs, 2.0 / N)
+        else:
+            weight = np.random.default_rng(N).pareto(0.7, n_pairs)
+        _assert_draws_like_choice(weight, 200000, 3 * N)
+
+    @pytest.mark.parametrize("n_pairs", [1, 3, 5, 8, 45, 64, 496, 1000])
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_uniforms_on_cdf_entries_and_cell_edges(self, n_pairs, zeros):
+        # uniforms equal to, and one ulp either side of, every CDF entry and
+        # every dyadic cell edge: ties must resolve as searchsorted "right"
+        weight = np.full(n_pairs, 1.0)
+        if zeros:
+            weight[::3] = 0.0
+            weight[-1] = 1.0
+        cdf = (weight / weight.sum()).cumsum()
+        cdf /= cdf[-1]
+        # dyadic edges at a quarter of the guide cell width and finer
+        H = 1 << (n_pairs.bit_length() + 2)
+        edges = np.arange(H) / H
+        pts = np.concatenate([cdf, edges])
+        u = np.concatenate([pts, np.nextafter(pts, 0.0), np.nextafter(pts, 1.0)])
+        u = u[u < 1.0]
+        got = _draw_pairs(_FixedUniforms(u), weight, u.size)
+        assert np.array_equal(got, cdf.searchsorted(u, side="right"))
+
+    def test_crowded_cell(self):
+        # a thousand near-zero weights share one guide cell, so some draws
+        # step a thousand times from their start
+        weight = np.r_[np.full(1000, 1e-300), 1.0, np.full(1000, 1e-300)]
+        _assert_draws_like_choice(weight, 100000, 17)
+
+    def test_uses_the_normalized_cdf(self):
+        # the first uniform of seed 5 falls between the raw cumulative sum
+        # of p and the same sum divided by its last entry
+        weight = np.array([1.2384846058320969, 0.1, 0.2])
+        raw = (weight / weight.sum()).cumsum()
+        u0 = np.random.default_rng(5).random()
+        assert raw.searchsorted(u0, side="right") == 1
+        _assert_draws_like_choice(weight, 1, 5)
+        assert _draw_pairs(np.random.default_rng(5), weight, 1)[0] == 0
+
+    @pytest.mark.parametrize("weight", [
+        [0.5, np.nan, 0.5],
+        [np.nan, np.nan],
+        [0.5, -0.1, 0.6],
+        [0.0, 0.0, 0.0],
+        [1.0, np.inf],
+        [1e308, 1e308],
+    ])
+    def test_rejects_bad_weights_before_drawing(self, weight):
+        weight = np.array(weight)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError):
+                rng.choice(weight.size, size=4, p=weight / weight.sum())
+            with pytest.raises(ValueError, match="finite, nonnegative"):
+                _draw_pairs(rng, weight, 4)
+        assert rng.bit_generator.state == before

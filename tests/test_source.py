@@ -109,6 +109,16 @@ def test_visibility_model_validation():
         VisibilityModel.two_site(0.5, epsilon=0.25)
 
 
+@pytest.mark.parametrize("where", [(1, 1), (0, 2)])
+def test_visibility_model_rejects_nan(where):
+    # NaN slips through the unit-diagonal and symmetry tolerances, and a
+    # NaN diagonal would reach the classical route's pair weights
+    g = np.eye(3, dtype=complex)
+    g[where] = g[where[::-1]] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        VisibilityModel(ArrayGeometry(N=3, d=1.0), g)
+
+
 def test_single_photon_rho_two_site_matrix():
     g = 0.6
     rho = single_photon_rho(VisibilityModel.two_site(g)).density_matrix()

@@ -20,7 +20,7 @@ from qtelarray.qcore import (
 from qtelarray.transfer import (
     BRANCH_PRUNE,
     AmplitudeTable,
-    MC_BLOCK_ROWS,
+    MC_BLOCK,
     RATIO_TOL,
     Branch,
     TransferError,
@@ -609,8 +609,8 @@ class TestNetwork:
             se_k = np.sqrt(pk * (1 - pk) / mc["successes"])
             assert abs(got - pk) <= 4 * se_k + 1e-12
 
-    def test_monte_carlo_blocks_match_one_draw(self):
-        N, p1, trials = 8, 0.469, 2 * MC_BLOCK_ROWS + 7
+    @staticmethod
+    def _assert_monte_carlo_matches_one_draw(N, p1, trials):
         rng = np.random.default_rng(41)
         succ = rng.random((trials, N)) < p1
         photon = rng.integers(0, N, size=trials)
@@ -623,7 +623,25 @@ class TestNetwork:
             "k_counts": {kk: int(counts[kk]) for kk in range(2, N + 1)},
             "successes": int((~fail).sum()),
         }
-        assert network_monte_carlo(N, p1, trials, rng=41) == want
+        got_rng = np.random.default_rng(41)
+        assert network_monte_carlo(N, p1, trials, rng=got_rng) == want
+        assert got_rng.bit_generator.state == rng.bit_generator.state
+
+    def test_monte_carlo_blocks_match_one_draw(self):
+        # three blocks, the last one ragged
+        self._assert_monte_carlo_matches_one_draw(
+            8, 0.469, 2 * (MC_BLOCK // 8) + 7)
+
+    @pytest.mark.parametrize("N, p1, trials", [
+        # N not a multiple of 8, with a ragged last block
+        (9, 0.8, 70001),
+        (300, 0.1, 5000),
+        (2, 0.3, 1000),
+        (5, 0.0, 300),
+        (5, 1.0, 300),
+    ])
+    def test_monte_carlo_odd_sizes_match_one_draw(self, N, p1, trials):
+        self._assert_monte_carlo_matches_one_draw(N, p1, trials)
 
     def test_fidelity_scaling(self):
         assert network_fidelity(2, 0.93) == pytest.approx(0.93, abs=1e-15)
