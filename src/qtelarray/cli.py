@@ -324,9 +324,12 @@ def run_formulas(config: dict):
         lines.append("p_pair_%d = %.12g" % (k, dist[k]))
     ok = True
     if config["trials"] > 0:
-        mc = _transfer.network_monte_carlo(
-            N, p1, config["trials"], rng=make_rng(config["seed"])
-        )
+        try:
+            mc = _transfer.network_monte_carlo(
+                N, p1, config["trials"], rng=make_rng(config["seed"])
+            )
+        except _transfer.TransferError as exc:
+            raise ConfigError(str(exc)) from None
         se = float(np.sqrt(p_fail * (1.0 - p_fail) / mc["trials"]))
         z = abs(mc["p_fail"] - p_fail) / se if se > 0 else 0.0
         ok = z <= 3.0

@@ -27,7 +27,10 @@ dense state-vector route they are checked against.
 
 from __future__ import annotations
 
+import copy
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,8 +40,11 @@ from .util import make_rng
 
 BRANCH_PRUNE = 1e-12
 RATIO_TOL = 1e-9
-# Uniforms per block of the network Monte Carlo's success draws (4 MiB).
+# Success uniforms the network Monte Carlo holds at once (4 MiB), split
+# evenly among its threads; also the fewest uniforms worth one more thread.
 MC_BLOCK = 1 << 19
+# From N = 1030 on, C(N, N // 2) exceeds the largest float.
+MAX_PAIR_SITES = 1029
 
 
 class TransferError(RuntimeError):
@@ -225,11 +231,9 @@ def transfer_branches(table: AmplitudeTable, amps, prune: float = BRANCH_PRUNE):
     mod = modulus[rec]
     top = mod.max(axis=0)
     accepted = top - mod.min(axis=0) <= RATIO_TOL * top
-    branches = [
-        Branch(tuple(outs[i] for i in r), pk, fk, ak)
-        for r, pk, fk, ak in zip(rec.T.tolist(), p.tolist(), fid.tolist(),
-                                 accepted.tolist())
-    ]
+    records = zip(*([outs[i] for i in row] for row in rec.tolist()))
+    branches = list(map(Branch, records, p.tolist(), fid.tolist(),
+                        accepted.tolist()))
     return branches, mass
 
 
@@ -448,6 +452,11 @@ def network_pair_distribution(N: int, p1: float) -> dict:
     p_fail = network_failure_probability(N, p1)
     if p_fail >= 1.0:
         raise TransferError("the network never succeeds at p1 = 0")
+    if N > MAX_PAIR_SITES:
+        raise TransferError(
+            f"C(N, k) overflows a float at N = {N}; the pair distribution "
+            f"supports N <= {MAX_PAIR_SITES}"
+        )
     q = 1.0 - p1
     return {
         k: math.comb(N, k) * p1 ** k * q ** (N - k) * k / (N * (1.0 - p_fail))
@@ -455,30 +464,133 @@ def network_pair_distribution(N: int, p1: float) -> dict:
     }
 
 
+def _mc_workers(draws: int) -> int:
+    """Threads for ``draws`` success uniforms: one per CPU this process may
+    run on, each with at least MC_BLOCK uniforms to draw."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, draws // MC_BLOCK))
+
+
+def _advanceable(bit_generator) -> bool:
+    """Whether ``bit_generator.advance(n)`` skips exactly n float64 uniforms
+    (named here, not at import, so that importing loads no numpy.random)."""
+    return isinstance(bit_generator, (np.random.PCG64, np.random.PCG64DXSM))
+
+
+def _skipped(bit_generator, draws: int):
+    """A copy of ``bit_generator`` that has skipped ``draws`` float64 uniforms."""
+    skipped = copy.deepcopy(bit_generator)
+    if _advanceable(skipped):
+        # advance() also drops a buffered 32-bit half, which uniforms never
+        # touch but a later bounded-integer draw reads first
+        state = skipped.state
+        skipped.advance(draws)
+        skipped.state = {**skipped.state, "has_uint32": state["has_uint32"],
+                         "uinteger": state["uinteger"]}
+    else:
+        rng = np.random.Generator(skipped)
+        buf = np.empty(min(draws, MC_BLOCK))
+        for start in range(0, draws, MC_BLOCK):
+            rng.random(out=buf[:draws - start])
+    return skipped
+
+
+def _tally(bit_generator, N: int, p1: float, photon: np.ndarray, block: int):
+    """(failures, survivor-count histogram) of the trials whose photon sites
+    are ``photon``; their success uniforms, N per trial, come from
+    ``bit_generator`` at most ``block`` (but at least one trial's) at a time."""
+    rng = np.random.Generator(bit_generator)
+    rows = min(len(photon), max(1, block // N))
+    u = np.empty((rows, N))
+    succ_buf = np.empty((rows, N), dtype=bool)
+    row_start = np.arange(rows) * N
+    n_fail = 0
+    counts = np.zeros(N + 1, dtype=np.int64)
+    for start in range(0, len(photon), rows):
+        ub = u[:len(photon) - start]
+        rng.random(out=ub)
+        succ = np.less(ub, p1, out=succ_buf[:len(ub)])
+        k = succ.sum(1, dtype=np.min_scalar_type(N))
+        ok = succ.ravel()[row_start[:len(ub)] + photon[start:start + rows]]
+        ok &= k > 1
+        n_fail += len(ub) - int(np.count_nonzero(ok))
+        counts += np.bincount(k[ok], minlength=N + 1)
+    return n_fail, counts
+
+
+def _in_threads(fn, n: int) -> list:
+    """[fn(0), ..., fn(n - 1)], each call on a thread of its own; an
+    exception raised in any call is raised here once all have ended."""
+    out = [None] * n
+
+    def run(i):
+        try:
+            out[i] = (fn(i), None)
+        except BaseException as exc:  # raised again in the calling thread
+            out[i] = (None, exc)
+
+    threads = []
+    try:
+        for i in range(n):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            threads.append(thread)
+    finally:
+        for thread in threads:
+            thread.join()
+    for _value, exc in out:
+        if exc is not None:
+            raise exc
+    return [value for value, _exc in out]
+
+
 def network_monte_carlo(N: int, p1: float, trials: int, rng=None) -> dict:
-    """Empirical failure rate and survivor-count distribution."""
+    """Empirical failure rate and survivor-count distribution.
+
+    The draws are those of ``rng.random((trials, N)) < p1`` for the
+    per-site successes followed by ``rng.integers(0, N, size=trials)`` for
+    the photon sites, and ``rng`` ends in the state those two calls leave.
+    The photon sites are drawn first, from a copy of the generator moved
+    past the success uniforms; the successes are then tallied in row
+    blocks, so no per-trial array but the photon sites exists. For PCG64
+    and PCG64DXSM, whose ``advance`` skips one uniform per step, contiguous
+    runs of trials are tallied on threads, each on a copy advanced to its
+    first uniform; the result does not depend on the number of threads.
+    Other bit generators run on one thread and draw every success uniform
+    twice, once to reach the photon sites and once to tally.
+    """
     _check_network(N, p1)
     trials = int(trials)
     if trials < 1:
         raise TransferError(f"need at least one trial, not trials = {trials}")
-    rng = make_rng(rng)
-    # row blocks of one uniform stream; each row keeps only its success bits
-    # (packed) and its success count, so no trials x N matrix exists
-    rows = max(1, MC_BLOCK // N)
-    bits = np.empty((trials, (N + 7) // 8), dtype=np.uint8)
-    k = np.empty(trials, dtype=np.min_scalar_type(N))
-    for start in range(0, trials, rows):
-        succ = rng.random((min(rows, trials - start), N)) < p1
-        bits[start:start + rows] = np.packbits(succ, axis=1, bitorder="little")
-        k[start:start + rows] = np.count_nonzero(succ, axis=1)
-    photon = rng.integers(0, N, size=trials)
-    photon_ok = (bits[np.arange(trials), photon >> 3] >> (photon & 7)) & 1
-    fail = (photon_ok == 0) | (k <= 1)
-    kept = k[~fail]
-    counts = np.bincount(kept, minlength=N + 1)
+    bit_generator = make_rng(rng).bit_generator
+    after = _skipped(bit_generator, trials * N)
+    try:
+        photon = np.random.Generator(after).integers(0, N, size=trials)
+    except MemoryError:
+        raise TransferError(
+            f"trials = {trials} needs {8 * trials} bytes for its photon sites"
+        ) from None
+    workers = 1
+    if _advanceable(bit_generator):
+        workers = min(_mc_workers(trials * N), trials)
+    cuts = [trials * i // workers for i in range(workers + 1)]
+    starts = [_skipped(bit_generator, lo * N) for lo in cuts[:-1]]
+
+    def tally(i):
+        return _tally(starts[i], N, p1, photon[cuts[i]:cuts[i + 1]],
+                      MC_BLOCK // workers)
+
+    parts = [tally(0)] if workers == 1 else _in_threads(tally, workers)
+    n_fail = sum(f for f, _ in parts)
+    counts = sum(c for _, c in parts)
+    bit_generator.state = after.state
     return {
         "trials": trials,
-        "p_fail": float(fail.mean()),
+        "p_fail": n_fail / trials,
         "k_counts": {kk: int(counts[kk]) for kk in range(2, N + 1)},
-        "successes": int((~fail).sum()),
+        "successes": trials - n_fail,
     }

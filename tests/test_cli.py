@@ -296,10 +296,49 @@ class TestFormulasCommand:
     def test_bad_fidelity_and_seed_exit_2(self, bad):
         assert cli.main(["formulas", "--set", bad]) == 2
 
+    def test_too_many_sites_exits_2(self, capsys):
+        assert cli.main(["formulas", "--set", "N=1030"]) == 2
+        assert "N = 1030" in capsys.readouterr().err
+        assert cli.main(["formulas", "--set", "N=1029"]) == 0
+
+    def test_unallocatable_trials_exit_2(self):
+        # the photon sites of 1e12 trials need 8e12 bytes; the address
+        # space limit keeps the test from asking the machine for them
+        proc = subprocess.run(
+            [sys.executable, "-c", UNALLOCATABLE_SCRIPT], cwd=ROOT,
+            env=_env_with_src(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "trials = 1000000000000" in proc.stderr
+        assert "8000000000000 bytes" in proc.stderr
+
+
+ROOT = Path(__file__).resolve().parents[1]
+UNALLOCATABLE_SCRIPT = textwrap.dedent("""
+    import resource, sys
+    from qtelarray import cli
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 4 << 30
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    sys.exit(cli.main(["formulas", "--set", "N=64", "--set", "trials=1e12"]))
+""")
+
+
+def _env_with_src() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
 
 NO_SCIPY_SCRIPT = textwrap.dedent("""
     import contextlib, io, sys
     from qtelarray import cli
+    # numpy.random loads on the first generator a command makes
+    assert "numpy.random" not in sys.modules
     runs = (["encode"], ["imaging"], ["formulas"],
             ["transfer", "--set", "mode=lossy"])
     with contextlib.redirect_stdout(io.StringIO()):
@@ -314,14 +353,10 @@ NO_SCIPY_SCRIPT = textwrap.dedent("""
 
 
 def test_cli_paths_load_no_scipy():
-    """Only the transfer closed forms load scipy, and only when they run."""
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
-    )
+    """Only the transfer closed forms load scipy, and only when they run;
+    importing the CLI loads no numpy.random."""
     proc = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_SCRIPT], cwd=root, env=env,
+        [sys.executable, "-c", NO_SCIPY_SCRIPT], cwd=ROOT, env=_env_with_src(),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

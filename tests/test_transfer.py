@@ -1,7 +1,9 @@
 """Tests for ancilla-interference state transfer."""
 
 import itertools
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from scipy.special import ive
 from scipy.stats import skellam
 
 import teleport_route
+from qtelarray import transfer
 from qtelarray.qcore import (
     ModeRegistry,
     QuantumState,
@@ -577,6 +580,17 @@ def enumerate_network(N, p1):
     return p_fail, {k: v / total for k, v in dist.items()}
 
 
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
+                  np.random.Philox, np.random.SFC64]
+
+
+def _same_state(a, b) -> bool:
+    """Bit generator states are equal (MT19937 and Philox hold arrays)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return type(a) is type(b) and np.array_equal(a, b)
+
+
 class TestNetwork:
     @pytest.mark.parametrize("N", [2, 3, 4, 5])
     @pytest.mark.parametrize("p1", [0.2, 0.469, 0.7])
@@ -590,7 +604,8 @@ class TestNetwork:
         for k in got:
             assert got[k] == pytest.approx(dist.get(k, 0.0), abs=1e-12)
 
-    @pytest.mark.parametrize("N", [2, 4, 8])
+    # N = 1029 is the largest N whose binomial coefficients fit a float
+    @pytest.mark.parametrize("N", [2, 4, 8, 1029])
     def test_distribution_normalized(self, N):
         for p1 in (0.1, np.sqrt(0.22), 0.9):
             total = sum(network_pair_distribution(N, p1).values())
@@ -610,8 +625,17 @@ class TestNetwork:
             assert abs(got - pk) <= 4 * se_k + 1e-12
 
     @staticmethod
-    def _assert_monte_carlo_matches_one_draw(N, p1, trials):
-        rng = np.random.default_rng(41)
+    def _assert_monte_carlo_matches_one_draw(monkeypatch, N, p1, trials,
+                                             bit_generator, workers,
+                                             buffered=False):
+        monkeypatch.setattr(transfer, "_mc_workers", lambda draws: workers)
+        rng = np.random.Generator(bit_generator(41))
+        got_rng = np.random.Generator(bit_generator(41))
+        if buffered:
+            # leaves half of a 64-bit draw buffered for the next bounded
+            # integer draw
+            rng.integers(0, 5, size=1)
+            got_rng.integers(0, 5, size=1)
         succ = rng.random((trials, N)) < p1
         photon = rng.integers(0, N, size=trials)
         k = succ.sum(axis=1)
@@ -623,25 +647,68 @@ class TestNetwork:
             "k_counts": {kk: int(counts[kk]) for kk in range(2, N + 1)},
             "successes": int((~fail).sum()),
         }
-        got_rng = np.random.default_rng(41)
         assert network_monte_carlo(N, p1, trials, rng=got_rng) == want
-        assert got_rng.bit_generator.state == rng.bit_generator.state
+        assert _same_state(got_rng.bit_generator.state,
+                           rng.bit_generator.state)
 
-    def test_monte_carlo_blocks_match_one_draw(self):
-        # three blocks, the last one ragged
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_monte_carlo_blocks_match_one_draw(self, monkeypatch,
+                                               bit_generator, workers):
+        # three blocks, the last one ragged; each worker's blocks are
+        # MC_BLOCK // workers uniforms
         self._assert_monte_carlo_matches_one_draw(
-            8, 0.469, 2 * (MC_BLOCK // 8) + 7)
+            monkeypatch, 8, 0.469, 2 * (MC_BLOCK // 8) + 7, bit_generator,
+            workers)
 
-    @pytest.mark.parametrize("N, p1, trials", [
-        # N not a multiple of 8, with a ragged last block
-        (9, 0.8, 70001),
-        (300, 0.1, 5000),
-        (2, 0.3, 1000),
-        (5, 0.0, 300),
-        (5, 1.0, 300),
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    @pytest.mark.parametrize("N, p1, trials, buffered", [
+        # N not a multiple of 8, cuts between workers ragged
+        (9, 0.8, 70001, False),
+        (300, 0.1, 5000, False),
+        (2, 0.3, 1000, False),
+        (5, 0.0, 300, False),
+        (5, 1.0, 300, False),
+        # fewer trials than workers
+        (3, 0.5, 2, False),
+        (4, 0.6, 1, False),
+        # a 32-bit half left over from an earlier draw
+        (6, 0.469, 1001, True),
     ])
-    def test_monte_carlo_odd_sizes_match_one_draw(self, N, p1, trials):
-        self._assert_monte_carlo_matches_one_draw(N, p1, trials)
+    def test_monte_carlo_odd_sizes_match_one_draw(self, monkeypatch, N, p1,
+                                                  trials, buffered,
+                                                  bit_generator, workers):
+        self._assert_monte_carlo_matches_one_draw(
+            monkeypatch, N, p1, trials, bit_generator, workers, buffered)
+
+    def test_monte_carlo_worker_error_reaches_caller(self, monkeypatch):
+        tally = transfer._tally
+
+        def failing(bit_generator, N, p1, photon, block):
+            if len(photon) == 4:  # the second of two workers, trials 3..6
+                raise ValueError("worker failed")
+            return tally(bit_generator, N, p1, photon, block)
+
+        monkeypatch.setattr(transfer, "_mc_workers", lambda draws: 2)
+        monkeypatch.setattr(transfer, "_tally", failing)
+        rng = np.random.default_rng(8)
+        before = rng.bit_generator.state
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="worker failed"):
+            network_monte_carlo(5, 0.5, 7, rng=rng)
+        assert threading.active_count() == threads
+        assert rng.bit_generator.state == before
+
+    def test_monte_carlo_worker_count(self):
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        assert transfer._mc_workers(1) == 1
+        assert transfer._mc_workers(2 * MC_BLOCK - 1) == 1
+        assert transfer._mc_workers(2 * MC_BLOCK) == min(2, cpus)
+        assert transfer._mc_workers(10 ** 6 * MC_BLOCK) == cpus
 
     def test_fidelity_scaling(self):
         assert network_fidelity(2, 0.93) == pytest.approx(0.93, abs=1e-15)
@@ -659,6 +726,8 @@ class TestNetwork:
             network_failure_probability(4, 1.5)
         with pytest.raises(TransferError):
             network_pair_distribution(4, 0.0)
+        with pytest.raises(TransferError, match="N = 1030.*N <= 1029"):
+            network_pair_distribution(1030, 0.5)
 
     @pytest.mark.parametrize("N, p1, trials, name", [
         (1, 0.5, 100, "N = 1"),
