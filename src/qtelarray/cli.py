@@ -311,6 +311,8 @@ FORMULAS_DEFAULTS = {
 
 def run_formulas(config: dict):
     N, p1, f2 = config["N"], config["p1"], config["f2"]
+    if config["trials"] < 0:
+        raise ConfigError(f"trials must be >= 0, got {config['trials']}")
     try:
         p_fail = _transfer.network_failure_probability(N, p1)
         dist = _transfer.network_pair_distribution(N, p1)
@@ -379,7 +381,7 @@ def main(argv=None) -> int:
     try:
         config = resolve_config(defaults, args.config, args.overrides)
         text, ok = runner(config)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:
         print(f"qtelarray {args.command}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.output:

@@ -76,7 +76,7 @@ def tensor_states(a: QuantumState, b: QuantumState) -> QuantumState:
         for wa, va in a.components
         for wb, vb in b.components
     ]
-    return QuantumState.from_components(reg, comps)
+    return QuantumState(reg, comps)
 
 
 # ---- GHZ parity check (dense reference route) ----------------------------------

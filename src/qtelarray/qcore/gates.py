@@ -1,9 +1,9 @@
 """Gates, unitary application, and projective measurement.
 
-Measurement supports sampled mode (seeded RNG) and exhaustive enumeration.
-On a mixed state the outcome distribution is the ensemble average and the
-post-state conditions every component on the observed outcome, which is
-exactly the density-matrix update rule.
+Measurement enumerates every branch. On a mixed state the outcome
+distribution is the ensemble average and the post-state conditions every
+component on the observed outcome, which is exactly the density-matrix
+update rule.
 """
 
 from __future__ import annotations
@@ -13,11 +13,8 @@ import numpy as np
 from .registry import ModeRegistry
 from .states import QuantumState, StateError
 
-UNITARITY_TOL = 1e-12
 PROB_FLOOR = 1e-14
 
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 CNOT = np.array(
@@ -36,30 +33,6 @@ def qft_matrix(n: int) -> np.ndarray:
         raise ValueError("qft size must be >= 1")
     j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     return np.exp(2j * np.pi * j * k / n) / np.sqrt(n)
-
-
-class UnitaryOp:
-    """A unitary matrix bound (optionally) to target mode labels."""
-
-    def __init__(self, matrix, targets=None, check=True):
-        self.matrix = np.asarray(matrix, dtype=complex)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError("unitary must be a square matrix")
-        if check:
-            d = self.matrix.shape[0]
-            err = np.max(np.abs(self.matrix @ self.matrix.conj().T - np.eye(d)))
-            if err > UNITARITY_TOL:
-                raise ValueError(f"matrix is not unitary (deviation {err:.2e})")
-        self.targets = tuple(targets) if targets is not None else None
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def qft_unitary(n: int, target=None) -> UnitaryOp:
-    """UnitaryOp wrapping :func:`qft_matrix` (bind a fock mode via target)."""
-    return UnitaryOp(qft_matrix(n), targets=(target,) if target else None)
 
 
 def apply_matrix(vec, registry: ModeRegistry, matrix, labels) -> np.ndarray:
@@ -83,24 +56,12 @@ def apply_matrix(vec, registry: ModeRegistry, matrix, labels) -> np.ndarray:
     return np.ascontiguousarray(t).reshape(-1)
 
 
-def apply(state: QuantumState, op: UnitaryOp, targets=None) -> QuantumState:
-    """rho -> U rho U† on the op's target modes."""
-    labels = targets if targets is not None else op.targets
-    if labels is None:
-        raise StateError("UnitaryOp has no bound targets and none were given")
-    return _gate(state, op.matrix, labels)
-
-
 def _gate(state, matrix, labels):
     comps = [
         (w, apply_matrix(v, state.registry, matrix, labels))
         for w, v in state.components
     ]
     return QuantumState(state.registry, comps)
-
-
-def pauli_x(state, label):
-    return _gate(state, X, (label,))
 
 
 def pauli_z(state, label):
@@ -201,26 +162,3 @@ def enumerate_measure(state, labels, basis="Z", remove=False):
         post = _collapse(rotated, axes, indices, remove, basis, labels)
         out.append((_outcome_repr(indices, basis), p, post))
     return out
-
-
-def measure(state, labels, basis="Z", rng=None, remove=False):
-    """Sample one measurement outcome.
-
-    Returns ``(outcome, probability, post_state)``. The RNG is required;
-    pass a seeded ``numpy.random.Generator`` for reproducibility.
-    """
-    if rng is None:
-        raise MeasurementError("sampling measurement needs an rng")
-    labels = tuple(labels)
-    _check_basis(state.registry, labels, basis)
-    rotated = _rotate_for_basis(state, labels, basis)
-    probs = rotated.probabilities(labels)
-    flat = probs.reshape(-1)
-    flat = np.maximum(flat, 0.0)
-    flat = flat / flat.sum()
-    pick = int(rng.choice(flat.size, p=flat))
-    indices = np.unravel_index(pick, probs.shape)
-    p = float(probs[indices])
-    axes = rotated.registry.axes(labels)
-    post = _collapse(rotated, axes, indices, remove, basis, labels)
-    return _outcome_repr(indices, basis), p, post

@@ -77,9 +77,6 @@ class ModeRegistry:
     def __len__(self):
         return len(self.modes)
 
-    def __eq__(self, other):
-        return isinstance(other, ModeRegistry) and self.modes == other.modes
-
     def __repr__(self):
         inner = ", ".join(
             m.label if m.kind == "qubit" else f"{m.label}(fock:{m.cutoff})"
@@ -169,11 +166,6 @@ class ModeRegistry:
 def qubit_registry(labels) -> ModeRegistry:
     """Registry of qubits with the given labels."""
     return ModeRegistry(qubit(lab) for lab in labels)
-
-
-def fock_registry(labels, cutoff: int) -> ModeRegistry:
-    """Registry of Fock modes sharing one cutoff."""
-    return ModeRegistry(fock(lab, cutoff) for lab in labels)
 
 
 def log2_ceil(n: int) -> int:

@@ -69,10 +69,6 @@ class QuantumState:
         return cls(registry, [(1.0, vec)])
 
     @classmethod
-    def from_components(cls, registry, weighted_vectors) -> "QuantumState":
-        return cls(registry, weighted_vectors)
-
-    @classmethod
     def from_density(cls, registry: ModeRegistry, rho) -> "QuantumState":
         """Eigen-ensemble of a density matrix.
 
@@ -230,35 +226,4 @@ def build_state(registry: ModeRegistry, amplitudes: dict) -> QuantumState:
         vec[registry.basis_index(occ)] += complex(amp)
     if np.linalg.norm(vec) < 1e-15:
         raise StateError("zero-norm amplitude map")
-    return QuantumState.from_vector(registry, vec)
-
-
-def product_state(registry: ModeRegistry, factors) -> QuantumState:
-    """Pure product state from one factor per mode.
-
-    Each factor is an integer basis occupation, the string ``"+"`` or ``"-"``
-    (qubits only), or an explicit amplitude vector of the mode dimension.
-    """
-    vecs = []
-    if len(factors) != len(registry):
-        raise StateError("one factor per mode required")
-    for mode, f in zip(registry.modes, factors):
-        if isinstance(f, str) and f in ("+", "-"):
-            if mode.kind != "qubit":
-                raise StateError("'+'/'-' factors are qubit-only")
-            s = 1.0 if f == "+" else -1.0
-            v = np.array([1.0, s]) / np.sqrt(2)
-        elif isinstance(f, (int, np.integer)):
-            v = np.zeros(mode.dim)
-            if not 0 <= int(f) < mode.dim:
-                raise StateError(f"occupation {f} out of range for {mode.label}")
-            v[int(f)] = 1.0
-        else:
-            v = np.asarray(f, dtype=complex).reshape(-1)
-            if v.size != mode.dim:
-                raise StateError(f"factor length mismatch on {mode.label}")
-        vecs.append(np.asarray(v, dtype=complex))
-    vec = vecs[0]
-    for v in vecs[1:]:
-        vec = np.kron(vec, v)
     return QuantumState.from_vector(registry, vec)

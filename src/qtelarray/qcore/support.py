@@ -4,7 +4,7 @@ An encoded memory entangles a handful of basis strings over dozens of
 qubits (two-site parallel layouts reach 50+ qubits), far past any dense
 vector, but each mixture component is a pure state with a small support.
 ``SupportState`` stores it as a map from basis bitmask to amplitude, and
-every gate of the protocol (X, H, CNOT, CZ, pattern phases, single-qubit
+every gate of the protocol (Z, H, CNOT, pattern phases, single-qubit
 measurement) acts on that map directly. It has no production caller: the
 codec and decoder run on the site-vector form, and this engine replays the
 same protocol gate by gate as their reference in the tests.
@@ -89,10 +89,6 @@ class SupportState:
 
     # ---- gates -------------------------------------------------------------
 
-    def apply_x(self, label) -> "SupportState":
-        b = 1 << self.bit(label)
-        return SupportState(self.labels, {m ^ b: a for m, a in self.amps.items()})
-
     def apply_z(self, label) -> "SupportState":
         b = 1 << self.bit(label)
         return SupportState(
@@ -117,14 +113,6 @@ class SupportState:
         t = 1 << self.bit(target)
         return SupportState(
             self.labels, {(m ^ t if m & c else m): a for m, a in self.amps.items()}
-        )
-
-    def apply_cz(self, a_label, b_label) -> "SupportState":
-        ca = 1 << self.bit(a_label)
-        cb = 1 << self.bit(b_label)
-        return SupportState(
-            self.labels,
-            {m: (-a if (m & ca and m & cb) else a) for m, a in self.amps.items()},
         )
 
     def phase_if_match(self, labels, bits, phase=-1.0) -> "SupportState":

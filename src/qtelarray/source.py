@@ -209,7 +209,7 @@ def single_photon_rho(vis: VisibilityModel) -> QuantumState:
             occ[i] = 1
             v[reg.basis_index(occ)] = vecs[i, e]
         comps.append((w, v))
-    return QuantumState.from_components(reg, comps)
+    return QuantumState(reg, comps)
 
 
 def broadband_labels():
@@ -248,7 +248,7 @@ def broadband_two_site_rho(eps: float, g1, g2) -> QuantumState:
                 occ[offset + i] = 1
                 v[reg.basis_index(occ)] = vecs[i, e]
             comps.append((eps / 2 * w, v))
-    return QuantumState.from_components(reg, comps)
+    return QuantumState(reg, comps)
 
 
 def _basis_vec(reg, occ):

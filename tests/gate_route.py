@@ -55,7 +55,7 @@ def assert_components_match(layout, comps, gate_comps, tol=1e-12):
 def dense_state(comps) -> QuantumState:
     """Memory mixture of gate-route components as a dense state (small runs)."""
     labels = comps[0][1].labels
-    return QuantumState.from_components(
+    return QuantumState(
         qubit_registry(labels), [(w, sup.to_vector()) for w, sup, _ in comps]
     )
 
@@ -281,7 +281,7 @@ def carrier_by_dense(survivors, carrier, signs):
             if lab not in carrier:
                 sup = _drop_zero_qubit(sup, lab)
         comps.append((w, sup.to_vector()))
-    state = QuantumState.from_components(qubit_registry(carrier), comps)
+    state = QuantumState(qubit_registry(carrier), comps)
     return excitation_density(state)
 
 

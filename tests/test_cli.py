@@ -292,7 +292,7 @@ class TestFormulasCommand:
         assert cli.main(["formulas", "--set", "N=1"]) == 2
 
     @pytest.mark.parametrize("bad", ["f2=nan", "f2=1.5", "f2=-0.1",
-                                     "seed=-1"])
+                                     "seed=-1", "trials=-5"])
     def test_bad_fidelity_and_seed_exit_2(self, bad):
         assert cli.main(["formulas", "--set", bad]) == 2
 
@@ -301,16 +301,26 @@ class TestFormulasCommand:
         assert "N = 1030" in capsys.readouterr().err
         assert cli.main(["formulas", "--set", "N=1029"]) == 0
 
-    def test_unallocatable_trials_exit_2(self):
-        # the photon sites of 1e12 trials need 8e12 bytes; the address
-        # space limit keeps the test from asking the machine for them
+    @pytest.mark.parametrize("argv, message", [
+        # the photon sites of 1e12 trials need 8e12 bytes
+        ("formulas --set N=64 --set trials=1e12",
+         "qtelarray formulas: trials = 1000000000000 needs 8000000000000 bytes"),
+        # 1e12 complex site amplitudes, and a 2e12-point alpha grid
+        ("encode --set N=1e12", "qtelarray encode: Unable to allocate "),
+        ("transfer --set alpha_step=1e-12",
+         "qtelarray transfer: Unable to allocate "),
+    ], ids=["formulas", "encode", "transfer"])
+    def test_unallocatable_trials_exit_2(self, argv, message):
+        # the address space limit keeps the test from asking the machine
+        # for the memory
         proc = subprocess.run(
-            [sys.executable, "-c", UNALLOCATABLE_SCRIPT], cwd=ROOT,
-            env=_env_with_src(), capture_output=True, text=True, timeout=120,
+            [sys.executable, "-c", UNALLOCATABLE_SCRIPT, *argv.split()],
+            cwd=ROOT, env=_env_with_src(), capture_output=True, text=True,
+            timeout=120,
         )
         assert proc.returncode == 2, proc.stderr
-        assert "trials = 1000000000000" in proc.stderr
-        assert "8000000000000 bytes" in proc.stderr
+        assert proc.stderr.startswith(message)
+        assert proc.stderr.count("\n") == 1
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -322,7 +332,7 @@ UNALLOCATABLE_SCRIPT = textwrap.dedent("""
     if hard != resource.RLIM_INFINITY:
         limit = min(limit, hard)
     resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
-    sys.exit(cli.main(["formulas", "--set", "N=64", "--set", "trials=1e12"]))
+    sys.exit(cli.main(sys.argv[1:]))
 """)
 
 

@@ -120,7 +120,7 @@ class TestGhzParityCheck:
             (0.5, single_excitation_state([0, 1, 1]).vector),
         ]
         reg = qubit_registry(("q0", "q1", "q2"))
-        state = QuantumState.from_components(reg, comps)
+        state = QuantumState(reg, comps)
         for outcomes, parity, p, _ in ghz_parity_branches(state, reg.labels):
             assert parity == 1
             assert p == pytest.approx(0.25, abs=1e-12)
@@ -445,7 +445,7 @@ class TestWReadout:
                 amps = rng.normal(size=n) + 1j * rng.normal(size=n)
                 comps.append((w, single_excitation_state(amps).vector))
             reg = qubit_registry(tuple(f"q{i}" for i in range(n)))
-            state = QuantumState.from_components(reg, comps)
+            state = QuantumState(reg, comps)
             zero_branch = [
                 (bits, p, post)
                 for bits, p, post in w_readout_branches(state)

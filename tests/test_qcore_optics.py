@@ -1,4 +1,4 @@
-"""Beam splitters, coherent states, linear optics, lossy detectors."""
+"""Beam splitters, coherent amplitudes, linear optics, lossy detectors."""
 
 import numpy as np
 import pytest
@@ -11,15 +11,11 @@ from qtelarray.qcore import (
     beam_splitter,
     build_state,
     coherent_amplitudes,
-    coherent_state,
     enumerate_measure,
     fock,
-    fock_registry,
     linear_optics_matrix,
     loss_mixer,
     lossy_detector,
-    min_coherent_cutoff,
-    product_state,
     qft_matrix,
     qubit,
 )
@@ -27,7 +23,7 @@ from qtelarray.qcore.optics import HADAMARD_MATRIX
 
 
 def two_mode(cutoff=4):
-    return fock_registry(["a", "b"], cutoff)
+    return ModeRegistry([fock("a", cutoff), fock("b", cutoff)])
 
 
 def test_single_photon_splits_evenly():
@@ -46,9 +42,8 @@ def test_hong_ou_mandel_bunching():
 
 
 def test_vacuum_plus_superposition_probabilities():
-    plus = np.zeros(5)
-    plus[0] = plus[1] = 1 / np.sqrt(2)
-    st = product_state(two_mode(), [0, plus])
+    # mode a empty, mode b in (|0> + |1>)/sqrt2
+    st = build_state(two_mode(), {"00": 1, "01": 1})
     out = beam_splitter(st, "a", "b")
     p = out.probabilities()
     assert p[0, 0] == pytest.approx(0.5, abs=1e-12)
@@ -99,31 +94,14 @@ def test_truncation_leakage_raises():
         apply_linear_optics(st, loss_mixer(0.6), ("y", "x"), max_leakage=1e-3)
 
 
-def test_coherent_state_examples():
-    vac = coherent_state(0.0)
-    assert vac.overlap_probability([0]) == pytest.approx(1.0)
-
-    one = coherent_state(1.0, cutoff=31)
-    n_op = np.diag(np.arange(32)).astype(complex)
-    assert one.expectation(n_op, ["a"]).real == pytest.approx(1.0, abs=1e-10)
-
-    two = coherent_state(2.0)
-    assert two.overlap_probability([0]) == pytest.approx(np.exp(-4), abs=1e-12)
-
-
 def test_coherent_cutoff_policy():
-    assert min_coherent_cutoff(0) == 20
-    assert min_coherent_cutoff(1) == 31
-    assert min_coherent_cutoff(3.0) == 59
-    with pytest.raises(ValueError):
-        coherent_state(1.0, cutoff=10)
-    # escape hatch for small-cutoff oracle comparisons
-    small = coherent_state(1.0, cutoff=6, enforce_cutoff=False)
-    assert small.registry.modes[0].cutoff == 6
-
-    amps, tail = coherent_amplitudes(1.0, min_coherent_cutoff(1.0))
+    # at alpha = 1, cutoff 31 leaves a tail below 1e-12
+    amps, tail = coherent_amplitudes(1.0, 31)
     assert tail < 1e-12
     assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-12)
+    # the tail is the Poisson weight above the cutoff: 1 - e^-1 (1 + 1 + 1/2)
+    _, tail = coherent_amplitudes(1.0, 2)
+    assert tail == pytest.approx(1.0 - 2.5 * np.exp(-1.0), abs=1e-15)
 
 
 def test_coherent_phase_convention():
@@ -185,32 +163,6 @@ def test_linear_optics_columns_orthonormal_below_cutoff():
                 assert leakage[col] > 0
 
 
-def test_two_mode_and_general_paths_agree():
-    from qtelarray.qcore.optics import (
-        _lo_columns_general,
-        _lo_columns_two_mode,
-        _log_factorials,
-    )
-
-    rng = np.random.default_rng(77)
-    S = random_unitary(2, rng)
-    dims = (5, 5)
-    log_fact = _log_factorials(11)
-    fast = _lo_columns_two_mode(S, dims, dims, log_fact)
-    slow = _lo_columns_general(S, dims, dims, log_fact)
-
-    def as_dense(rows, cols, vals):
-        m = np.zeros((25, 25), dtype=complex)
-        for r, c, v in zip(rows, cols, vals):
-            m[r, c] += v
-        return m
-
-    np.testing.assert_allclose(
-        as_dense(*fast[:3]), as_dense(*slow[:3]), atol=1e-12
-    )
-    np.testing.assert_allclose(fast[3], slow[3], atol=1e-12)
-
-
 def test_log_factorials_match_gammaln():
     from scipy.special import gammaln
 
@@ -255,7 +207,7 @@ def test_fock_matrix_apply_matches_csr(S, cutoffs, out_cutoffs):
 def test_multiport_qft_single_photon_distribution():
     # one photon into port 0 of a QFT multiport spreads uniformly
     k = 4
-    reg = fock_registry([f"m{i}" for i in range(k)], 2)
+    reg = ModeRegistry([fock(f"m{i}", 2) for i in range(k)])
     st = build_state(reg, {"1000": 1})
     out = apply_linear_optics(st, qft_matrix(k), reg.labels)
     p = out.probabilities()

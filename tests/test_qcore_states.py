@@ -10,7 +10,6 @@ from qtelarray.qcore import (
     StateError,
     build_state,
     fock,
-    product_state,
     qubit,
     qubit_registry,
 )
@@ -92,7 +91,7 @@ def test_from_density_checks_and_roundtrip():
 
 def test_state_invariants_hold_for_mixtures():
     reg = qubit_registry(["q"])
-    st = QuantumState.from_components(
+    st = QuantumState(
         reg, [(0.25, [1, 0]), (0.75, [0, 1])]
     )
     rho = st.density_matrix()
@@ -139,7 +138,7 @@ def test_fidelity_examples():
     psi = build_state(reg, {"01": 1, "10": 1})
     assert psi.fidelity(psi) == pytest.approx(1.0, abs=1e-12)
 
-    mixed = QuantumState.from_components(
+    mixed = QuantumState(
         reg,
         [(0.5, build_state(reg, {"01": 1}).vector),
          (0.5, build_state(reg, {"10": 1}).vector)],
@@ -147,7 +146,7 @@ def test_fidelity_examples():
     assert mixed.fidelity(psi) == pytest.approx(0.5, abs=1e-12)
 
     one_qubit = qubit_registry(["q"])
-    maximally_mixed = QuantumState.from_components(
+    maximally_mixed = QuantumState(
         one_qubit, [(0.5, [1, 0]), (0.5, [0, 1])]
     )
     rng = np.random.default_rng(3)
@@ -165,17 +164,6 @@ def test_probabilities_marginals_and_order():
     np.testing.assert_allclose(p0, [0.25, 0.75], atol=1e-12)
     p_rev = st.probabilities(["q1", "q0"])
     np.testing.assert_allclose(p_rev, p.T, atol=1e-12)
-
-
-def test_product_state_factors():
-    reg = ModeRegistry([qubit("q"), fock("a", 2)])
-    st = product_state(reg, ["+", 1])
-    assert st.overlap_probability("01") == pytest.approx(0.5)
-    assert st.overlap_probability("11") == pytest.approx(0.5)
-    with pytest.raises(StateError):
-        product_state(reg, ["+", 5])
-    with pytest.raises(StateError):
-        product_state(ModeRegistry([fock("a", 2)]), ["+"])
 
 
 def test_density_matrix_guard():

@@ -39,7 +39,7 @@ def one_run(N):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def measure(N):
+def time_size(N):
     times = []
     for _ in range(REPEATS):
         t = perf_counter()
@@ -61,7 +61,7 @@ def main(sizes):
         for name, workers in modes:
             if workers is not None:
                 transfer._mc_workers = workers
-            seconds, peak_mib, digest = measure(N)
+            seconds, peak_mib, digest = time_size(N)
             row = {"N": N, "trials": UNIFORMS // N, "workers": name,
                    "seconds": round(seconds, 4),
                    "tracemalloc_peak_mib": round(peak_mib, 2),
