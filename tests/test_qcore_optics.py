@@ -5,6 +5,7 @@ import pytest
 
 from qtelarray.qcore import (
     ModeRegistry,
+    QuantumState,
     StateError,
     TruncationLeakageError,
     apply_linear_optics,
@@ -92,6 +93,22 @@ def test_truncation_leakage_raises():
               r"'x' \(cutoff 1\)",
     ):
         apply_linear_optics(st, loss_mixer(0.6), ("y", "x"), max_leakage=1e-3)
+
+
+def test_coherent_state_examples():
+    def coherent(alpha, cutoff):
+        amps, _ = coherent_amplitudes(alpha, cutoff)
+        return QuantumState.from_vector(ModeRegistry([fock("a", cutoff)]), amps)
+
+    vac = coherent(0.0, 20)
+    assert vac.overlap_probability([0]) == pytest.approx(1.0)
+
+    one = coherent(1.0, 31)
+    n_op = np.diag(np.arange(32)).astype(complex)
+    assert one.expectation(n_op, ["a"]).real == pytest.approx(1.0, abs=1e-10)
+
+    two = coherent(2.0, 40)
+    assert two.overlap_probability([0]) == pytest.approx(np.exp(-4), abs=1e-12)
 
 
 def test_coherent_cutoff_policy():

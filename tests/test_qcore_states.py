@@ -166,6 +166,19 @@ def test_probabilities_marginals_and_order():
     np.testing.assert_allclose(p_rev, p.T, atol=1e-12)
 
 
+def test_product_state_factors():
+    # (|0> + |1>)/sqrt2 on the qubit, one photon in the fock mode
+    reg = ModeRegistry([qubit("q"), fock("a", 2)])
+    plus = np.array([1, 1]) / np.sqrt(2)
+    st = QuantumState.from_vector(reg, np.kron(plus, [0, 1, 0]))
+    assert st.overlap_probability("01") == pytest.approx(0.5)
+    assert st.overlap_probability("11") == pytest.approx(0.5)
+    with pytest.raises(StateError, match="does not match registry"):
+        QuantumState.from_vector(reg, np.kron(plus, [0, 1]))
+    with pytest.raises(StateError, match="does not match registry"):
+        QuantumState.from_vector(ModeRegistry([fock("a", 2)]), plus)
+
+
 def test_density_matrix_guard():
     reg = qubit_registry([f"q{i}" for i in range(13)])  # dim 8192
     st = build_state(reg, {"0" * 13: 1})
