@@ -34,6 +34,7 @@ on as the reference in the tests, on :class:`~qtelarray.qcore.SupportState`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -172,7 +173,9 @@ class MemoryLayout:
 
     Every site holds the same register. ``names`` lists it in row order:
     row q is bit q of a stored pattern, and its qubit at site i carries the
-    label ``f"s{i}_{names[q]}"``.
+    label ``f"s{i}_{names[q]}"``. :func:`new_run` hands every run of one
+    config the same layout, so each row's labels and the compression folds
+    are built at most once per config and must never be changed.
     """
 
     def __init__(self, config: RunConfig):
@@ -187,6 +190,8 @@ class MemoryLayout:
             names += [f"f{r}" for r in bands]
             names += [f"k{p}" for p in range(self.c_bits)]
         self.names = tuple(names)
+        # one label tuple per row read so far: a decode reads few rows
+        self._row_labels: dict[int, tuple] = {}
 
     @property
     def qubits_per_site(self) -> int:
@@ -214,8 +219,13 @@ class MemoryLayout:
         return tuple(f"s{i}_{name}" for name in self.names)
 
     def row_labels(self, q: int) -> tuple:
-        """Labels of row q across the sites."""
-        return tuple(f"s{i}_{self.names[q]}" for i in range(self.config.N))
+        """Labels of row q across the sites, built on first use."""
+        labels = self._row_labels.get(q)
+        if labels is None:
+            name = self.names[q]
+            labels = tuple(f"s{i}_{name}" for i in range(self.config.N))
+            self._row_labels[q] = labels
+        return labels
 
     def write_pattern(self, m: int, r: int):
         """(rows, bits) a photon at (m, r) imposes on the register it lands in.
@@ -236,6 +246,19 @@ class MemoryLayout:
         if not 1 <= r <= self.config.R:
             raise ConfigError(f"band {r} outside 1..{self.config.R}")
         return format(r, f"0{self.c_bits}b")
+
+    @cached_property
+    def compress_folds(self) -> tuple:
+        """Parallel layout: (flag mask, XOR mask) per band, band 1 first.
+
+        A pattern holding flag r gets the XOR mask, which clears the flag
+        and writes binary(r) on the compressed rows.
+        """
+        return tuple(
+            (1 << self.flag_row(r),
+             1 << self.flag_row(r) | _mask(self.comp_rows(), self.band_code(r)))
+            for r in range(1, self.config.R + 1)
+        )
 
 
 def _mask(rows, bits) -> int:
@@ -297,9 +320,15 @@ class EncodeRun:
         )
 
 
+@lru_cache(maxsize=16)
+def _layout(config: RunConfig) -> MemoryLayout:
+    """The shared layout of a config; a few configs stay cached."""
+    return MemoryLayout(config)
+
+
 def new_run(config: RunConfig) -> EncodeRun:
     """Fresh all-zeros memories with the ledger primed."""
-    layout = MemoryLayout(config)
+    layout = _layout(config)
     ledger = ResourceLedger()
     ledger.add("memory_qubits_per_site", layout.qubits_per_site)
     # receiving qubits: one per band at each site, reset between bins
@@ -456,15 +485,10 @@ def parallel_frequency_compress(run: EncodeRun) -> EncodeRun:
     if run.compressed:
         raise EncodeError("run already compressed")
     layout = run.layout
-    folds = [
-        (1 << layout.flag_row(r),
-         1 << layout.flag_row(r) | _mask(layout.comp_rows(), layout.band_code(r)))
-        for r in range(1, run.config.R + 1)
-    ]
     out = []
     for w, state, meta in run.components:
         pattern = state.pattern
-        for flag, flip in folds:
+        for flag, flip in layout.compress_folds:
             if pattern & flag:
                 pattern ^= flip
         out.append((w, SiteState(state.amps, pattern), meta))

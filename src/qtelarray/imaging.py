@@ -135,14 +135,30 @@ def _pair_correlations(vis: VisibilityModel):
     return a, b, weight, corr_xx, corr_xy
 
 
+def _guide(cdf: np.ndarray) -> np.ndarray:
+    """Guide table of a normalized CDF for :func:`_draw_pairs`.
+
+    Entry j counts the CDF entries at or below j / G, over G = 2^ceil(log2 n)
+    equal cells, as ``cdf.searchsorted(arange(G) / G, side="right")`` does.
+    """
+    G = 1 << (cdf.size - 1).bit_length()
+    return np.bincount(
+        np.ceil(cdf * G).astype(np.intp), minlength=G + 1
+    ).cumsum()[:G]
+
+
 def _draw_pairs(rng, weight: np.ndarray, size: int) -> np.ndarray:
     """Pair indices as ``rng.choice(weight.size, size, p=weight / weight.sum())``.
 
     The same p, CDF and uniforms give the same indices and leave ``rng`` in
     the same state, but ``cdf.searchsorted(u, side="right")`` is answered
     from a guide table over G = 2^ceil(log2 n) equal cells: a draw starts at
-    the first CDF entry above its cell's left edge (exact, as G is a power
-    of two) and steps forward while ``cdf[idx] <= u``. The CDF is
+    the first CDF entry above its cell's left edge and steps forward while
+    ``cdf[idx] <= u``. The guide counts the CDF entries at or below each
+    left edge j / G in one pass: an entry lies there exactly when
+    ceil(cdf * G) <= j, and ``cdf * G`` is exact as G is a power of two, so
+    a bincount of ceil(cdf * G) summed up to j is the same table as
+    ``cdf.searchsorted(arange(G) / G, side="right")``. The CDF is
     nondecreasing in floating point and the start never passes the answer,
     so the result is exact. A draw takes as many steps as its cell holds
     CDF entries, n / G <= 1 on average; the pipeline's pair weights are all
@@ -155,9 +171,11 @@ def _draw_pairs(rng, weight: np.ndarray, size: int) -> np.ndarray:
                          "all zero")
     cdf = (weight / total).cumsum()
     cdf /= cdf[-1]
+    # the guide's temporaries are freed before u is drawn, which keeps the
+    # peak resident set down
+    guide = _guide(cdf)
+    G = guide.size
     u = rng.random(size)
-    G = 1 << (cdf.size - 1).bit_length()
-    guide = cdf.searchsorted(np.arange(G) / G, side="right")
     idx = np.empty(size, dtype=np.intp)
     # blocks keep the temporaries small beside u and idx
     for lo in range(0, size, DRAW_BLOCK):

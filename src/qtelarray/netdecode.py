@@ -14,6 +14,14 @@ pattern, and an X outcome of -1 on site i only flips the sign of a_i, so the
 fold is one +-1 vector per row. The carrier is returned as its N x N
 which-site density.
 
+A decode makes a fixed number of rng draws, whatever the codeword: one
+uniform picks the joint parity pattern of a row group, one
+``integers(0, 2, size=(rows, N))`` block gives that group's GHZ outcomes,
+and one ``random((rows, N))`` block gives every fold sign. Both blocks fill
+row-major, one generator output per entry, so they consume the same stream
+as one draw per row (or per qubit) would: a range-2 integer takes one
+32-bit output and is never rejected, and the doubles come in the same order.
+
 Readout entangles the carrier with a fresh W state by a CNOT per site and
 Z-measures the W qubits: the all-zeros outcome (probability exactly 1/N)
 leaves the carrier intact for a retry, and a two-ones outcome collapses the
@@ -129,12 +137,31 @@ class DecodeResult:
         return self.m == 0
 
 
-def _ghz_outcome_pattern(parity: int, n: int, rng) -> tuple:
-    """Uniform X-outcome pattern with the given minus-sign parity."""
-    bits = rng.integers(0, 2, size=n)
-    if int(bits.sum()) % 2 != parity:
-        bits[-1] ^= 1
-    return tuple((1 - 2 * bits).tolist())
+def _ghz_outcomes(pattern, n: int, rng) -> list:
+    """Uniform X-outcome patterns, one per row, with the row's bit as parity.
+
+    Row k of one (rows, n) draw gets its last bit flipped when its
+    minus-sign parity differs from ``pattern[k]``.
+    """
+    bits = rng.integers(0, 2, size=(len(pattern), n))
+    bits[:, -1] ^= np.bitwise_xor.reduce(bits, axis=1) ^ pattern
+    return [tuple(row) for row in (1 - 2 * bits).tolist()]
+
+
+def _pick(weights: np.ndarray, rng) -> int:
+    """Index drawn as ``rng.choice(weights.size, p=weights / weights.sum())``.
+
+    The same p, CDF and uniform as choice, so the same index and the same
+    rng state, without choice's per-call argument handling.
+    """
+    total = weights.sum()
+    # a NaN or infinite weight makes the total NaN or infinite
+    if not (0 < total < np.inf and weights.min() >= 0):
+        raise DecodeError("outcome weights must be finite, nonnegative and "
+                          "not all zero")
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _sample_pattern(comps, rows, rng):
@@ -153,7 +180,7 @@ def _sample_pattern(comps, rows, rng):
     keys = sorted(groups)
     weights = np.array([sum(comps[i][0] for i in groups[k]) for k in keys])
     total = weights.sum()
-    pick = rng.choice(len(keys), p=weights / total)
+    pick = _pick(weights, rng)
     pattern = keys[pick]
     survivors = [
         (comps[i][0] / weights[pick], comps[i][1]) for i in groups[pattern]
@@ -201,7 +228,7 @@ def decode_arrival(run: EncodeRun, rng=None) -> DecodeResult:
 
     comps = [(w, st) for w, st, _ in run.components]
     lead_pattern, record_p, survivors = _sample_pattern(comps, lead_rows, rng)
-    ghz_outcomes = [_ghz_outcome_pattern(b, N, rng) for b in lead_pattern]
+    ghz_outcomes = _ghz_outcomes(lead_pattern, N, rng)
     checks = len(lead_rows)
     one_rows = [q for q, b in zip(lead_rows, lead_pattern) if b]
 
@@ -224,9 +251,7 @@ def decode_arrival(run: EncodeRun, rng=None) -> DecodeResult:
                 survivors, time_rows, rng
             )
             record_p *= p_time
-            ghz_outcomes += [
-                _ghz_outcome_pattern(b, N, rng) for b in time_pattern
-            ]
+            ghz_outcomes += _ghz_outcomes(time_pattern, N, rng)
             checks += len(time_rows)
             m = int("".join(str(b) for b in time_pattern), 2)
             if not 1 <= m <= cfg.M:
@@ -246,17 +271,18 @@ def decode_arrival(run: EncodeRun, rng=None) -> DecodeResult:
         )
 
     # fold surplus excitation rows onto the carrier: X-measure each row
-    # qubit (one draw per qubit in row, then site order); outcome -1 on
-    # site i flips a_i, which the carrier's Z correction on site i undoes
-    carrier = one_rows[0]
-    signs = np.ones(N, dtype=int)
-    folded = 0
-    sign_record = []
-    for q in one_rows[1:]:
-        s = np.where(rng.random(N) < 0.5, 1, -1)
-        sign_record.extend(zip(layout.row_labels(q), s.tolist()))
-        signs *= s
-        folded |= 1 << q
+    # qubit (one block of draws, row by row and site by site within a row);
+    # outcome -1 on site i flips a_i, which the carrier's Z correction on
+    # site i undoes
+    carrier, extra = one_rows[0], one_rows[1:]
+    fold = np.where(rng.random((len(extra), N)) < 0.5, 1, -1)
+    signs = fold.prod(axis=0)
+    folded = sum(1 << q for q in extra)
+    sign_record = [
+        pair
+        for q, row in zip(extra, fold.tolist())
+        for pair in zip(layout.row_labels(q), row)
+    ]
     survivors = [
         (w, SiteState(st.amps * signs, st.pattern & ~folded))
         for w, st in survivors
@@ -329,12 +355,16 @@ def w_state_readout(rho, rng, max_attempts: int = RETRY_CAP,
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DecodeError("which-site density must be square")
-    if abs(rho.trace().real - 1.0) > 1e-10:
+    if not np.isfinite(rho).all():
+        raise DecodeError("which-site density must be finite")
+    diag = rho.diagonal().real
+    if (diag < 0).any():
+        raise DecodeError("which-site density has a negative diagonal")
+    if abs(diag.sum() - 1.0) > 1e-10:
         raise DecodeError("which-site density must have unit trace")
     n = rho.shape[0]
     # site pairs a < b in row-major order
     first, second = np.triu_indices(n, 1)
-    diag = rho.diagonal().real
     p_pairs = (diag[first] + diag[second]) / n
     rng = make_rng(rng)
     for attempt in range(1, max_attempts + 1):
@@ -342,7 +372,7 @@ def w_state_readout(rho, rng, max_attempts: int = RETRY_CAP,
             ledger.add("w_states", 1)
         if rng.random() < 1.0 / n:
             continue
-        k = rng.choice(len(p_pairs), p=p_pairs / p_pairs.sum())
+        k = _pick(p_pairs, rng)
         a, b = int(first[k]), int(second[k])
         block = rho[np.ix_([a, b], [a, b])]
         norm = block.trace().real

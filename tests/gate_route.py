@@ -11,7 +11,7 @@ routes component by component and decode by decode.
 import numpy as np
 
 from qtelarray.codec import EncodeError, _band_matrices
-from qtelarray.netdecode import DecodeError, excitation_density
+from qtelarray.netdecode import RETRY_CAP, DecodeError, excitation_density
 from qtelarray.qcore import QuantumState, StateError, SupportState, qubit_registry
 
 
@@ -252,6 +252,20 @@ def decode(layout, comps, rng):
     out["record"]["fold_signs"] = sign_record
     out.update(survivors=survivors, carrier=carrier, signs=signs)
     return out
+
+
+def w_readout(rho, rng):
+    """W readout's (pair, attempts) with the pair drawn by ``rng.choice``."""
+    n = rho.shape[0]
+    first, second = np.triu_indices(n, 1)
+    diag = rho.diagonal().real
+    p_pairs = (diag[first] + diag[second]) / n
+    for attempt in range(1, RETRY_CAP + 1):
+        if rng.random() < 1.0 / n:
+            continue
+        k = rng.choice(len(p_pairs), p=p_pairs / p_pairs.sum())
+        return (int(first[k]), int(second[k])), attempt
+    raise DecodeError("no pair collapse")
 
 
 def _drop_zero_qubit(sup, label):

@@ -1,5 +1,7 @@
 """Codebook, run configuration, and encode-pipeline tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,14 @@ from qtelarray.codec import (
     MemoryLayout,
     ResourceLedger,
     RunConfig,
+    _layout,
     encode_bin,
     encode_run_full,
     encode_single_photon,
     new_run,
     parallel_frequency_compress,
 )
+from qtelarray.netdecode import decode_arrival
 from qtelarray.qcore import SupportState
 
 
@@ -149,6 +153,38 @@ class TestMemoryLayout:
     def test_band_codes(self, R, r, code):
         layout = MemoryLayout(RunConfig(M=2, R=R, layout="parallel"))
         assert layout.band_code(r) == code
+
+    def test_new_run_shares_one_layout_per_config(self):
+        cfg = RunConfig(M=16, R=4, N=3, layout="parallel", seed=5)
+        layout = new_run(cfg).layout
+        equal = RunConfig(M=16, R=4, N=3, layout="parallel", seed=5)
+        assert new_run(equal).layout is layout
+        for other in (replace(cfg, seed=6), replace(cfg, eps=0.2)):
+            run = new_run(other)
+            assert run.layout.config == run.config == other
+            assert run.layout is not layout
+        assert 0 < _layout.cache_info().maxsize < 1000
+
+    @pytest.mark.parametrize("layout", ["sequential", "parallel"])
+    def test_cached_tables_survive_a_roundtrip(self, layout):
+        cfg = RunConfig(M=16, R=4, N=3, layout=layout, seed=8)
+        shared = new_run(cfg).layout
+        rows = range(shared.qubits_per_site)
+        labels = tuple(shared.row_labels(q) for q in rows)
+        folds = shared.compress_folds if layout == "parallel" else None
+        for m, r in ((7, 3), (16, 4), (1, 1)):
+            run = encode_single_photon(cfg, m, r, amps=[1, 1j, -1])
+            if layout == "parallel":
+                run = parallel_frequency_compress(run)
+            decode_arrival(run)
+            assert run.layout is shared
+        fresh = MemoryLayout(cfg)
+        assert tuple(shared.row_labels(q) for q in rows) == labels
+        assert labels == tuple(fresh.row_labels(q) for q in rows)
+        assert all(shared.row_labels(q) is labels[q] for q in rows)
+        if layout == "parallel":
+            assert shared.compress_folds is folds
+            assert folds == fresh.compress_folds
 
     def test_new_run_ledger(self):
         run = new_run(RunConfig(M=5, R=2, N=3))

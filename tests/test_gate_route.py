@@ -14,12 +14,16 @@ from qtelarray.codec import (
     new_run,
     parallel_frequency_compress,
 )
-from qtelarray.netdecode import decode_arrival
+from qtelarray.netdecode import decode_arrival, w_state_readout
 from qtelarray.qcore import SupportState
 
 # codebooks whose codewords occupy up to 9 rows: sequential (127, 2) has
 # 8-bit words, parallel (64, 8) has 7 time bits plus 4 compressed bits
 CODEBOOKS = [(5, 2), (127, 2), (64, 8)]
+BIT_GENERATORS = [
+    np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
+    np.random.Philox, np.random.SFC64,
+]
 
 
 def _amps(draw, N):
@@ -38,7 +42,9 @@ def photons(draw):
     m = draw(st.integers(1, M))
     r = draw(st.integers(1, R))
     seed = draw(st.integers(0, 2**32 - 1))
-    return RunConfig(M=M, R=R, N=N, layout=layout), m, r, _amps(draw, N), seed
+    bit_gen = draw(st.sampled_from(BIT_GENERATORS))
+    cfg = RunConfig(M=M, R=R, N=N, layout=layout)
+    return cfg, m, r, _amps(draw, N), seed, bit_gen
 
 
 def _both_routes(cfg, m, r, amps, rng=None, verify=False):
@@ -56,17 +62,25 @@ def _both_routes(cfg, m, r, amps, rng=None, verify=False):
 @settings(max_examples=60, deadline=None)
 @given(photons())
 def test_single_photon_matches_gate_route(case):
-    cfg, m, r, amps, seed = case
+    cfg, m, r, amps, seed, bit_gen = case
     run, gate = _both_routes(
         cfg, m, r, amps, rng=np.random.default_rng(seed), verify=True
     )
-    res = decode_arrival(run, rng=np.random.default_rng(seed))
-    ref = gate_route.decode(run.layout, gate, np.random.default_rng(seed))
+    rng_a = np.random.Generator(bit_gen(seed))
+    rng_b = np.random.Generator(bit_gen(seed))
+    res = decode_arrival(run, rng=rng_a)
+    ref = gate_route.decode(run.layout, gate, rng_b)
     gate_route.assert_decodes_agree(res, ref)
+    assert rng_a.random() == rng_b.random()
     amps = amps / np.linalg.norm(amps)
     np.testing.assert_allclose(
         res.state, np.outer(amps, amps.conj()), rtol=0, atol=1e-12
     )
+    # the readout's pair draw against rng.choice on the same stream
+    got = w_state_readout(res.state, rng_a)
+    want = gate_route.w_readout(res.state, rng_b)
+    assert (got.pair, got.attempts) == want
+    assert rng_a.random() == rng_b.random()
 
 
 def _coherence_matrix(rng, N):

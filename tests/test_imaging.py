@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qtelarray.imaging import (
     ImagingEstimate,
     _draw_pairs,
+    _guide,
     classical_pipeline,
     image_from_visibilities,
     natural_weights,
@@ -413,6 +414,35 @@ class TestDrawPairs:
         u = u[u < 1.0]
         got = _draw_pairs(_FixedUniforms(u), weight, u.size)
         assert np.array_equal(got, cdf.searchsorted(u, side="right"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(lead=_zero_run, body=_body, tail=_zero_run, last=_heavy)
+    def test_guide_matches_searchsorted(self, lead, body, tail, last):
+        # zero weights give tied CDF entries, in runs at the start, inside
+        # and at the end
+        weight = np.array(lead + body + [last] + tail)
+        cdf = (weight / weight.sum()).cumsum()
+        cdf /= cdf[-1]
+        G = 1 << (cdf.size - 1).bit_length()
+        want = cdf.searchsorted(np.arange(G) / G, side="right")
+        got = _guide(cdf)
+        assert np.array_equal(got, want)
+        assert got.dtype == want.dtype
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 64, 496, 1024])
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_guide_on_cell_edges(self, n, zeros):
+        # flat weights put CDF entries on the cell edges when n is a power
+        # of two; zeros every third entry tie neighbouring entries
+        weight = np.ones(n)
+        if zeros:
+            weight[::3] = 0.0
+            weight[-1] = 1.0
+        cdf = (weight / weight.sum()).cumsum()
+        cdf /= cdf[-1]
+        G = 1 << (n - 1).bit_length()
+        want = cdf.searchsorted(np.arange(G) / G, side="right")
+        assert np.array_equal(_guide(cdf), want)
 
     def test_crowded_cell(self):
         # a thousand near-zero weights share one guide cell, so some draws

@@ -1,5 +1,7 @@
 """Parity-check decoding and W-state readout tests."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from qtelarray.codec import (
 from qtelarray.netdecode import (
     RETRY_CAP,
     DecodeError,
+    _pick,
     decode_arrival,
     excitation_density,
     ghz_parity_branches,
@@ -350,6 +353,27 @@ class TestCarrierDensity:
         with pytest.raises(DecodeError, match="not one photon on carrier row"):
             decode_arrival(bad)
 
+    @pytest.mark.parametrize("weights", [
+        (np.nan, 0.5), (0.5, np.inf), (-0.2, 1.2), (0.0, 0.0),
+    ])
+    def test_bad_component_weights_raise(self, weights):
+        # two components with distinct codewords, so both weights enter the
+        # pattern draw
+        cfg = RunConfig(M=3, R=2, N=2)
+        comps = [
+            (w, encode_single_photon(cfg, m, 1).components[0][1], {"m": m})
+            for w, m in zip(weights, (1, 2))
+        ]
+        run = new_run(cfg)
+        bad = EncodeRun(config=cfg, layout=run.layout, ledger=run.ledger,
+                        components=comps)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(DecodeError, match="finite, nonnegative"):
+                decode_arrival(bad, rng=rng)
+        assert rng.bit_generator.state == before
+
     @pytest.mark.parametrize("layout", ["sequential", "parallel"])
     @pytest.mark.parametrize("N", [21, 24, 32])
     def test_past_dense_limit(self, layout, N):
@@ -491,6 +515,21 @@ class TestWReadout:
             want = list_route(rho, np.random.default_rng(seed))
             assert (got.pair, got.attempts) == want
 
+    @pytest.mark.parametrize("entries, match", [
+        ({(1, 1): np.nan}, "finite"),
+        ({(0, 2): np.nan, (2, 0): np.nan}, "finite"),
+        ({(0, 0): -0.1, (1, 1): 0.6, (2, 2): 0.5}, "negative diagonal"),
+    ], ids=["nan_diagonal", "nan_coherence", "negative_diagonal"])
+    def test_rejects_nan_and_negative_densities(self, entries, match):
+        rho = np.eye(3, dtype=complex) / 3
+        for idx, value in entries.items():
+            rho[idx] = value
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(DecodeError, match=match):
+            w_state_readout(rho, rng=rng)
+        assert rng.bit_generator.state == before
+
     def test_ledger_counts_attempts(self):
         from qtelarray.codec import ResourceLedger
 
@@ -498,6 +537,34 @@ class TestWReadout:
         rho = excitation_density(single_excitation_state(np.ones(4)))
         w_state_readout(rho, rng=np.random.default_rng(2), ledger=led)
         assert led.w_states >= 1
+
+
+class TestPick:
+    @pytest.mark.parametrize("bit_gen", [
+        np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
+        np.random.Philox, np.random.SFC64,
+    ])
+    def test_matches_choice(self, bit_gen):
+        src = np.random.default_rng(31)
+        for k in range(300):
+            n = int(src.integers(1, 40))
+            weights = src.pareto(0.7, n) if k % 2 else np.full(n, 1.0 / n)
+            weights[src.random(n) < 0.3] = 0.0
+            weights[src.integers(n)] = 1.0
+            got_rng = np.random.Generator(bit_gen(k))
+            want_rng = np.random.Generator(bit_gen(k))
+            want = want_rng.choice(n, p=weights / weights.sum())
+            assert _pick(weights, got_rng) == want
+            # MT19937's state holds an array, so compare pickles
+            assert (pickle.dumps(got_rng.bit_generator.state)
+                    == pickle.dumps(want_rng.bit_generator.state))
+
+    def test_uses_the_normalized_cdf(self):
+        # the first uniform of seed 5 falls between the raw cumulative sum
+        # of p and the same sum divided by its last entry
+        weights = np.array([1.2384846058320969, 0.1, 0.2])
+        want = np.random.default_rng(5).choice(3, p=weights / weights.sum())
+        assert _pick(weights, np.random.default_rng(5)) == want == 0
 
 
 class TestPairCorrelators:
