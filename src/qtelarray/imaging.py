@@ -23,6 +23,7 @@ per-point variance on flat sources.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,14 +57,20 @@ def natural_weights(N: int) -> np.ndarray:
     return 2.0 * (N - k) / N ** 2
 
 
+@lru_cache(maxsize=8)
+def _phase_table(N: int) -> np.ndarray:
+    """Read-only exp(2 pi i m k / N) over m = 0..N-1 and k = 1..N-1."""
+    phases = np.exp(2j * np.pi * np.outer(np.arange(N), np.arange(1, N)) / N)
+    phases.flags.writeable = False
+    return phases
+
+
 def image_from_visibilities(gk, N: int) -> np.ndarray:
     """Natural-weighting image from baseline visibilities g_1..g_{N-1}."""
     gk = np.asarray(gk, dtype=complex)
     if gk.shape != (N - 1,):
         raise ValueError(f"need {N - 1} baseline visibilities, got {gk.shape}")
-    k = np.arange(1, N)
-    m = np.arange(N)
-    phases = np.exp(2j * np.pi * np.outer(m, k) / N)
+    phases = _phase_table(N)
     return 1.0 / N + (phases * (natural_weights(N) * gk)).real.sum(axis=1)
 
 
@@ -71,6 +78,16 @@ def qft_image_diagonal(vis: VisibilityModel) -> np.ndarray:
     """Closed-form outcome distribution of the QFT route."""
     g = vis.baseline_visibilities()
     return image_from_visibilities(g[1:], vis.geometry.N)
+
+
+@lru_cache(maxsize=8)
+def _qft_pair(n: int) -> tuple:
+    """Read-only ``qft_matrix(n)`` and its adjoint, a transposed view."""
+    F = qft_matrix(n)
+    F.flags.writeable = False
+    F_conj = F.conj()
+    F_conj.flags.writeable = False
+    return F, F_conj.T
 
 
 def qft_process(vis_or_rho) -> np.ndarray:
@@ -81,8 +98,8 @@ def qft_process(vis_or_rho) -> np.ndarray:
         rho = np.asarray(vis_or_rho, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError("which-site density must be square")
-    F = qft_matrix(rho.shape[0])
-    return F @ rho @ F.conj().T
+    F, F_dag = _qft_pair(rho.shape[0])
+    return F @ rho @ F_dag
 
 
 def _grid(vis: VisibilityModel) -> np.ndarray:
@@ -126,10 +143,12 @@ def _pair_correlations(vis: VisibilityModel):
     Pairs (a, b), a < b, come in row-major order: a ascending, then b.
     """
     N = vis.geometry.N
-    rho = vis.g / N
     a, b = np.triu_indices(N, 1)
-    weight = (rho[a, a] + rho[b, b]).real
-    cond = rho[a, b] / weight
+    # index g first, then scale: the same rho = g / N entries without the
+    # N x N quotient
+    rho_diag = np.diagonal(vis.g) / N
+    weight = (rho_diag[a] + rho_diag[b]).real
+    cond = vis.g[a, b] / N / weight
     corr_xx = 2.0 * cond.real
     corr_xy = -2.0 * cond.imag
     return a, b, weight, corr_xx, corr_xy

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import EncodeError, EncodeRun, SiteState
+from .codec import EncodeError, EncodeRun
 from .qcore import (
     QuantumState,
     cnot,
@@ -188,19 +188,20 @@ def _sample_pattern(comps, rows, rng):
     return pattern, float(weights[pick] / total), survivors
 
 
-def _carrier_density(survivors, carrier: int, signs) -> np.ndarray:
-    """N x N which-site density of the folded survivors on the carrier row.
+def _carrier_density(survivors, carrier: int, folded: int) -> np.ndarray:
+    """N x N which-site density of the survivors folded onto the carrier row.
 
-    Every survivor's pattern must be the carrier bit alone; the signs are
-    the Z corrections on the carrier, one per site.
+    Every survivor's pattern, less the folded rows, must be the carrier bit
+    alone. The fold's X signs and the carrier's Z corrections cancel, so the
+    stored amplitudes are the carrier's.
     """
     for _, st in survivors:
-        if st.pattern != 1 << carrier:
+        if st.pattern & ~folded != 1 << carrier:
             raise DecodeError(
-                f"register pattern {st.pattern:#b} is not one photon on "
-                f"carrier row {carrier}"
+                f"register pattern {st.pattern & ~folded:#b} is not one "
+                f"photon on carrier row {carrier}"
             )
-    amps = np.array([st.amps for _, st in survivors]) * signs
+    amps = np.array([st.amps for _, st in survivors])
     weights = np.array([w for w, _ in survivors])
     return (amps.T * weights) @ amps.conj()
 
@@ -273,21 +274,16 @@ def decode_arrival(run: EncodeRun, rng=None) -> DecodeResult:
     # fold surplus excitation rows onto the carrier: X-measure each row
     # qubit (one block of draws, row by row and site by site within a row);
     # outcome -1 on site i flips a_i, which the carrier's Z correction on
-    # site i undoes
+    # site i undoes, so the signs go to the record only
     carrier, extra = one_rows[0], one_rows[1:]
     fold = np.where(rng.random((len(extra), N)) < 0.5, 1, -1)
-    signs = fold.prod(axis=0)
     folded = sum(1 << q for q in extra)
     sign_record = [
         pair
         for q, row in zip(extra, fold.tolist())
         for pair in zip(layout.row_labels(q), row)
     ]
-    survivors = [
-        (w, SiteState(st.amps * signs, st.pattern & ~folded))
-        for w, st in survivors
-    ]
-    state = _carrier_density(survivors, carrier, signs)
+    state = _carrier_density(survivors, carrier, folded)
     return DecodeResult(
         m=m, r=r, probability=record_p, checks=checks,
         carrier_labels=layout.row_labels(carrier), state=state,

@@ -169,14 +169,20 @@ def visibility_from_intensity(
 ) -> VisibilityModel:
     """Van Cittert-Zernike step: coherence matrix from the intensity."""
     pos = geometry.positions
-    diffs = pos[:, None] - pos[None, :]
     # evaluate g once per distinct difference: a uniform array repeats each
-    # baseline along a diagonal, so only O(N) of the N^2 are distinct
-    x, inv = np.unique(diffs.reshape(-1), return_inverse=True)
-    g = visibility_function(intensity, x)[inv].reshape(diffs.shape)
-    # force exact unit diagonal and Hermitian symmetry against roundoff
+    # baseline along a diagonal, so only O(N) of the N^2 are distinct (the
+    # N x N differences are not kept, which lowers the peak memory)
+    x, inv = np.unique(pos[:, None] - pos[None, :], return_inverse=True)
+    # pos_i - pos_j is exactly -(pos_j - pos_i), so x is symmetric about its
+    # middle entry 0, and g(-x) is exactly conj(g(x)): evaluate the
+    # nonnegative half only, which makes g exactly Hermitian. Adding 0 turns
+    # the -0 imaginary parts that conj makes into +0, so g also matches the
+    # symmetrized full-plane route in its signs of zero.
+    half = visibility_function(intensity, x[x.size // 2:])
+    values = np.concatenate([half[:0:-1].conj() + 0.0, half])
+    g = values[inv].reshape(pos.size, pos.size)
+    # g(0) sums the intensities, which need not give exactly 1
     np.fill_diagonal(g, 1.0)
-    g = (g + g.conj().T) / 2
     return VisibilityModel(geometry, g, epsilon)
 
 

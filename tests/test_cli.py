@@ -309,7 +309,9 @@ class TestFormulasCommand:
         ("encode --set N=1e12", "qtelarray encode: Unable to allocate "),
         ("transfer --set alpha_step=1e-12",
          "qtelarray transfer: Unable to allocate "),
-    ], ids=["formulas", "encode", "transfer"])
+        # 4e10 baseline differences
+        ("imaging --set N=200000", "qtelarray imaging: Unable to allocate "),
+    ], ids=["formulas", "encode", "transfer", "imaging"])
     def test_unallocatable_trials_exit_2(self, argv, message):
         # the address space limit keeps the test from asking the machine
         # for the memory

@@ -8,6 +8,8 @@ from qtelarray.imaging import (
     ImagingEstimate,
     _draw_pairs,
     _guide,
+    _phase_table,
+    _qft_pair,
     classical_pipeline,
     image_from_visibilities,
     natural_weights,
@@ -17,6 +19,7 @@ from qtelarray.imaging import (
     sample_qft,
     snr_report,
 )
+from qtelarray.qcore import qft_matrix
 from qtelarray.source import (
     ArrayGeometry,
     IntensityDistribution,
@@ -100,6 +103,55 @@ class TestQftRoutes:
         assert np.allclose(out, qft_process(vis), atol=1e-14)
         with pytest.raises(ValueError):
             qft_process(np.ones(3))
+
+
+class TestCachedTables:
+    N = 12
+
+    def _routes(self):
+        vis, _ = on_grid_model(self.N, np.random.default_rng(3).random(self.N))
+        gk = vis.baseline_visibilities()[1:]
+        return {
+            "image": lambda: image_from_visibilities(gk, self.N),
+            "closed": lambda: qft_image_diagonal(vis),
+            "conjugation": lambda: qft_process(vis),
+        }
+
+    @pytest.mark.parametrize("route", ["image", "closed", "conjugation"])
+    def test_results_are_fresh_and_writable(self, route):
+        call = self._routes()[route]
+        first = call()
+        tables = (_phase_table(self.N), *_qft_pair(self.N))
+        assert first.flags.writeable
+        assert not any(np.shares_memory(first, t) for t in tables)
+        want = first.copy()
+        first[...] = 7.0
+        again = call()
+        assert not np.shares_memory(first, again)
+        assert np.array_equal(again, want)
+
+    def test_tables_are_read_only(self):
+        phases = _phase_table(self.N)
+        F, F_dag = _qft_pair(self.N)
+        for table in (phases, F, F_dag, F_dag.base):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+
+    @pytest.mark.parametrize("N", [1, 2, 5, 64])
+    def test_qft_pair_is_the_matrix_and_its_adjoint(self, N):
+        F, F_dag = _qft_pair(N)
+        assert np.array_equal(F, qft_matrix(N))
+        assert np.array_equal(F_dag, qft_matrix(N).conj().T)
+        assert F_dag.flags.f_contiguous
+
+    def test_caches_are_bounded(self):
+        for table in (_phase_table, _qft_pair):
+            for N in range(2, 2 + 2 * table.cache_info().maxsize):
+                table(N)
+            info = table.cache_info()
+            assert info.maxsize == 8
+            assert info.currsize == info.maxsize
 
 
 class TestSampleQft:

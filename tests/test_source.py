@@ -259,6 +259,51 @@ class TestUniqueBaselineRoute:
         got = visibility_from_intensity(dist, geom).g
         want = _visibility_by_full_grid(dist, geom)
         assert np.abs(got - want).max() <= 1e-12
+        # exactly Hermitian, with an exact unit diagonal
+        assert np.array_equal(got, got.conj().T)
+        assert np.all(np.diagonal(got) == 1.0)
+
+
+def _visibility_full_plane(intensity, geometry):
+    """Reference route: g at each distinct difference of either sign,
+    gathered over the N x N plane and symmetrized."""
+    pos = geometry.positions
+    diffs = pos[:, None] - pos[None, :]
+    x, inv = np.unique(diffs.reshape(-1), return_inverse=True)
+    g = visibility_function(intensity, x)[inv].reshape(diffs.shape)
+    np.fill_diagonal(g, 1.0)
+    return (g + g.conj().T) / 2
+
+
+def _assert_same_bits(got, want):
+    # array_equal, and the zero imaginary parts carry the same sign
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
+class TestHalfPlaneRoute:
+    @pytest.mark.parametrize("N", [2, 3, 17, 128, 300])
+    @pytest.mark.parametrize("d", [1.0, 3.7, 0.013])
+    @pytest.mark.parametrize("scene", ["flat", "point", "dense"])
+    def test_uniform_arrays_match_full_plane(self, N, d, scene):
+        rng = np.random.default_rng(N)
+        weights = {"flat": np.ones(N), "point": np.eye(N)[N // 3],
+                   "dense": rng.uniform(0.05, 1.0, N)}[scene]
+        dist = IntensityDistribution.on_grid(N, d, weights, normalize=True)
+        geom = ArrayGeometry(N=N, d=d)
+        _assert_same_bits(visibility_from_intensity(dist, geom).g,
+                          _visibility_full_plane(dist, geom))
+
+    def test_irregular_array_over_several_blocks(self):
+        rng = np.random.default_rng(5)
+        N = 200
+        geom = ArrayGeometry(positions=np.cumsum(rng.uniform(0.1, 2.0, N)))
+        dist = IntensityDistribution.on_grid(N, 1.0, rng.uniform(0.05, 1.0, N),
+                                             normalize=True)
+        # the half plane alone spans several blocks
+        assert N * (N - 1) // 2 * len(dist) > 3 * source.VIS_BLOCK
+        _assert_same_bits(visibility_from_intensity(dist, geom).g,
+                          _visibility_full_plane(dist, geom))
 
 
 def _visibility_one_piece(intensity, x):
