@@ -22,8 +22,9 @@ per-point variance on flat sources.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import wraps
 
 import numpy as np
 
@@ -36,6 +37,8 @@ SAMPLERS = ("w_state", "direct_pair")
 IMAG_TOL = 1e-12
 # Pair draws resolved per block of _draw_pairs (128 KiB of indices).
 DRAW_BLOCK = 1 << 14
+# Bytes of DFT tables kept between calls; one N=256 frame's take 3 MiB.
+TABLE_CACHE_BYTES = 64 << 20
 
 
 @dataclass
@@ -57,7 +60,34 @@ def natural_weights(N: int) -> np.ndarray:
     return 2.0 * (N - k) / N ** 2
 
 
-@lru_cache(maxsize=8)
+_tables = OrderedDict()
+
+
+def _byte_cached(build):
+    """Memoize ``build(n)``, a read-only array or a tuple of them, in one
+    store shared by every table so decorated. The least recently used
+    results leave first, so the kept arrays never total more than
+    TABLE_CACHE_BYTES; a larger result is returned but not kept."""
+
+    @wraps(build)
+    def table(n):
+        key = (build, n)
+        if key in _tables:
+            _tables.move_to_end(key)
+            return _tables[key][0]
+        value = build(n)
+        arrays = value if isinstance(value, tuple) else (value,)
+        size = sum(a.nbytes for a in arrays)
+        if size <= TABLE_CACHE_BYTES:
+            _tables[key] = value, size
+            while sum(kept for _, kept in _tables.values()) > TABLE_CACHE_BYTES:
+                _tables.popitem(last=False)
+        return value
+
+    return table
+
+
+@_byte_cached
 def _phase_table(N: int) -> np.ndarray:
     """Read-only exp(2 pi i m k / N) over m = 0..N-1 and k = 1..N-1."""
     phases = np.exp(2j * np.pi * np.outer(np.arange(N), np.arange(1, N)) / N)
@@ -80,7 +110,7 @@ def qft_image_diagonal(vis: VisibilityModel) -> np.ndarray:
     return image_from_visibilities(g[1:], vis.geometry.N)
 
 
-@lru_cache(maxsize=8)
+@_byte_cached
 def _qft_pair(n: int) -> tuple:
     """Read-only ``qft_matrix(n)`` and its adjoint, a transposed view."""
     F = qft_matrix(n)

@@ -17,6 +17,8 @@ EPS_DEFAULT = 0.01
 EPS_WARN = 0.1
 # Complex entries of one block of the visibility phase matrix (16 MiB).
 VIS_BLOCK = 1 << 20
+# Rows of g per block of the conjugate-symmetry check.
+SYMMETRY_ROWS = 256
 
 
 class ArrayGeometry:
@@ -120,8 +122,12 @@ class VisibilityModel:
             raise ValueError("g must be finite")
         if np.max(np.abs(np.diagonal(g) - 1.0)) > 1e-12:
             raise ValueError("g must have unit diagonal")
-        if np.max(np.abs(g - g.conj().T)) > 1e-12:
-            raise ValueError("g must be conjugate-symmetric")
+        # row blocks against the matching columns keep the temporaries at
+        # SYMMETRY_ROWS x N; the maximum, and so the verdict, is the same
+        for lo in range(0, N, SYMMETRY_ROWS):
+            rows = slice(lo, lo + SYMMETRY_ROWS)
+            if np.max(np.abs(g[rows] - g[:, rows].conj().T)) > 1e-12:
+                raise ValueError("g must be conjugate-symmetric")
         if not 0 < epsilon < 1:
             raise ValueError("epsilon must lie in (0, 1)")
         if epsilon > EPS_WARN:

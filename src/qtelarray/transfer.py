@@ -31,6 +31,7 @@ import copy
 import math
 import os
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,14 +62,47 @@ class Branch:
     accepted: bool
 
 
+@dataclass(frozen=True, eq=False)
+class Branches(Sequence):
+    """Kept records of one enumeration, held as columns.
+
+    ``outcome[s, i]`` is site s's outcome in record i, as a position in
+    ``outs``. Reading an item builds its ``Branch``; a slice gives a list.
+    """
+
+    outs: list
+    outcome: np.ndarray
+    probability: np.ndarray
+    fidelity: np.ndarray
+    accepted: np.ndarray
+
+    def __len__(self):
+        return len(self.probability)
+
+    def __getitem__(self, i):
+        at = range(len(self))[i]
+        if isinstance(at, range):
+            return [self[j] for j in at]
+        return Branch(tuple(self.outs[k] for k in self.outcome[:, at].tolist()),
+                      self.probability[at].item(), self.fidelity[at].item(),
+                      self.accepted[at].item())
+
+    def __iter__(self):
+        records = zip(*([self.outs[k] for k in row]
+                        for row in self.outcome.tolist()))
+        return map(Branch, records, self.probability.tolist(),
+                   self.fidelity.tolist(), self.accepted.tolist())
+
+
 @dataclass
 class TransferOutcome:
-    """Aggregated result of a transfer protocol run."""
+    """Aggregated result of a transfer protocol run; ``branches`` is a
+    ``Branches`` for an enumerated table, a list of ``Branch`` otherwise."""
 
     kind: str
     fidelity: float
     probability: float
-    branches: list = field(default_factory=list)
+    branches: Sequence = field(default_factory=list)
     mass: float = 1.0
     extra: dict = field(default_factory=dict)
 
@@ -198,9 +232,15 @@ def transfer_branches(table: AmplitudeTable, amps, prune: float = BRANCH_PRUNE):
 
     Every site uses the same ancilla table. Branch fidelities are taken
     after the local phase corrections; a branch is accepted (heralded)
-    when all ratio moduli are finite, nonzero, and equal. Records come in
-    ``itertools.product`` order over ``table.outcomes()``; all K^n of them
-    are evaluated in one array pass, so temporaries scale as K^n * n.
+    when all ratio moduli are finite, nonzero, and equal.
+
+    Returns the records of probability above ``prune`` as ``Branches``, in
+    ``itertools.product`` order over ``table.outcomes()``, and the total
+    mass of all K^n records. Every record is evaluated by broadcasting the
+    sites' amplitude vectors over the K^n outcome grid, so temporaries
+    scale as K^n * n complex at most, with no index matrix over all
+    records; only the kept records are gathered, for their fidelities and
+    herald flags, and no per-record object is built.
     """
     amps = _norm_amps(amps)
     n = len(amps)
@@ -208,33 +248,58 @@ def transfer_branches(table: AmplitudeTable, amps, prune: float = BRANCH_PRUNE):
     c0 = np.array([table.c0.get(o, 0.0) for o in outs], dtype=complex)
     c1 = np.array([table.c1.get(o, 0.0) for o in outs], dtype=complex)
     both = (c0 != 0) & (c1 != 0)
-    ratio = np.divide(c1, c0, out=np.zeros_like(c1), where=both)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = np.divide(c1, c0, out=np.zeros_like(c1), where=both)
     phase = np.exp(-1j * np.angle(ratio))
+    # past the float range (a subnormal c0) the ratio loses its phase
+    big = ~np.isfinite(ratio)
+    phase[big] = np.exp(-1j * (np.angle(c1[big]) - np.angle(c0[big])))
     # NaN marks an outcome no phase correction can repair; any NaN in a
     # record fails the equal-modulus test below
     modulus = np.abs(ratio)
     modulus[~(np.isfinite(modulus) & (modulus > 0))] = np.nan
 
-    # one row per site, one column per record, in itertools.product order
-    rec = np.indices((len(outs),) * n).reshape(n, -1)
-    r0 = c0[rec]
-    site_amp = amps[:, None] * c1[rec]
+    def site_amps(s, c0s, c1s):
+        # amps[s] c1(o_s) times the other sites' c0(o_t), multiplied in
+        # ascending t: the same products however the outcomes are laid out
+        rest = None
+        for t, c0t in enumerate(c0s):
+            if t != s:
+                rest = c0t if rest is None else rest * c0t
+        return amps[s] * c1s[s] * rest
+
+    # axis t of the K^n grid is site t's outcome, so C order is product
+    # order; p sums re^2 + im^2 of the site amplitudes in site order, the
+    # squares overwriting the amplitudes
+    K = len(outs)
+    axes = [(1,) * t + (K,) + (1,) * (n - 1 - t) for t in range(n)]
+    c0s = [c0.reshape(axis) for axis in axes]
+    c1s = [c1.reshape(axis) for axis in axes]
+    p = np.zeros((K,) * n)
     for s in range(n):
-        site_amp[s] *= np.prod(np.delete(r0, s, axis=0), axis=0)
-    p = (site_amp.real ** 2 + site_amp.imag ** 2).sum(axis=0)
+        sq = site_amps(s, c0s, c1s).view(float)
+        np.square(sq, out=sq)
+        re2 = sq[..., 0::2]
+        p += np.add(re2, sq[..., 1::2], out=re2)
+    del sq, re2
+    p = p.ravel()
     mass = float(p.sum())
 
+    # the kept records' amplitudes are evaluated again, from gathers; each
+    # record's overlap terms lie side by side, which numpy sums pairwise
+    # from four sites on: the order the pinned figures depend on
     keep = np.flatnonzero(p > prune)
-    rec, site_amp, p = rec[:, keep], site_amp[:, keep], p[keep]
-    overlap = (np.conj(amps)[:, None] * site_amp * phase[rec]).sum(axis=0)
-    fid = np.abs(overlap) ** 2 / p
+    rec = np.array(np.unravel_index(keep, (K,) * n))
+    r0, r1 = c0[rec], c1[rec]
+    p = p[keep]
+    terms = np.empty((len(keep), n), dtype=complex)
+    for s in range(n):
+        terms[:, s] = np.conj(amps[s]) * site_amps(s, r0, r1) * phase[rec[s]]
+    fid = np.abs(terms.sum(axis=1)) ** 2 / p
     mod = modulus[rec]
     top = mod.max(axis=0)
     accepted = top - mod.min(axis=0) <= RATIO_TOL * top
-    records = zip(*([outs[i] for i in row] for row in rec.tolist()))
-    branches = list(map(Branch, records, p.tolist(), fid.tolist(),
-                        accepted.tolist()))
-    return branches, mass
+    return Branches(outs, rec, p, fid, accepted), mass
 
 
 def _enumerate(alpha, amps, table, cutoff):
@@ -260,7 +325,8 @@ def deterministic_transfer(alpha=None, amps=(2 ** -0.5, 2 ** -0.5),
     at amplitude ``alpha`` truncated at ``cutoff``.
     """
     table, branches, mass = _enumerate(alpha, amps, table, cutoff)
-    f = sum(b.probability * b.fidelity for b in branches) / mass
+    # builtin sum over the same float products, in record order
+    f = sum((branches.probability * branches.fidelity).tolist()) / mass
     return TransferOutcome(
         kind="deterministic", fidelity=f, probability=1.0,
         branches=branches, mass=mass, extra={"table": table.kind},
@@ -276,10 +342,11 @@ def heralded_transfer(alpha=None, amps=(2 ** -0.5, 2 ** -0.5),
     at amplitude ``alpha`` truncated at ``cutoff``.
     """
     table, branches, mass = _enumerate(alpha, amps, table, cutoff)
-    kept = [b for b in branches if b.accepted]
-    p = sum(b.probability for b in kept)
+    acc = branches.accepted
+    p = sum(branches.probability[acc].tolist())
     f = (
-        sum(b.probability * b.fidelity for b in kept) / p if p > 0 else 0.0
+        sum((branches.probability * branches.fidelity)[acc].tolist()) / p
+        if p > 0 else 0.0
     )
     return TransferOutcome(
         kind="heralded", fidelity=f, probability=p,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qtelarray import imaging
 from qtelarray.imaging import (
     ImagingEstimate,
     _draw_pairs,
@@ -145,13 +146,40 @@ class TestCachedTables:
         assert np.array_equal(F_dag, qft_matrix(N).conj().T)
         assert F_dag.flags.f_contiguous
 
-    def test_caches_are_bounded(self):
-        for table in (_phase_table, _qft_pair):
-            for N in range(2, 2 + 2 * table.cache_info().maxsize):
-                table(N)
-            info = table.cache_info()
-            assert info.maxsize == 8
-            assert info.currsize == info.maxsize
+    @staticmethod
+    def _held():
+        return sum(size for _, size in imaging._tables.values())
+
+    def test_cache_holds_every_wide_array_size(self):
+        sizes = (32, 64, 128, 256)
+        first = {N: (_phase_table(N), _qft_pair(N)) for N in sizes}
+        assert self._held() <= imaging.TABLE_CACHE_BYTES
+        for N in sizes:
+            phases, (F, F_dag) = first[N]
+            assert _phase_table(N) is phases
+            again = _qft_pair(N)
+            assert again[0] is F and again[1] is F_dag
+
+    def test_cache_is_bounded_by_bytes(self, monkeypatch):
+        cap = 1 << 20
+        monkeypatch.setattr(imaging, "TABLE_CACHE_BYTES", cap)
+        for N in range(40, 400, 30):
+            for table in (_phase_table, _qft_pair):
+                got, fresh = table(N), table.__wrapped__(N)
+                assert self._held() <= cap
+                # the results stay those of a fresh, read-only build
+                if table is _phase_table:
+                    got, fresh = (got,), (fresh,)
+                for a, b in zip(got, fresh):
+                    assert np.array_equal(a, b) and not a.flags.writeable
+        # tables larger than the cap are returned but never kept
+        assert all(size <= cap for _, size in imaging._tables.values())
+        assert (_qft_pair.__wrapped__, 370) not in imaging._tables
+        # the most recently used table survives a later insertion
+        _phase_table(40)
+        _phase_table(70)
+        assert _phase_table(40) is _phase_table(40)
+        assert (_phase_table.__wrapped__, 40) in imaging._tables
 
 
 class TestSampleQft:

@@ -109,6 +109,50 @@ def test_visibility_model_validation():
         VisibilityModel.two_site(0.5, epsilon=0.25)
 
 
+def _scene_g(N):
+    geom = ArrayGeometry(N=N, d=1.0)
+    weights = np.random.default_rng(N).random(N)
+    intensity = IntensityDistribution.on_grid(N, 1.0, weights, normalize=True)
+    return geom, visibility_from_intensity(intensity, geom).g
+
+
+@pytest.mark.parametrize("where", [(599, 3), (3, 599), (520, 598),
+                                   (0, 255), (256, 0)])
+def test_symmetry_check_reaches_every_block(where):
+    # N = 600 spans three SYMMETRY_ROWS blocks; the last one is partial
+    geom, g = _scene_g(600)
+    VisibilityModel(geom, g)
+    g = g.copy()
+    g[where] += 2e-12
+    with pytest.raises(ValueError, match="conjugate-symmetric"):
+        VisibilityModel(geom, g)
+    g[where] -= 1.5e-12  # 5e-13 of asymmetry is within the tolerance
+    VisibilityModel(geom, g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(N=st.integers(2, 40), rows=st.integers(1, 50), seed=st.integers(0, 99),
+       scale=st.sampled_from([0.0, 5e-13, 2e-12, 1e-6]))
+def test_blocked_symmetry_check_matches_whole_matrix(N, rows, seed, scale):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    g = (a + a.conj().T) / 2 + scale * rng.normal(size=(N, N))
+    np.fill_diagonal(g, 1.0)
+    whole = np.max(np.abs(g - g.conj().T)) > 1e-12
+    old_rows = source.SYMMETRY_ROWS
+    source.SYMMETRY_ROWS = rows
+    try:
+        try:
+            VisibilityModel(ArrayGeometry(N=N, d=1.0), g)
+            blocked = False
+        except ValueError as exc:
+            assert "conjugate-symmetric" in str(exc)
+            blocked = True
+    finally:
+        source.SYMMETRY_ROWS = old_rows
+    assert blocked == whole
+
+
 @pytest.mark.parametrize("where", [(1, 1), (0, 2)])
 def test_visibility_model_rejects_nan(where):
     # NaN slips through the unit-diagonal and symmetry tolerances, and a

@@ -7,7 +7,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.special import ive
 from scipy.stats import skellam
 
@@ -26,6 +26,7 @@ from qtelarray.transfer import (
     MC_BLOCK,
     RATIO_TOL,
     Branch,
+    Branches,
     TransferError,
     coherent_amplitude_table,
     deterministic_fidelity_closed,
@@ -67,8 +68,12 @@ def _branches_by_record(table, amps, prune=BRANCH_PRUNE):
         moduli = np.full(n, np.nan)
         for s in range(n):
             if c0s[s] != 0 and c1s[s] != 0:
-                ratio = c1s[s] / c0s[s]
-                phases[s] = np.exp(-1j * np.angle(ratio))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    ratio = c1s[s] / c0s[s]
+                # a ratio past the float range keeps the phase of c1 / c0
+                arg = (np.angle(ratio) if np.isfinite(ratio)
+                       else np.angle(c1s[s]) - np.angle(c0s[s]))
+                phases[s] = np.exp(-1j * arg)
                 moduli[s] = abs(ratio)
         overlap = np.sum(np.conj(amps) * site_amp * phases)
         fid = float(abs(overlap) ** 2 / p)
@@ -78,6 +83,38 @@ def _branches_by_record(table, amps, prune=BRANCH_PRUNE):
         )
         branches.append(Branch(record, p, fid, accepted))
     return branches, mass
+
+
+def _branches_by_index_matrix(table, amps, prune=BRANCH_PRUNE):
+    """The route the broadcast enumeration replaced: an (n, K^n) index
+    matrix over all records and gathers of c0 and c1 through it. Returns
+    (records as outcome positions, probability, fidelity, accepted, mass)."""
+    amps = np.asarray(amps, dtype=complex)
+    amps = amps / np.linalg.norm(amps)
+    n = len(amps)
+    outs = table.outcomes()
+    c0 = np.array([table.c0.get(o, 0.0) for o in outs], dtype=complex)
+    c1 = np.array([table.c1.get(o, 0.0) for o in outs], dtype=complex)
+    both = (c0 != 0) & (c1 != 0)
+    ratio = np.divide(c1, c0, out=np.zeros_like(c1), where=both)
+    phase = np.exp(-1j * np.angle(ratio))
+    modulus = np.abs(ratio)
+    modulus[~(np.isfinite(modulus) & (modulus > 0))] = np.nan
+    rec = np.indices((len(outs),) * n).reshape(n, -1)
+    r0 = c0[rec]
+    site_amp = amps[:, None] * c1[rec]
+    for s in range(n):
+        site_amp[s] *= np.prod(np.delete(r0, s, axis=0), axis=0)
+    p = (site_amp.real ** 2 + site_amp.imag ** 2).sum(axis=0)
+    mass = float(p.sum())
+    keep = np.flatnonzero(p > prune)
+    rec, site_amp, p = rec[:, keep], site_amp[:, keep], p[keep]
+    overlap = (np.conj(amps)[:, None] * site_amp * phase[rec]).sum(axis=0)
+    fid = np.abs(overlap) ** 2 / p
+    mod = modulus[rec]
+    top = mod.max(axis=0)
+    accepted = top - mod.min(axis=0) <= RATIO_TOL * top
+    return rec, p, fid, accepted, mass
 
 
 def assert_matches_oracle(table, amps):
@@ -251,6 +288,129 @@ class TestVectorizedEnumeration:
             tables.append({o: c[o] / norm for o in kept})
         table = AmplitudeTable(c0=tables[0], c1=tables[1], kind="random")
         assert_matches_oracle(table, _complex_amps(sites, seed))
+
+
+class TestColumnarBranches:
+    """``transfer_branches`` keeps its records as columns and builds a
+    ``Branch`` only for the item read."""
+
+    def _enumeration(self):
+        table = coherent_amplitude_table(0.88, 4)
+        amps = _complex_amps(3, 4)
+        got, _ = transfer_branches(table, amps)
+        want, _ = _branches_by_record(table, amps)
+        return got, want
+
+    def test_sequence_semantics(self):
+        got, want = self._enumeration()
+        assert isinstance(got, Branches)
+        assert len(got) == len(want) > 3
+        for i in (0, 1, -1, -len(got), len(got) - 1):
+            assert got[i].record == want[i].record
+            assert got[i].accepted is want[i].accepted
+            assert got[i] == list(got)[i]
+        for i in (len(got), -len(got) - 1):
+            with pytest.raises(IndexError):
+                got[i]
+        assert got[1:7:2] == list(got)[1:7:2]
+        assert got[::-1] == list(got)[::-1]
+        assert got[5:2] == []
+        listed = list(got)
+        assert [b.record for b in listed] == [b.record for b in want]
+        assert [b.accepted for b in listed] == [b.accepted for b in want]
+        assert all(type(b.probability) is float and type(b.fidelity) is float
+                   and type(b.accepted) is bool for b in listed)
+
+    def test_items_match_columns(self):
+        got, _ = self._enumeration()
+        for i, b in enumerate(got):
+            assert b.record == tuple(got.outs[k] for k in got.outcome[:, i])
+            assert b.probability == got.probability[i]
+            assert b.fidelity == got.fidelity[i]
+            assert b.accepted == got.accepted[i]
+
+    @pytest.mark.parametrize("make", [
+        lambda: dict(alpha=1.2, cutoff=16, amps=_complex_amps(2, 0)),
+        lambda: dict(alpha=0.88, cutoff=5, amps=_complex_amps(3, 1)),
+        lambda: dict(table=multiport_amplitude_table(2),
+                     amps=_complex_amps(3, 2)),
+        lambda: dict(alpha=0.0, cutoff=3),
+    ])
+    def test_figures_equal_python_sums(self, make):
+        det = deterministic_transfer(**make())
+        branches = list(det.branches)
+        assert det.fidelity == (
+            sum(b.probability * b.fidelity for b in branches) / det.mass
+        )
+        her = heralded_transfer(**make())
+        kept = [b for b in her.branches if b.accepted]
+        p = sum(b.probability for b in kept)
+        assert her.probability == p
+        assert her.fidelity == (
+            sum(b.probability * b.fidelity for b in kept) / p if p > 0 else 0.0
+        )
+
+    def test_figures_build_no_branch(self, monkeypatch):
+        def no_branch(*args):
+            raise AssertionError("a Branch was built")
+
+        monkeypatch.setattr(transfer, "Branch", no_branch)
+        deterministic_transfer(1.2, cutoff=10)
+        her = heralded_transfer(0.88, amps=(1.0, 1j, 0.5), cutoff=4)
+        assert len(her.branches) > 0
+        with pytest.raises(AssertionError, match="a Branch was built"):
+            her.branches[0]
+
+    def test_transfer_functions_enumerate_through_the_module(self,
+                                                              monkeypatch):
+        # the perfbench tracer wraps the module attribute
+        calls = []
+        real = transfer.transfer_branches
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(transfer, "transfer_branches", counted)
+        deterministic_transfer(0.8, cutoff=6)
+        heralded_transfer(0.8, cutoff=6)
+        heralded_transfer(table=multiport_amplitude_table(1), amps=UNIFORM)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("sites, make", [
+        (2, lambda: coherent_amplitude_table(1.2, 16)),
+        (3, lambda: coherent_amplitude_table(0.88, 5)),
+        (4, lambda: coherent_amplitude_table(1.2, 3)),
+        (5, lambda: coherent_amplitude_table(0.6, 2)),
+        (4, lambda: multiport_amplitude_table(1)),
+        (3, lambda: multiport_amplitude_table(2)),
+    ])
+    def test_bit_identical_to_index_matrix_route(self, sites, make):
+        # from four sites on, numpy sums each record's site terms pairwise
+        # when the site axis is contiguous; the columns keep that layout
+        table = make()
+        for amps in (np.ones(sites), _complex_amps(sites, sites)):
+            got, mass = transfer_branches(table, amps)
+            want = _branches_by_index_matrix(table, amps)
+            assert mass.hex() == want[4].hex()
+            for name, col in zip(("outcome", "probability", "fidelity",
+                                  "accepted"), want):
+                assert getattr(got, name).tobytes() == col.tobytes(), name
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        parts=st.lists(
+            st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+            min_size=2, max_size=3,
+        ).filter(lambda xs: sum(a * a + b * b for a, b in xs) > 1e-6),
+        cutoff=st.integers(1, 6),
+        alpha=st.floats(0.0, 2.0),
+    )
+    # a subnormal alpha overflows c1/c0; the phase comes from arg c1 - arg c0
+    @example(parts=[(0.0, 0.0), (0.0, 1.0)], cutoff=1, alpha=2.225073858507e-311)
+    def test_coherent_columns_match_oracle(self, parts, cutoff, alpha):
+        amps = [complex(a, b) for a, b in parts]
+        assert_matches_oracle(coherent_amplitude_table(alpha, cutoff), amps)
 
 
 class TestClosedForms:
