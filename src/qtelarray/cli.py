@@ -161,6 +161,9 @@ def run_encode(config: dict):
 # ---- imaging --------------------------------------------------------------------
 
 
+# int64 maximum: multinomial and binomial counts are C longs
+SHOTS_MAX = np.iinfo(np.int64).max
+
 IMAGING_DEFAULTS = {
     "N": 4, "d": 1.0, "source": "flat", "shots": 100000,
     "sampler": "w_state", "quadratures": "auto", "seed": 0,
@@ -201,12 +204,18 @@ def run_imaging(config: dict):
         raise ConfigError(f"array span d must be positive and finite, got {d}")
     if config["shots"] < 1:
         raise ConfigError("shots must be positive")
+    if config["shots"] > SHOTS_MAX:
+        raise ConfigError(f"shots must not exceed {SHOTS_MAX}, the largest "
+                          f"count numpy's samplers take")
     if config["sampler"] not in SAMPLERS:
         raise ConfigError(f"sampler must be one of {SAMPLERS}")
     if config["quadratures"] not in QUADRATURE_MODES:
         raise ConfigError(f"quadratures must be one of {QUADRATURE_MODES}")
-    dist = _parse_source(config["source"], N, d)
-    vis = visibility_from_intensity(dist, ArrayGeometry(N, d))
+    try:
+        dist = _parse_source(config["source"], N, d)
+        vis = visibility_from_intensity(dist, ArrayGeometry(N, d))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     closed = qft_image_diagonal(vis)
     conjugated = np.diag(qft_process(vis)).real
     route_gap = float(np.max(np.abs(closed - conjugated)))

@@ -39,8 +39,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qcore import log2_ceil
-
 LAYOUTS = ("sequential", "parallel")
 
 
@@ -53,6 +51,13 @@ class EncodeError(RuntimeError):
 
 
 # ---- codebook ----------------------------------------------------------------
+
+
+def log2_ceil(n: int) -> int:
+    """Smallest b with 2**b >= n, for n >= 1."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return int(n - 1).bit_length()
 
 
 class Codebook:

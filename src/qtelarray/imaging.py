@@ -28,9 +28,8 @@ from functools import wraps
 
 import numpy as np
 
-from .qcore import qft_matrix
 from .source import VisibilityModel, native_grid
-from .util import make_rng
+from .util import make_rng, qft_matrix
 
 QUADRATURE_MODES = ("auto", "real", "both")
 SAMPLERS = ("w_state", "direct_pair")

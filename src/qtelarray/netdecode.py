@@ -36,13 +36,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import EncodeError, EncodeRun
-from .qcore import (
-    QuantumState,
-    cnot,
-    cz,
-    enumerate_measure,
-    qubit_registry,
-)
 from .util import make_rng
 
 RETRY_CAP = 64
@@ -50,67 +43,6 @@ RETRY_CAP = 64
 
 class DecodeError(RuntimeError):
     """Memory content inconsistent with the arrival protocol."""
-
-
-# ---- entangled resources -------------------------------------------------------
-
-
-def ghz_state(n: int, labels=None) -> QuantumState:
-    """(|0..0> + |1..1>)/sqrt(2) over n qubits."""
-    if n < 2:
-        raise ValueError("GHZ resource needs at least 2 qubits")
-    labels = tuple(labels) if labels else tuple(f"ghz{i}" for i in range(n))
-    vec = np.zeros(2 ** n, dtype=complex)
-    vec[0] = vec[-1] = 2 ** -0.5
-    return QuantumState.from_vector(qubit_registry(labels), vec)
-
-
-def w_state(n: int, labels=None) -> QuantumState:
-    """Uniform single-excitation state over n qubits."""
-    if n < 2:
-        raise ValueError("W resource needs at least 2 qubits")
-    labels = tuple(labels) if labels else tuple(f"w{i}" for i in range(n))
-    vec = np.zeros(2 ** n, dtype=complex)
-    for i in range(n):
-        vec[1 << (n - 1 - i)] = n ** -0.5
-    return QuantumState.from_vector(qubit_registry(labels), vec)
-
-
-def tensor_states(a: QuantumState, b: QuantumState) -> QuantumState:
-    """Product of two qubit-register states (a's modes become the slow axes)."""
-    reg = qubit_registry(a.registry.labels + b.registry.labels)
-    comps = [
-        (wa * wb, np.kron(va, vb))
-        for wa, va in a.components
-        for wb, vb in b.components
-    ]
-    return QuantumState(reg, comps)
-
-
-# ---- GHZ parity check (dense reference route) ----------------------------------
-
-
-def ghz_parity_branches(state: QuantumState, row_labels):
-    """All outcome branches of one GHZ row-parity check.
-
-    Returns [(outcomes, parity, probability, post_memory)] with outcomes the
-    X results (+1/-1) on the GHZ qubits and parity 0 for an even number of
-    minus signs (even row occupation), 1 for odd. The GHZ qubits are
-    consumed; the memory register keeps every label.
-    """
-    row_labels = tuple(row_labels)
-    n = len(row_labels)
-    ghz_labels = tuple(f"ghz{i}" for i in range(n))
-    joint = tensor_states(state, ghz_state(n, ghz_labels))
-    for mem, anc in zip(row_labels, ghz_labels):
-        joint = cz(joint, mem, anc)
-    out = []
-    for outcomes, p, post in enumerate_measure(
-        joint, ghz_labels, basis="X", remove=True
-    ):
-        parity = sum(1 for s in outcomes if s < 0) % 2
-        out.append((outcomes, parity, p, post))
-    return out
 
 
 # ---- arrival decoding on encode runs --------------------------------------------
@@ -306,38 +238,6 @@ class WReadout:
     density: np.ndarray
     attempts: int
     p_pair: float
-
-
-def excitation_density(state: QuantumState) -> np.ndarray:
-    """N x N density in the which-site basis of a single-excitation state."""
-    n = len(state.registry.labels)
-    idx = [1 << (n - 1 - i) for i in range(n)]
-    rho = np.zeros((n, n), dtype=complex)
-    mass = 0.0
-    for w, vec in state.components:
-        sub = vec[idx]
-        rho += w * np.outer(sub, np.conj(sub))
-        mass += w * float(np.vdot(sub, sub).real)
-    if abs(mass - 1.0) > 1e-10:
-        raise DecodeError(
-            f"state is not confined to single excitations (mass {mass})"
-        )
-    return rho
-
-
-def w_readout_branches(state: QuantumState):
-    """Dense reference route: all W-readout branches on a carrier state.
-
-    Returns [(w_bits, p, post_carrier)]; the all-zeros branch keeps the
-    carrier for a retry, a two-ones branch collapses it onto that site pair.
-    """
-    labels = state.registry.labels
-    n = len(labels)
-    w_labels = tuple(f"w{i}" for i in range(n))
-    joint = tensor_states(state, w_state(n, w_labels))
-    for mem, anc in zip(labels, w_labels):
-        joint = cnot(joint, mem, anc)
-    return enumerate_measure(joint, w_labels, basis="Z", remove=True)
 
 
 def w_state_readout(rho, rng, max_attempts: int = RETRY_CAP,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..util import qft_matrix  # noqa: F401 - re-exported by qtelarray.qcore
 from .registry import ModeRegistry
 from .states import QuantumState, StateError
 
@@ -25,14 +26,6 @@ CZ = np.diag([1, 1, 1, -1]).astype(complex)
 
 class MeasurementError(ValueError):
     """Invalid basis/mode combination or forced zero-probability outcome."""
-
-
-def qft_matrix(n: int) -> np.ndarray:
-    """Discrete Fourier unitary with entries omega^{jk}/sqrt(n)."""
-    if n < 1:
-        raise ValueError("qft size must be >= 1")
-    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return np.exp(2j * np.pi * j * k / n) / np.sqrt(n)
 
 
 def apply_matrix(vec, registry: ModeRegistry, matrix, labels) -> np.ndarray:

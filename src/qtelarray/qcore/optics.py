@@ -17,10 +17,6 @@ import math
 
 import numpy as np
 
-from .registry import fock
-from .states import QuantumState, StateError
-from .gates import H as HADAMARD_MATRIX
-
 LEAKAGE_DEFAULT = 1e-9
 
 
@@ -196,6 +192,7 @@ def apply_linear_optics(state, S, labels, max_leakage=LEAKAGE_DEFAULT):
     on staying below cutoff (renormalized).
     """
     from .gates import apply_matrix
+    from .states import QuantumState, StateError
 
     labels = tuple(labels)
     reg = state.registry
@@ -232,13 +229,16 @@ def beam_splitter(state, mode_a, mode_b, matrix=None, max_leakage=LEAKAGE_DEFAUL
     ``matrix`` overrides the port map (must stay unitary); the default is
     the Hadamard-type convention documented in the module docstring.
     """
+    from .gates import H
+    from .states import StateError
+
     reg = state.registry
     ma, mb = reg.mode(mode_a), reg.mode(mode_b)
     if ma.kind != "fock" or mb.kind != "fock":
         raise StateError("beam_splitter needs two fock modes")
     if ma.cutoff != mb.cutoff:
         raise StateError("beam_splitter needs equal cutoffs")
-    S = HADAMARD_MATRIX if matrix is None else np.asarray(matrix, dtype=complex)
+    S = H if matrix is None else np.asarray(matrix, dtype=complex)
     return apply_linear_optics(state, S, (mode_a, mode_b), max_leakage)
 
 
@@ -262,6 +262,8 @@ def lossy_detector(state, label, eta):
     probability eta^2.
     """
     from .gates import enumerate_measure
+    from .registry import fock
+    from .states import QuantumState, StateError
 
     reg = state.registry
     mode = reg.mode(label)

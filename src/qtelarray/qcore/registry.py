@@ -166,10 +166,3 @@ class ModeRegistry:
 def qubit_registry(labels) -> ModeRegistry:
     """Registry of qubits with the given labels."""
     return ModeRegistry(qubit(lab) for lab in labels)
-
-
-def log2_ceil(n: int) -> int:
-    """Smallest b with 2**b >= n, for n >= 1."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return int(n - 1).bit_length()

@@ -1,4 +1,4 @@
-"""Stellar-light models: geometry, intensities, visibilities, photon states.
+"""Stellar-light models: geometry, intensities and visibilities.
 
 The forward transform is g(x) = sum_j I_j exp(-2 pi i x y_j), so the
 imaging reconstruction (which uses exp(+2 pi i x_k y_j)) inverts it exactly
@@ -7,11 +7,10 @@ on the native grid y_j = (N-1) j / (N d).
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
-
-from .qcore import ModeRegistry, QuantumState, StateError, fock, qubit
 
 EPS_DEFAULT = 0.01
 EPS_WARN = 0.1
@@ -50,7 +49,9 @@ class ArrayGeometry:
     @property
     def is_uniform(self) -> bool:
         spacing = np.diff(self.positions)
-        return bool(np.allclose(spacing, spacing[0], rtol=0, atol=1e-12))
+        # positions round relative to their size, so spans far above 1 need
+        # a tolerance relative to the spacing as well
+        return bool(np.allclose(spacing, spacing[0], rtol=1e-9, atol=1e-12))
 
     def baseline(self, k: int) -> float:
         """x_k = d k / (N - 1) for uniform arrays."""
@@ -63,8 +64,17 @@ class ArrayGeometry:
 
 
 def native_grid(N: int, d: float) -> np.ndarray:
-    """Reconstruction grid y_j = (N-1) j / (N d), j = 0..N-1."""
-    return (N - 1) * np.arange(N) / (N * d)
+    """Reconstruction grid y_j = (N-1) j / (N d), j = 0..N-1.
+
+    Raises ValueError when the grid leaves the float range: an N d past it
+    collapses the grid onto 0, and a tiny d sends its last point to inf.
+    """
+    span = N * d
+    if not (0 < span < math.inf and (N - 1) / span * (N - 1) < math.inf):
+        raise ValueError(
+            f"native grid of N = {N} sites over d = {d} leaves the float range"
+        )
+    return (N - 1) * np.arange(N) / span
 
 
 class IntensityDistribution:
@@ -76,12 +86,18 @@ class IntensityDistribution:
             raise ValueError("need at least one sample")
         y = np.array([s[0] for s in samples])
         w = np.array([s[1] for s in samples])
+        if not np.all(np.isfinite(y)):
+            raise ValueError("sample positions must be finite")
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise ValueError("intensities must be finite and nonnegative")
-        total = w.sum()
+        # finite weights can still sum past the float range
+        with np.errstate(over="ignore"):
+            total = w.sum()
         if normalize:
             if total <= 0:
                 raise ValueError("cannot normalize zero intensity")
+            if total == np.inf:
+                raise ValueError("intensities sum past the float range")
             w = w / total
         elif abs(total - 1.0) > 1e-12:
             raise ValueError(f"intensities sum to {total}, not 1")
@@ -190,80 +206,3 @@ def visibility_from_intensity(
     # g(0) sums the intensities, which need not give exactly 1
     np.fill_diagonal(g, 1.0)
     return VisibilityModel(geometry, g, epsilon)
-
-
-def site_labels(N: int):
-    return tuple(f"s{i}" for i in range(N))
-
-
-def single_photon_rho(vis: VisibilityModel) -> QuantumState:
-    """Single-photon state over N site qubits: rho^(1) = g/N on {|1_i>}.
-
-    Built as the eigen-ensemble of g/N embedded in the single-excitation
-    subspace, so it scales past the dense-density limit in N.
-    """
-    N = vis.geometry.N
-    vals, vecs = np.linalg.eigh(vis.g / N)
-    if vals.min() < -1e-10:
-        raise StateError(
-            f"visibility matrix is not positive semidefinite "
-            f"(min eigenvalue {vals.min():.2e}); unphysical g"
-        )
-    reg = ModeRegistry([qubit(lab) for lab in site_labels(N)])
-    comps = []
-    for e in range(N):
-        w = float(vals[e])
-        if w <= 1e-12:
-            continue
-        v = np.zeros(reg.dim, dtype=complex)
-        for i in range(N):
-            occ = [0] * N
-            occ[i] = 1
-            v[reg.basis_index(occ)] = vecs[i, e]
-        comps.append((w, v))
-    return QuantumState(reg, comps)
-
-
-def broadband_labels():
-    return ("band1_a", "band1_b", "band2_a", "band2_b")
-
-
-def broadband_two_site_rho(eps: float, g1, g2) -> QuantumState:
-    """Two-site, two-band weak-source state over 4 single-photon Fock modes.
-
-    rho = (1 - eps) |vac><vac| + (eps/2) rho_1 + (eps/2) rho_2 with no
-    cross-band coherence; band r's single-photon block is (1/2)[[1, g_r],
-    [conj(g_r), 1]] over (site a, site b).
-    """
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
-    if eps > EPS_WARN:
-        warnings.warn(
-            f"eps={eps} strains the weak-source approximation", stacklevel=2
-        )
-    for g in (g1, g2):
-        if abs(g) > 1 + 1e-12:
-            raise ValueError("|g| must not exceed 1")
-    reg = ModeRegistry([fock(lab, 1) for lab in broadband_labels()])
-    comps = [(1.0 - eps, _basis_vec(reg, (0, 0, 0, 0)))]
-    for r, g in ((1, g1), (2, g2)):
-        block = np.array([[1.0, g], [np.conj(g), 1.0]]) / 2
-        vals, vecs = np.linalg.eigh(block)
-        offset = 0 if r == 1 else 2
-        for e in range(2):
-            w = float(vals[e])
-            if w <= 1e-12:
-                continue
-            v = np.zeros(reg.dim, dtype=complex)
-            for i in range(2):
-                occ = [0, 0, 0, 0]
-                occ[offset + i] = 1
-                v[reg.basis_index(occ)] = vecs[i, e]
-            comps.append((eps / 2 * w, v))
-    return QuantumState(reg, comps)
-
-
-def _basis_vec(reg, occ):
-    v = np.zeros(reg.dim, dtype=complex)
-    v[reg.basis_index(occ)] = 1.0
-    return v

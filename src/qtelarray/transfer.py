@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import linear_optics_matrix, qft_matrix
-from .util import make_rng
+from .qcore.optics import linear_optics_matrix
+from .util import make_rng, qft_matrix
 
 BRANCH_PRUNE = 1e-12
 RATIO_TOL = 1e-9

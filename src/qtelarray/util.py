@@ -1,4 +1,4 @@
-"""Shared helpers: seeded RNG plumbing and config parsing."""
+"""Shared helpers: seeded RNG plumbing, config parsing, the DFT unitary."""
 
 from __future__ import annotations
 
@@ -35,3 +35,11 @@ def parse_key_value(text: str) -> dict:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         out[key] = value
     return out
+
+
+def qft_matrix(n: int) -> np.ndarray:
+    """Discrete Fourier unitary with entries omega^{jk}/sqrt(n)."""
+    if n < 1:
+        raise ValueError("qft size must be >= 1")
+    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    return np.exp(2j * np.pi * j * k / n) / np.sqrt(n)

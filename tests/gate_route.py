@@ -11,7 +11,8 @@ routes component by component and decode by decode.
 import numpy as np
 
 from qtelarray.codec import EncodeError, _band_matrices
-from qtelarray.netdecode import RETRY_CAP, DecodeError, excitation_density
+from dense_route import excitation_density
+from qtelarray.netdecode import RETRY_CAP, DecodeError
 from qtelarray.qcore import QuantumState, StateError, SupportState, qubit_registry
 
 

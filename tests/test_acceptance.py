@@ -27,6 +27,7 @@ import pytest
 from scipy.stats import skellam
 
 import teleport_route
+from dense_route import w_readout_branches
 
 from qtelarray.codec import RunConfig, encode_single_photon, parallel_frequency_compress
 from qtelarray.imaging import (
@@ -36,7 +37,7 @@ from qtelarray.imaging import (
     qft_process,
     sample_qft,
 )
-from qtelarray.netdecode import decode_arrival, w_readout_branches, w_state_readout
+from qtelarray.netdecode import decode_arrival, w_state_readout
 from qtelarray.qcore import (
     ModeRegistry,
     QuantumState,

@@ -1,5 +1,7 @@
 """Tests for the command-line front end."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -174,12 +176,14 @@ class TestImagingCommand:
         assert cli.main(["imaging", "--set", "source=point:9"]) == 2
         assert cli.main(["imaging", "--set", "source=0.5,0.5,0.5"]) == 2
         assert cli.main(["imaging", "--set", "source=widefield"]) == 2
-        for bad in ("-1,1,1,1", "0,0,0,0", "nan,1,1,1", "inf,1,1,1"):
+        for bad in ("-1,1,1,1", "0,0,0,0", "nan,1,1,1", "inf,1,1,1",
+                    "1e308,1e308,0,0"):
             assert cli.main(["imaging", "--set", f"source={bad}"]) == 2, bad
 
     @pytest.mark.parametrize("bad", [
         "d=0", "d=-1", "d=nan", "d=inf", "quadratures=bogus",
-        "sampler=bogus", "seed=-1",
+        "sampler=bogus", "seed=-1", "d=1e-320", "d=1e308", "d=5e307",
+        "shots=1e300",
     ])
     def test_bad_settings_exit_2(self, bad, capsys):
         assert cli.main(["imaging", "--set", bad]) == 2
@@ -372,3 +376,75 @@ def test_cli_paths_load_no_scipy():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+IMPORT_PATH_SCRIPT = textwrap.dedent("""
+    import sys
+    import qtelarray.qcore
+    loaded = sorted(k for k in sys.modules if k.startswith("qtelarray.qcore."))
+    assert not loaded, loaded
+    from qtelarray import cli
+    # only transfer imports the engine, and only the optics module
+    engine = ["qtelarray.qcore." + m
+              for m in ("registry", "states", "gates", "support")]
+    loaded = [m for m in engine if m in sys.modules]
+    assert not loaded, loaded
+""")
+
+
+def test_cli_path_loads_no_reference_engine():
+    """Importing the CLI loads no dense engine module, and importing
+    ``qtelarray.qcore`` loads none of its modules."""
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PATH_SCRIPT], cwd=ROOT,
+        env=_env_with_src(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_only_transfer_imports_the_reference_engine():
+    found = []
+    for path in sorted((ROOT / "src" / "qtelarray").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names]
+                where = getattr(node, "module", None) or ""
+                if "qcore" in where or any("qcore" in n for n in names):
+                    found.append((path.stem, where, names))
+    assert found == [("transfer", "qcore.optics", ["linear_optics_matrix"])]
+
+
+# every name qtelarray.qcore exported before it resolved them lazily, less
+# log2_ceil, which moved to codec
+QCORE_NAMES = """
+    Mode ModeRegistry RegistryError fock qubit qubit_registry DENSE_LIMIT
+    QuantumState StateError build_state CNOT CZ H MeasurementError Z
+    apply_matrix cnot cz enumerate_measure hadamard pauli_z qft_matrix
+    TruncationLeakageError apply_linear_optics beam_splitter
+    coherent_amplitudes linear_optics_matrix loss_mixer lossy_detector
+    SupportState
+""".split()
+
+
+def test_lazy_qcore_names_are_the_module_objects():
+    from qtelarray import qcore
+
+    assert sorted(qcore.__all__) == sorted(QCORE_NAMES)
+    modules = [importlib.import_module(f"qtelarray.qcore.{m}")
+               for m in ("registry", "states", "gates", "optics", "support")]
+    for name in QCORE_NAMES:
+        homes = [vars(m)[name] for m in modules if name in vars(m)]
+        assert homes, name
+        assert all(obj is getattr(qcore, name) for obj in homes), name
+    for name in ("log2_ceil", "no_such_name"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(qcore, name)
+
+
+def test_transfer_uses_the_optics_module_function():
+    """The benchmark tracer wraps ``linear_optics_matrix`` under every alias
+    it finds; transfer's alias must be the optics function itself."""
+    from qtelarray import transfer
+    from qtelarray.qcore import optics
+
+    assert transfer.linear_optics_matrix is optics.linear_optics_matrix

@@ -20,7 +20,7 @@ from qtelarray.imaging import (
     sample_qft,
     snr_report,
 )
-from qtelarray.qcore import qft_matrix
+from qtelarray.util import qft_matrix
 from qtelarray.source import (
     ArrayGeometry,
     IntensityDistribution,

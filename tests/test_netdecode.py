@@ -6,6 +6,14 @@ import numpy as np
 import pytest
 
 import gate_route
+from dense_route import (
+    excitation_density,
+    ghz_parity_branches,
+    ghz_state,
+    tensor_states,
+    w_readout_branches,
+    w_state,
+)
 from qtelarray.codec import (
     Codebook,
     EncodeError,
@@ -22,14 +30,8 @@ from qtelarray.netdecode import (
     DecodeError,
     _pick,
     decode_arrival,
-    excitation_density,
-    ghz_parity_branches,
-    ghz_state,
     pair_correlators,
     sample_pair_products,
-    tensor_states,
-    w_readout_branches,
-    w_state,
     w_state_readout,
 )
 from qtelarray.qcore import QuantumState, cz, qubit_registry

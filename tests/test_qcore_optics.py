@@ -20,7 +20,7 @@ from qtelarray.qcore import (
     qft_matrix,
     qubit,
 )
-from qtelarray.qcore.optics import HADAMARD_MATRIX
+from qtelarray.qcore.gates import H as HADAMARD_MATRIX
 
 
 def two_mode(cutoff=4):

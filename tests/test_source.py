@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_route import broadband_two_site_rho, single_photon_rho, site_labels
 from qtelarray import source
 from qtelarray.qcore import StateError
 from qtelarray.source import (
     ArrayGeometry,
     IntensityDistribution,
     VisibilityModel,
-    broadband_two_site_rho,
     native_grid,
-    single_photon_rho,
-    site_labels,
     visibility_from_intensity,
     visibility_function,
 )
@@ -24,6 +22,8 @@ def test_geometry_uniform_positions():
     np.testing.assert_allclose(geom.positions, [0, 1, 2, 3])
     assert geom.is_uniform
     assert geom.baseline(2) == pytest.approx(2.0)
+    # rounding grows with the span; a wide uniform array stays uniform
+    assert ArrayGeometry(N=4, d=1e5).is_uniform
 
 
 def test_geometry_validation():
@@ -52,6 +52,18 @@ def test_intensity_normalization_rules():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
             IntensityDistribution([(0.0, bad), (1.0, 1.0)], normalize=True)
+        with pytest.raises(ValueError, match="positions must be finite"):
+            IntensityDistribution([(bad, 1.0)])
+    # finite weights whose total overflows are rejected, never rescaled
+    with pytest.raises(ValueError, match="float range"):
+        IntensityDistribution([(0.0, 1e308), (1.0, 1e308), (2.0, 0.0)],
+                              normalize=True)
+
+
+@pytest.mark.parametrize("N, d", [(4, 1e-320), (4, 5e307), (4, 0.0)])
+def test_native_grid_rejects_a_grid_outside_the_float_range(N, d):
+    with pytest.raises(ValueError, match="native grid"):
+        native_grid(N, d)
 
 
 def test_point_source_visibility_all_ones():

@@ -7,14 +7,16 @@ Usage, from the repository root::
 It runs every command line keyed in ``perfbench/golden.json`` through
 ``cli.main`` and every ``demos/*.py`` in-process, and with ``--tests`` also
 pytest over ``tests/`` without ``tests/test_qcore_*``, recording function
-entries with ``sys.setprofile`` and ``threading.setprofile``. It prints each
-function never entered with its line count (a def nested in one of them is
-not counted again), then the totals per module and overall.
+entries with ``sys.setprofile`` and ``threading.setprofile`` from before the
+package is imported, so decorators and other import-time calls count. It
+prints each function never entered with its line count (a def nested in one
+of them is not counted again), then the totals per module and overall.
 """
 
 import ast
 import collections
 import contextlib
+import importlib.util
 import io
 import json
 import runpy
@@ -22,11 +24,11 @@ import sys
 import threading
 from pathlib import Path
 
-import qtelarray
-from qtelarray import cli
-
 ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = Path(qtelarray.__file__).resolve().parent
+# located without importing it: the import runs under the profiler
+PACKAGE = Path(
+    importlib.util.find_spec("qtelarray").submodule_search_locations[0]
+).resolve()
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -49,6 +51,8 @@ def main(argv):
 
     threading.setprofile(profile)
     sys.setprofile(profile)
+    from qtelarray import cli
+
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         for key in json.loads((ROOT / "perfbench" / "golden.json").read_text()):
             cli.main(key.split())
