@@ -126,17 +126,29 @@ def resolve_config(defaults: dict, path, sets) -> dict:
 
 
 ENCODE_DEFAULTS = dataclasses.asdict(RunConfig())
+# one report row per codeword: a 2**20-row report is tens of MiB
+ENCODE_ROUNDTRIPS_MAX = 2 ** 20
 
 
 def run_encode(config: dict):
     run_config = RunConfig(**config)
+    M, R = run_config.M, run_config.R
+    if M * R > ENCODE_ROUNDTRIPS_MAX:
+        raise ConfigError(
+            f"M * R = {M} * {R} round trips exceeds ENCODE_ROUNDTRIPS_MAX "
+            f"= {ENCODE_ROUNDTRIPS_MAX}"
+        )
     rows = []
     ok = True
     checks_seen = set()
     ledger = None
-    for m in range(1, run_config.M + 1):
-        for r in range(1, run_config.R + 1):
-            run = encode_single_photon(run_config, m, r)
+    for m in range(1, M + 1):
+        for r in range(1, R + 1):
+            try:
+                run = encode_single_photon(run_config, m, r)
+            except ValueError as exc:
+                # numpy's size errors: N past the largest array numpy takes
+                raise ConfigError(f"N = {run_config.N}: {exc}") from None
             if run_config.layout == "parallel":
                 run = parallel_frequency_compress(run)
             result = decode_arrival(run)

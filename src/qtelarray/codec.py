@@ -33,7 +33,7 @@ on as the reference in the tests, on :class:`~qtelarray.qcore.SupportState`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -94,11 +94,16 @@ class Codebook:
         """Inverse map; all-zeros -> (0, None); malformed words raise."""
         if len(word) != self.length or set(word) - {"0", "1"}:
             raise ConfigError(f"malformed codeword {word!r}")
-        if word == self.vacuum:
+        return self.decode_value(int(word, 2))
+
+    def decode_value(self, value: int):
+        """:meth:`decode` of the well-formed codeword with this binary value."""
+        if value == 0:
             return (0, None)
-        m = int(word[: self.t_bits], 2)
-        r = (int(word[self.t_bits:], 2) + 1) if self.f_bits else 1
+        m = value >> self.f_bits
+        r = (value & (1 << self.f_bits) - 1) + 1
         if not 1 <= m <= self.M or r > self.R:
+            word = format(value, f"0{self.length}b")
             raise ConfigError(f"codeword {word!r} decodes outside the codebook")
         return (m, r)
 
@@ -232,19 +237,22 @@ class MemoryLayout:
             self._row_labels[q] = labels
         return labels
 
-    def write_pattern(self, m: int, r: int):
-        """(rows, bits) a photon at (m, r) imposes on the register it lands in.
+    def write_mask(self, m: int, r: int) -> int:
+        """Register pattern a photon at (m, r) writes at the site holding it.
 
-        The rows cover the entire written register (zeros included), so
-        the pattern doubles as the phase-correction projector.
+        Sequential: the codeword, its first bit on row 0. Parallel: binary(m)
+        on band r's time rows, MSB first, plus band r's flag. Time bin and
+        band are range checked in both layouts.
         """
+        book = self.book
+        if not 1 <= m <= book.M:
+            raise ConfigError(f"time bin {m} outside 1..{book.M}")
+        if not 1 <= r <= book.R:
+            raise ConfigError(f"band {r} outside 1..{book.R}")
         if self.config.layout == "sequential":
-            word = self.book.codeword(m, r)
-            return self.code_rows(), tuple(int(b) for b in word)
-        tword = format(m, f"0{self.book.t_bits}b")
-        rows = self.time_rows(r) + (self.flag_row(r),)
-        bits = tuple(int(b) for b in tword) + (1,)
-        return rows, bits
+            return _reversed_bits(m << book.f_bits | r - 1, book.length)
+        t = book.t_bits
+        return _reversed_bits(m, t) << (r - 1) * t | 1 << self.flag_row(r)
 
     def band_code(self, r: int) -> str:
         """Compressed-register pattern for band r (vacuum stays zero)."""
@@ -271,6 +279,15 @@ def _mask(rows, bits) -> int:
     return sum(1 << q for q, b in zip(rows, bits) if int(b))
 
 
+def _reversed_bits(value: int, width: int) -> int:
+    """The low ``width`` bits of value in reverse order."""
+    out = 0
+    for _ in range(width):
+        out = out << 1 | value & 1
+        value >>= 1
+    return out
+
+
 # ---- encode run -----------------------------------------------------------------
 
 
@@ -291,7 +308,9 @@ class EncodeRun:
 
     components: list of (weight, SiteState, meta) with meta recording the
     ground-truth arrival for verification ({"m": 0} marks the vacuum branch).
-    Weights sum to one.
+    Weights sum to one. ``_index`` holds the decoder's pattern classes of
+    the components, built on first decode and shared by every replay; any
+    other new run, ``dataclasses.replace`` included, starts a fresh one.
     """
 
     config: RunConfig
@@ -300,6 +319,8 @@ class EncodeRun:
     components: list
     compressed: bool = False
     decoded: bool = False
+    _index: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def book(self) -> Codebook:
@@ -312,10 +333,11 @@ class EncodeRun:
         """Fresh decodable handle on the same prepared mixture.
 
         Components are never modified in place (every step builds new
-        SiteStates), so repeated decodes of one preparation can share them;
-        the ledger is copied so each handle accounts its own consumption.
+        SiteStates), so repeated decodes of one preparation can share them
+        and their pattern-class index; the ledger is copied so each handle
+        accounts its own consumption.
         """
-        return EncodeRun(
+        run = EncodeRun(
             config=self.config,
             layout=self.layout,
             ledger=self.ledger.copy(),
@@ -323,6 +345,8 @@ class EncodeRun:
             compressed=self.compressed,
             decoded=False,
         )
+        run._index = self._index
+        return run
 
 
 @lru_cache(maxsize=16)
@@ -358,7 +382,9 @@ def _photon_amps(amps, N: int) -> np.ndarray:
         )
     if not np.isfinite(amps).all():
         raise EncodeError("photon amplitudes must be finite")
-    norm = np.linalg.norm(amps)
+    # np.linalg.norm of a 1-D complex vector, without its argument handling
+    re, im = amps.real, amps.imag
+    norm = np.sqrt(re.dot(re) + im.dot(im))
     if norm == 0:
         raise EncodeError("photon amplitudes are all zero")
     return amps / norm
@@ -381,9 +407,8 @@ def encode_bin(run: EncodeRun, m: int, photon=None) -> EncodeRun:
     if photon is None:
         return run
     r, amps = photon
-    run.book.codeword(m, r)  # range check
     written = SiteState(
-        _photon_amps(amps, run.config.N), _mask(*run.layout.write_pattern(m, r))
+        _photon_amps(amps, run.config.N), run.layout.write_mask(m, r)
     )
     out = []
     for w, _, meta in run.components:
@@ -452,7 +477,7 @@ def encode_run_full(config: RunConfig, band_g=None) -> EncodeRun:
         for m in range(1, M + 1):
             p_bin = eps * (1 - eps) ** (m - 1)
             for r in range(1, R + 1):
-                pattern = _mask(*run.layout.write_pattern(m, r))
+                pattern = run.layout.write_mask(m, r)
                 for lam, u in eigs[r - 1]:
                     comps.append(
                         (p_bin / R * lam, SiteState(u, pattern), {"m": m, "r": r})

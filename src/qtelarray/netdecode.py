@@ -14,6 +14,17 @@ pattern, and an X outcome of -1 on site i only flips the sign of a_i, so the
 fold is one +-1 vector per row. The carrier is returned as its N x N
 which-site density.
 
+Parity checks have no back-action within a pattern class (the components
+whose patterns agree on the rows read), so the joint record of a row group
+is drawn up front. A run's first decode builds its class index: each
+component's class over the lead rows (codeword rows, or the compressed band
+rows of the parallel layout), with each class's members, summed weight and
+the CDF the pick draws from; a parallel band's classes over its time rows
+are built on that band's first use. The index lives on the run and
+:meth:`~qtelarray.codec.EncodeRun.replay` hands it to every replay, so a
+replayed decode only draws, gathers the picked class and builds its
+density. Densities are never cached.
+
 A decode makes a fixed number of rng draws, whatever the codeword: one
 uniform picks the joint parity pattern of a row group, one
 ``integers(0, 2, size=(rows, N))`` block gives that group's GHZ outcomes,
@@ -21,6 +32,9 @@ and one ``random((rows, N))`` block gives every fold sign. Both blocks fill
 row-major, one generator output per entry, so they consume the same stream
 as one draw per row (or per qubit) would: a range-2 integer takes one
 32-bit output and is never rejected, and the doubles come in the same order.
+The pick uses ``rng.choice``'s CDF and uniform, so it lands on the same
+class and leaves the same generator state; with no rng given the generator
+is ``default_rng(seed + 2)``.
 
 Readout entangles the carrier with a fresh W state by a CNOT per site and
 Z-measures the W qubits: the all-zeros outcome (probability exactly 1/N)
@@ -31,11 +45,13 @@ giving interferometric access to one baseline per shot.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .codec import EncodeError, EncodeRun
+from .codec import ConfigError, EncodeError, EncodeRun
 from .util import make_rng
 
 RETRY_CAP = 64
@@ -72,52 +88,139 @@ class DecodeResult:
 def _ghz_outcomes(pattern, n: int, rng) -> list:
     """Uniform X-outcome patterns, one per row, with the row's bit as parity.
 
-    Row k of one (rows, n) draw gets its last bit flipped when its
-    minus-sign parity differs from ``pattern[k]``.
+    Row k of one (rows, n) draw gets its last sign flipped when its count
+    of minus signs has a parity other than ``pattern[k]``.
     """
     bits = rng.integers(0, 2, size=(len(pattern), n))
-    bits[:, -1] ^= np.bitwise_xor.reduce(bits, axis=1) ^ pattern
-    return [tuple(row) for row in (1 - 2 * bits).tolist()]
+    rows = (1 - 2 * bits).tolist()
+    for bit, row, minus in zip(pattern, rows, bits.sum(axis=1).tolist()):
+        if minus & 1 != bit:
+            row[-1] = -row[-1]
+    return list(map(tuple, rows))
 
 
-def _pick(weights: np.ndarray, rng) -> int:
-    """Index drawn as ``rng.choice(weights.size, p=weights / weights.sum())``.
+def _cdf(weights):
+    """The normalized CDF and the total that ``rng.choice`` builds from weights.
+
+    Below eight weights numpy's sum is a left fold, so a Python fold gives
+    the same bits; from eight on numpy's pairwise sum is kept.
+    """
+    small = len(weights) < 8
+    if small:
+        total = 0.0
+        for w in weights:
+            total += w
+        low = min(weights)
+    else:
+        weights = np.asarray(weights)
+        total, low = weights.sum(), weights.min()
+    # a NaN or infinite weight makes the total NaN or infinite
+    if not (0 < total < np.inf and low >= 0):
+        raise DecodeError("outcome weights must be finite, nonnegative and "
+                          "not all zero")
+    if not small:
+        cdf = (weights / total).cumsum()
+        cdf /= cdf[-1]
+        return cdf, total
+    cdf, acc = [], 0.0
+    for w in weights:
+        acc += w / total
+        cdf.append(acc)
+    return [c / acc for c in cdf], total
+
+
+def _pick(weights, rng) -> int:
+    """Index drawn as ``rng.choice(len(weights), p=weights / sum(weights))``.
 
     The same p, CDF and uniform as choice, so the same index and the same
     rng state, without choice's per-call argument handling.
     """
-    total = weights.sum()
-    # a NaN or infinite weight makes the total NaN or infinite
-    if not (0 < total < np.inf and weights.min() >= 0):
-        raise DecodeError("outcome weights must be finite, nonnegative and "
-                          "not all zero")
-    cdf = (weights / total).cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return bisect_right(_cdf(weights)[0], rng.random())
 
 
-def _sample_pattern(comps, rows, rng):
-    """Sample a joint parity pattern over rows from a weighted mixture.
+class _Classes:
+    """Pattern classes over some rows of a weighted list of components.
 
-    comps is a list of (weight, SiteState); a row check reads the row's bit
-    of each component's register pattern. Returns the drawn pattern, its
-    probability, and the matching components renormalized to unit weight.
-    Parity checks have no back-action within a pattern class, so sampling
-    the joint record up front is exact.
+    Input j is component ``source[j]``, with register pattern ``pats[j]``
+    and weight ``ws[j]``. Class k holds the inputs ``members[k]``, in input
+    order, whose bits on the rows read ``patterns[k]`` (rows[0] first), the
+    binary number ``values[k]``. Classes are sorted by value, which is the
+    order of the bit tuples, and ``weights[k]`` is the Python sum of the
+    class's weights. ``cdf`` and ``total`` are what :func:`_pick` draws
+    from; ``sub`` keeps, per class, the classes of its members over the
+    next rows.
     """
-    pats = [tuple((st.pattern >> q) & 1 for q in rows) for _, st in comps]
-    groups: dict[tuple, list[int]] = {}
-    for idx, pat in enumerate(pats):
-        groups.setdefault(pat, []).append(idx)
-    keys = sorted(groups)
-    weights = np.array([sum(comps[i][0] for i in groups[k]) for k in keys])
-    total = weights.sum()
-    pick = _pick(weights, rng)
-    pattern = keys[pick]
-    survivors = [
-        (comps[i][0] / weights[pick], comps[i][1]) for i in groups[pattern]
-    ]
-    return pattern, float(weights[pick] / total), survivors
+
+    __slots__ = ("source", "pats", "ws", "values", "patterns", "members",
+                 "weights", "cdf", "total", "sub")
+
+    def __init__(self, source, pats, ws, rows):
+        value_of: dict[int, int] = {}
+        bits_of: dict[int, tuple] = {}
+        groups: dict[int, list[int]] = {}
+        for j, pat in enumerate(pats):
+            value = value_of.get(pat)
+            if value is None:
+                bits = tuple(pat >> q & 1 for q in rows)
+                value = 0
+                for b in bits:
+                    value = value << 1 | b
+                value_of[pat], bits_of[value] = value, bits
+            groups.setdefault(value, []).append(j)
+        self.source, self.pats, self.ws = source, pats, ws
+        self.values = sorted(groups)
+        self.patterns = [bits_of[v] for v in self.values]
+        self.members = [groups[v] for v in self.values]
+        self.weights = [sum(map(ws.__getitem__, g)) for g in self.members]
+        self.cdf, self.total = _cdf(self.weights)
+        self.sub: dict[int, _Classes] = {}
+
+    def draw(self, rng):
+        """Index and probability of a class drawn as :func:`_pick` does."""
+        k = bisect_right(self.cdf, rng.random())
+        return k, float(self.weights[k] / self.total)
+
+    def subclasses(self, k: int, rows) -> "_Classes":
+        """Classes of class k's members over further rows, built on first use.
+
+        The member weights are renormalized by the class weight first.
+        """
+        sub = self.sub.get(k)
+        if sub is None:
+            total = self.weights[k]
+            group = self.members[k]
+            sub = _Classes([self.source[j] for j in group],
+                           [self.pats[j] for j in group],
+                           [self.ws[j] / total for j in group], rows)
+            self.sub[k] = sub
+        return sub
+
+    def survivors(self, k: int, comps) -> list:
+        """Class k's components, their weights renormalized to sum to one."""
+        total = self.weights[k]
+        return [(self.ws[j] / total, comps[self.source[j]][1])
+                for j in self.members[k]]
+
+
+def _class_index(run: EncodeRun, rows) -> _Classes:
+    """The run's pattern classes over ``rows``, shared by its replays."""
+    index = run._index.get(rows)
+    if index is None:
+        comps = run.components
+        index = _Classes(range(len(comps)), [st.pattern for _, st, _ in comps],
+                         [w for w, _, _ in comps], rows)
+        run._index[rows] = index
+    return index
+
+
+@lru_cache(maxsize=16)
+def _seed_sequence(entropy: int) -> np.random.SeedSequence:
+    """Seed sequence of a default decode generator.
+
+    Only :func:`decode_arrival`'s own generators use it, and they never
+    leave it, so nothing can spawn from (and so change) a cached sequence.
+    """
+    return np.random.SeedSequence(entropy)
 
 
 def _carrier_density(survivors, carrier: int, folded: int) -> np.ndarray:
@@ -150,8 +253,11 @@ def decode_arrival(run: EncodeRun, rng=None) -> DecodeResult:
         raise EncodeError("run already decoded")
     if run.config.layout == "parallel" and not run.compressed:
         raise EncodeError("compress the parallel flags before decoding")
-    rng = make_rng(run.config.seed + 2) if rng is None else make_rng(rng)
     cfg, layout, book = run.config, run.layout, run.book
+    if rng is None:
+        rng = np.random.Generator(np.random.PCG64(_seed_sequence(cfg.seed + 2)))
+    else:
+        rng = make_rng(rng)
     N = cfg.N
 
     if cfg.layout == "sequential":
@@ -159,34 +265,34 @@ def decode_arrival(run: EncodeRun, rng=None) -> DecodeResult:
     else:
         lead_rows = layout.comp_rows()
 
-    comps = [(w, st) for w, st, _ in run.components]
-    lead_pattern, record_p, survivors = _sample_pattern(comps, lead_rows, rng)
+    classes = _class_index(run, lead_rows)
+    k, record_p = classes.draw(rng)
+    lead_pattern = classes.patterns[k]
     ghz_outcomes = _ghz_outcomes(lead_pattern, N, rng)
     checks = len(lead_rows)
     one_rows = [q for q, b in zip(lead_rows, lead_pattern) if b]
 
     if cfg.layout == "sequential":
-        word = "".join(str(b) for b in lead_pattern)
         try:
-            m, r = book.decode(word)
-        except Exception as exc:
+            m, r = book.decode_value(classes.values[k])
+        except ConfigError as exc:
+            word = "".join(map(str, lead_pattern))
             raise DecodeError(f"memory row pattern {word!r}: {exc}") from None
     else:
-        r_val = int("".join(str(b) for b in lead_pattern), 2)
-        if r_val > cfg.R:
-            raise DecodeError(f"compressed register holds band {r_val}")
-        if r_val == 0:
+        r = classes.values[k]
+        if r > cfg.R:
+            raise DecodeError(f"compressed register holds band {r}")
+        if r == 0:
             m, r = 0, None
         else:
-            r = r_val
             time_rows = layout.time_rows(r)
-            time_pattern, p_time, survivors = _sample_pattern(
-                survivors, time_rows, rng
-            )
+            classes = classes.subclasses(k, time_rows)
+            k, p_time = classes.draw(rng)
+            time_pattern = classes.patterns[k]
             record_p *= p_time
             ghz_outcomes += _ghz_outcomes(time_pattern, N, rng)
             checks += len(time_rows)
-            m = int("".join(str(b) for b in time_pattern), 2)
+            m = classes.values[k]
             if not 1 <= m <= cfg.M:
                 raise DecodeError(f"time rows decode to bin {m}")
             # carrier preference: time rows first, then compressed rows
@@ -215,6 +321,7 @@ def decode_arrival(run: EncodeRun, rng=None) -> DecodeResult:
         for q, row in zip(extra, fold.tolist())
         for pair in zip(layout.row_labels(q), row)
     ]
+    survivors = classes.survivors(k, run.components)
     state = _carrier_density(survivors, carrier, folded)
     return DecodeResult(
         m=m, r=r, probability=record_p, checks=checks,

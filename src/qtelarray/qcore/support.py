@@ -33,6 +33,11 @@ class SupportState:
         self.labels = tuple(labels)
         if len(set(self.labels)) != len(self.labels):
             raise StateError("duplicate qubit labels")
+        if normalize:
+            # before the floor, which would otherwise empty a tiny state
+            norm = np.sqrt(sum(abs(complex(a)) ** 2 for a in amps.values()))
+            if norm > 0:
+                amps = {m: complex(a) / norm for m, a in amps.items()}
         clean = {}
         for mask, a in amps.items():
             a = complex(a)
@@ -40,9 +45,6 @@ class SupportState:
                 clean[int(mask)] = a
         if not clean:
             raise StateError("empty support")
-        if normalize:
-            norm = np.sqrt(sum(abs(a) ** 2 for a in clean.values()))
-            clean = {m: a / norm for m, a in clean.items()}
         self.amps = clean
         self._pos = {lab: i for i, lab in enumerate(self.labels)}
 

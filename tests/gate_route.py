@@ -87,6 +87,21 @@ def measure_and_correct(work, label, labels, bits, rng, verify):
     return corrected[int(pick)]
 
 
+def write_pattern(layout, m, r):
+    """(rows, bits) a photon at (m, r) imposes on the register it lands in.
+
+    The rows cover the entire written register (zeros included), so the
+    pattern doubles as the phase-correction projector.
+    """
+    if layout.config.layout == "sequential":
+        word = layout.book.codeword(m, r)
+        return layout.code_rows(), tuple(int(b) for b in word)
+    tword = format(m, f"0{layout.book.t_bits}b")
+    rows = layout.time_rows(r) + (layout.flag_row(r),)
+    bits = tuple(int(b) for b in tword) + (1,)
+    return rows, bits
+
+
 def write_photon(layout, m, r, amps, rng=None, verify=False) -> SupportState:
     """One-bit-teleportation write of a spatial single photon into blank memories."""
     N = layout.config.N
@@ -97,7 +112,7 @@ def write_photon(layout, m, r, amps, rng=None, verify=False) -> SupportState:
         normalize=True,
     )
     work = SupportState.zeros(gate_labels(layout)).tensor(photon)
-    rows, bits = layout.write_pattern(m, r)
+    rows, bits = write_pattern(layout, m, r)
     for i in range(N):
         site = layout.site_labels(i)
         for q, b in zip(rows, bits):

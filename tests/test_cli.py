@@ -127,6 +127,28 @@ class TestEncodeCommand:
         assert code == 0
         assert b"memory_qubits_per_site: 27" in body
 
+    @pytest.mark.parametrize("settings, message", [
+        (["N=1e300"], "N = 10"),
+        (["N=1e20"], "N = 100000000000000000000: "),
+        (["M=1e300"], "ENCODE_ROUNDTRIPS_MAX = 1048576"),
+        (["R=1e18"], "M * R = 5 * 1000000000000000000 round trips exceeds "),
+        (["M=100000", "R=100000"], "M * R = 100000 * 100000 round trips"),
+    ])
+    def test_oversized_settings_exit_2(self, settings, message, capsys):
+        argv = ["encode"]
+        for setting in settings:
+            argv += ["--set", setting]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qtelarray encode: ") and message in err
+
+    def test_roundtrip_limit_is_checked_before_the_loop(self, monkeypatch,
+                                                         capsys):
+        monkeypatch.setattr(cli, "ENCODE_ROUNDTRIPS_MAX", 6)
+        assert cli.main(["encode", "--set", "M=3", "--set", "R=2"]) == 0
+        assert cli.main(["encode", "--set", "M=7", "--set", "R=1"]) == 2
+        assert "M * R = 7 * 1 round trips exceeds" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         argv = ["encode", "--set", "M=4", "--set", "seed=7"]
         _, first = run_to_file(tmp_path, argv, "a.txt")

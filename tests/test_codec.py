@@ -10,10 +10,12 @@ from qtelarray.codec import (
     Codebook,
     ConfigError,
     EncodeError,
+    EncodeRun,
     MemoryLayout,
     ResourceLedger,
     RunConfig,
     _layout,
+    _photon_amps,
     encode_bin,
     encode_run_full,
     encode_single_photon,
@@ -90,6 +92,20 @@ class TestCodebook:
         with pytest.raises(ConfigError):
             book.decode("1100")
 
+    @pytest.mark.parametrize("M, R", [(5, 2), (5, 1), (16, 4), (7, 5)])
+    def test_decode_value_matches_decode(self, M, R):
+        book = Codebook(M=M, R=R)
+        for value in range(2 ** book.length):
+            word = format(value, f"0{book.length}b")
+            try:
+                want = book.decode(word)
+            except ConfigError as exc:
+                with pytest.raises(ConfigError) as got:
+                    book.decode_value(value)
+                assert str(got.value) == str(exc)
+            else:
+                assert book.decode_value(value) == want
+
 
 class TestRunConfig:
     def test_defaults_and_validation(self):
@@ -127,7 +143,7 @@ class TestMemoryLayout:
     def test_sequential_footprint(self):
         layout = MemoryLayout(RunConfig(M=5, R=2, layout="sequential"))
         assert layout.qubits_per_site == 4
-        rows, bits = layout.write_pattern(5, 2)
+        rows, bits = gate_route.write_pattern(layout, 5, 2)
         labels = tuple(layout.site_labels(0)[q] for q in rows)
         assert labels == ("s0_c0", "s0_c1", "s0_c2", "s0_c3")
         assert bits == (1, 0, 1, 1)
@@ -138,7 +154,7 @@ class TestMemoryLayout:
         # 4 time registers of 5, 4 flags, 3 compressed
         assert layout.qubits_per_site == 27
         assert len(layout.site_labels(1)) == 27
-        rows, bits = layout.write_pattern(3, 2)
+        rows, bits = gate_route.write_pattern(layout, 3, 2)
         labels = tuple(layout.site_labels(1)[q] for q in rows)
         assert labels == ("s1_r2_t0", "s1_r2_t1", "s1_r2_t2", "s1_r2_t3",
                           "s1_r2_t4", "s1_f2")
@@ -186,6 +202,24 @@ class TestMemoryLayout:
             assert shared.compress_folds is folds
             assert folds == fresh.compress_folds
 
+    @pytest.mark.parametrize("layout", ["sequential", "parallel"])
+    @pytest.mark.parametrize("M, R", [(5, 2), (3, 1), (16, 4), (127, 2), (64, 8)])
+    def test_write_mask_sets_the_written_bits(self, layout, M, R):
+        lay = MemoryLayout(RunConfig(M=M, R=R, layout=layout))
+        for m in range(1, M + 1):
+            for r in range(1, R + 1):
+                want = pattern_of(*gate_route.write_pattern(lay, m, r))
+                assert lay.write_mask(m, r) == want
+
+    @pytest.mark.parametrize("layout", ["sequential", "parallel"])
+    @pytest.mark.parametrize("m, r", [(0, 1), (6, 1), (-1, 1), (1, 0), (1, 3)])
+    def test_write_mask_range_checks(self, layout, m, r):
+        lay = MemoryLayout(RunConfig(M=5, R=2, layout=layout))
+        with pytest.raises(ConfigError, match="outside 1.."):
+            lay.write_mask(m, r)
+        with pytest.raises(ConfigError, match="outside 1.."):
+            encode_bin(new_run(lay.config), m, (r, [1, 1]))
+
     def test_new_run_ledger(self):
         run = new_run(RunConfig(M=5, R=2, N=3))
         assert run.ledger.memory_qubits_per_site == 4
@@ -194,6 +228,36 @@ class TestMemoryLayout:
 
 
 class TestEncodeBin:
+    def test_photon_norm_is_numpys(self):
+        rng = np.random.default_rng(12)
+        for n in (2, 3, 8, 64, 1000):
+            for scale in (1e-150, 1.0, 1e150):
+                a = (rng.normal(size=n) + 1j * rng.normal(size=n)) * scale
+                want = a / np.linalg.norm(a)
+                assert _photon_amps(a, n).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("layout", ["sequential", "parallel"])
+    def test_each_step_returns_a_fresh_class_index(self, layout):
+        cfg = RunConfig(M=5, R=2, N=2, layout=layout)
+        blank = new_run(cfg)
+        run = encode_bin(blank, 3, (2, [1, 1j]))
+        assert run._index == {} and run._index is not blank._index
+        if layout == "parallel":
+            packed = parallel_frequency_compress(run)
+            assert packed._index == {} and packed._index is not run._index
+            run = packed
+        replay = run.replay()
+        assert replay._index is run._index
+        decode_arrival(replay)
+        assert run._index
+        # a run with other components never inherits an index
+        assert replace(run, components=list(run.components))._index == {}
+        # private: out of the repr and of equality
+        assert "_index" not in repr(run)
+        same = EncodeRun(config=run.config, layout=run.layout, ledger=run.ledger,
+                         components=run.components, compressed=run.compressed)
+        assert same == run
+
     def test_single_photon_writes_codeword_superposition(self):
         cfg = RunConfig(M=5, R=2, N=2, layout="sequential", seed=3)
         run = encode_single_photon(cfg, m=5, r=2)
@@ -384,7 +448,7 @@ class TestParallelCompress:
                 assert state.pattern == 0
                 continue
             m, r = meta["m"], meta["r"]
-            rows, bits = layout.write_pattern(m, r)
+            rows, bits = gate_route.write_pattern(layout, m, r)
             want = pattern_of(rows[:-1], bits[:-1])
             want |= pattern_of(layout.comp_rows(), layout.band_code(r))
             assert state.pattern == want  # flag cleared, band code set

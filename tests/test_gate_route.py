@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import gate_route
 from qtelarray.codec import (
     Codebook,
+    EncodeError,
     MemoryLayout,
     RunConfig,
     encode_run_full,
@@ -29,8 +30,10 @@ BIT_GENERATORS = [
 def _amps(draw, N):
     parts = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
     amps = np.array([complex(draw(parts), draw(parts)) for _ in range(N)])
-    # keep a site well away from zero so normalization is tame
-    amps[draw(st.integers(0, N - 1))] += 1.0
+    # keep a site well away from zero so normalization is tame: pushing its
+    # real part away from zero gives it a modulus of at least 1
+    i = draw(st.integers(0, N - 1))
+    amps[i] += np.copysign(1.0, amps[i].real)
     return amps
 
 
@@ -81,6 +84,33 @@ def test_single_photon_matches_gate_route(case):
     want = gate_route.w_readout(res.state, rng_b)
     assert (got.pair, got.attempts) == want
     assert rng_a.random() == rng_b.random()
+
+
+@pytest.mark.parametrize("layout", ["sequential", "parallel"])
+def test_all_zero_photon_raises(layout):
+    cfg = RunConfig(M=5, R=2, N=2, layout=layout)
+    with pytest.raises(EncodeError, match="all zero"):
+        encode_single_photon(cfg, 3, 2, amps=[0, 0])
+
+
+@pytest.mark.parametrize("layout", ["sequential", "parallel"])
+def test_tiny_photon_is_normalized_on_both_routes(layout):
+    # below the oracle's amplitude floor until it is normalized
+    amps = np.array([0, 1.37476369e-130j])
+    cfg = RunConfig(M=5, R=2, N=2, layout=layout)
+    run, gate = _both_routes(cfg, 3, 2, amps, verify=True)
+    np.testing.assert_array_equal(run.components[0][1].amps, [0, 1j])
+    res = decode_arrival(run, rng=np.random.default_rng(3))
+    ref = gate_route.decode(run.layout, gate, np.random.default_rng(3))
+    gate_route.assert_decodes_agree(res, ref)
+    np.testing.assert_array_equal(res.state, [[0, 0], [0, 1]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(photons())
+def test_strategy_keeps_a_site_of_modulus_one(case):
+    _, _, _, amps, _, _ = case
+    assert np.abs(amps).max() >= 1.0
 
 
 def _coherence_matrix(rng, N):

@@ -4,6 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import gate_route
 from dense_route import (
@@ -28,7 +29,9 @@ from qtelarray.codec import (
 from qtelarray.netdecode import (
     RETRY_CAP,
     DecodeError,
+    _cdf,
     _pick,
+    _seed_sequence,
     decode_arrival,
     pair_correlators,
     sample_pair_products,
@@ -567,6 +570,137 @@ class TestPick:
         weights = np.array([1.2384846058320969, 0.1, 0.2])
         want = np.random.default_rng(5).choice(3, p=weights / weights.sum())
         assert _pick(weights, np.random.default_rng(5)) == want == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 1e6), min_size=1, max_size=64)
+        | st.lists(st.sampled_from([0.0, 1e-300, 0.1, 1.0, 3.0]),
+                   min_size=1, max_size=64),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_python_floats_match_numpy(self, weights, seed):
+        # the class index keeps its weights as a list of Python floats
+        w = np.array(weights)
+        total = w.sum()
+        assume(total > 0)
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = want_rng.choice(w.size, p=w / total)
+        assert _pick(weights, got_rng) == want
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        cdf, got_total = _cdf(weights)
+        assert got_total == total
+        assert weights[want] / got_total == w[want] / total
+        want_cdf = (w / total).cumsum()
+        want_cdf /= want_cdf[-1]
+        assert list(cdf) == want_cdf.tolist()
+
+    def test_one_weight_draws_one_uniform(self):
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        assert _pick([0.25], rng) == 0
+        ref.random()
+        assert rng.bit_generator.state == ref.bit_generator.state
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(DecodeError, match="finite, nonnegative"):
+                _pick([bad], rng)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _full_rank_mixture(layout, N):
+    """Full mixture over a random, a uniform and an identity coherence band."""
+    rng = np.random.default_rng(90 + N)
+    vecs = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    g = vecs @ vecs.conj().T
+    d = np.sqrt(np.diag(g).real)
+    g = g / np.outer(d, d)
+    g[np.diag_indices(N)] = 1.0
+    cfg = RunConfig(M=4, R=3, N=N, eps=0.35, layout=layout, seed=N)
+    run = encode_run_full(cfg, band_g=[(g + g.conj().T) / 2, 0.4, 0.0])
+    return parallel_frequency_compress(run) if layout == "parallel" else run
+
+
+def _assert_same_decode(got, want, got_run, want_run):
+    """Bit-for-bit equal decodes, ledgers included."""
+    assert (got.m, got.r, got.checks, got.carrier_labels) == (
+        want.m, want.r, want.checks, want.carrier_labels)
+    assert got.probability == want.probability
+    assert got.record == want.record
+    if want.state is None:
+        assert got.state is None
+    else:
+        assert got.state.tobytes() == want.state.tobytes()
+    assert got_run.ledger.as_dict() == want_run.ledger.as_dict()
+
+
+class TestClassIndex:
+    @pytest.mark.parametrize("layout", ["sequential", "parallel"])
+    @pytest.mark.parametrize("N", [2, 3, 5])
+    def test_replays_match_fresh_preparations(self, layout, N):
+        run = _full_rank_mixture(layout, N)
+        rng_a, rng_b = np.random.default_rng(N), np.random.default_rng(N)
+        survivors = set()
+        for _ in range(40):
+            replay = run.replay()
+            fresh = _full_rank_mixture(layout, N)
+            got = decode_arrival(replay, rng=rng_a)
+            want = decode_arrival(fresh, rng=rng_b)
+            _assert_same_decode(got, want, replay, fresh)
+            assert (pickle.dumps(rng_a.bit_generator.state)
+                    == pickle.dumps(rng_b.bit_generator.state))
+            if got.state is not None:
+                survivors.add(np.linalg.matrix_rank(got.state))
+        assert max(survivors) > 1
+
+    @pytest.mark.parametrize("layout", ["sequential", "parallel"])
+    def test_replays_share_one_index(self, layout):
+        run = _full_rank_mixture(layout, 3)
+        assert run._index == {}
+        rng = np.random.default_rng(8)
+        first = run.replay()
+        decode_arrival(first, rng=rng)
+        assert first._index is run._index
+        tables = dict(run._index)
+        assert len(tables) == 1
+        for _ in range(30):
+            decode_arrival(run.replay(), rng=rng)
+        assert run._index.keys() == tables.keys()
+        assert all(run._index[rows] is t for rows, t in tables.items())
+        (lead,) = tables.values()
+        assert sum(map(len, lead.members)) == len(run.components)
+        if layout == "parallel":
+            # time-row classes of each band seen so far, built once
+            assert 0 < len(lead.sub) <= run.config.R
+
+    @pytest.mark.parametrize("layout", ["sequential", "parallel"])
+    def test_hand_built_run_decodes_as_prepared(self, layout):
+        run = _full_rank_mixture(layout, 3)
+        rng_a, rng_b = np.random.default_rng(2), np.random.default_rng(2)
+        for _ in range(20):
+            hand = EncodeRun(config=run.config, layout=run.layout,
+                             ledger=run.ledger.copy(),
+                             components=list(run.components),
+                             compressed=run.compressed)
+            replay = run.replay()
+            _assert_same_decode(decode_arrival(hand, rng=rng_a),
+                                decode_arrival(replay, rng=rng_b), hand, replay)
+            assert hand._index is not run._index
+
+    def test_default_generator_is_default_rng_of_seed_plus_two(self):
+        for seed in (0, 5, 2**40):
+            got = np.random.Generator(np.random.PCG64(_seed_sequence(seed + 2)))
+            want = np.random.default_rng(seed + 2)
+            assert got.random(7).tolist() == want.random(7).tolist()
+            assert (got.integers(0, 2, size=(3, 5)).tolist()
+                    == want.integers(0, 2, size=(3, 5)).tolist())
+            assert got.bit_generator.state == want.bit_generator.state
+        for layout in ("sequential", "parallel"):
+            run = _full_rank_mixture(layout, 3)
+            rng = np.random.default_rng(run.config.seed + 2)
+            for _ in range(3):
+                a, b = run.replay(), run.replay()
+                _assert_same_decode(decode_arrival(a),
+                                    decode_arrival(b, rng=rng), a, b)
+                rng = np.random.default_rng(run.config.seed + 2)
+            assert _seed_sequence(run.config.seed + 2).n_children_spawned == 0
 
 
 class TestPairCorrelators:

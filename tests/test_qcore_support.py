@@ -132,3 +132,14 @@ def test_to_vector_limit_names_itself_and_the_qubit_count():
         StateError, match="to_vector: 21 qubits exceed the 20-qubit .*TO_VECTOR_LIMIT"
     ):
         SupportState.zeros([f"m{i}" for i in range(21)]).to_vector()
+
+
+def test_normalize_comes_before_the_amplitude_floor():
+    # 1.4e-130 is below AMP_FLOOR, but the state it spans is a unit vector
+    sup = SupportState(["a", "b"], {0b01: 0.0, 0b10: 1.37476369e-130j},
+                       normalize=True)
+    assert sup.amps == {0b10: 1j}
+    with pytest.raises(StateError, match="empty support"):
+        SupportState(["a"], {0: 1e-20})
+    with pytest.raises(StateError, match="empty support"):
+        SupportState(["a"], {0: 0.0, 1: 0.0}, normalize=True)
