@@ -269,13 +269,36 @@ TRANSFER_DEFAULTS = {
 }
 
 
+# one report row per grid point, as encode bounds its round trips
+GRID_POINTS_MAX = 2 ** 20
+
+
 def _grid(lo: float, hi: float, step: float, name: str) -> np.ndarray:
     if not np.isfinite([lo, hi, step]).all() or step <= 0 or hi < lo:
         raise ConfigError(f"bad {name} grid [{lo}, {hi}] step {step}")
-    pts = np.round(np.arange(lo, hi + step / 2, step), 10)
+    count = (hi - lo) / step
+    if not count < GRID_POINTS_MAX:  # also an overflowing span or count
+        raise ConfigError(
+            f"{name} grid [{lo}, {hi}] with {name}_step = {step} has "
+            f"{count:.4g} points, more than GRID_POINTS_MAX = {GRID_POINTS_MAX}"
+        )
+    stop = min(hi + step / 2, sys.float_info.max)  # arange refuses inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = np.round(np.arange(lo, stop, step), 10)
     # arange's inclusive-endpoint trick can overshoot hi when the span is
-    # not a multiple of step; never emit points past the requested bound
-    return pts[pts <= hi + 1e-10]
+    # not a multiple of step, and rounding can undershoot lo; never emit
+    # points outside the requested bounds
+    kept = np.maximum(pts[pts <= hi + 1e-10], lo)
+    # _format_value prints each point to 12 digits: rows must stay distinct
+    shown = np.array(["%.12g" % p for p in kept.tolist()], dtype=float)
+    if not (np.isfinite(pts).all() and kept.size
+            and np.all(np.diff(shown) > 0)):
+        raise ConfigError(
+            f"{name} grid [{lo}, {hi}] with {name}_step = {step} is empty, "
+            f"not finite or not strictly increasing once rounded to 10 "
+            f"decimals and printed to 12 digits"
+        )
+    return kept
 
 
 def run_transfer(config: dict):
@@ -307,7 +330,7 @@ def run_transfer(config: dict):
     if mode == "lossy":
         etas = _grid(config["eta_min"], config["eta_max"],
                      config["eta_step"], "eta")
-        if etas.size == 0 or etas.min() < 0.0 or etas.max() > 1.0:
+        if etas.min() < 0.0 or etas.max() > 1.0:
             raise ConfigError("lossy grid must stay inside [0, 1]")
         outs = [_transfer.lossy_transfer(float(e)) for e in etas]
         rows = [(e, o.fidelity, o.probability) for e, o in zip(etas, outs)]

@@ -30,6 +30,7 @@ from __future__ import annotations
 import copy
 import math
 import os
+import sys
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -46,6 +47,8 @@ RATIO_TOL = 1e-9
 MC_BLOCK = 1 << 19
 # From N = 1030 on, C(N, N // 2) exceeds the largest float.
 MAX_PAIR_SITES = 1029
+# The largest ancilla amplitude whose alpha ** 2 is a finite float.
+ALPHA_MAX = math.sqrt(sys.float_info.max)
 
 
 class TransferError(RuntimeError):
@@ -119,9 +122,10 @@ def _norm_amps(amps) -> np.ndarray:
 
 def _check_alpha(alpha) -> float:
     alpha = float(alpha)
-    if not 0.0 <= alpha < math.inf:
+    if not 0.0 <= alpha <= ALPHA_MAX:
         raise TransferError(
-            f"ancilla amplitude {alpha} must be finite and >= 0"
+            f"ancilla amplitude {alpha} must be >= 0 and at most "
+            f"ALPHA_MAX = {ALPHA_MAX:.6g}, where alpha ** 2 stays finite"
         )
     return alpha
 
@@ -640,6 +644,11 @@ def network_monte_carlo(N: int, p1: float, trials: int, rng=None) -> dict:
     except MemoryError:
         raise TransferError(
             f"trials = {trials} needs {8 * trials} bytes for its photon sites"
+        ) from None
+    except ValueError:  # numpy's size error: more than an intp can count
+        raise TransferError(
+            f"trials = {trials} exceeds numpy's largest array size, "
+            f"{np.iinfo(np.intp).max}"
         ) from None
     workers = 1
     if _advanceable(bit_generator):

@@ -1,15 +1,20 @@
 """Tests for the command-line front end."""
 
 import ast
+import contextlib
 import importlib
+import io
+import math
 import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qtelarray import cli
 from qtelarray.imaging import qft_image_diagonal
@@ -279,6 +284,53 @@ class TestTransferCommand:
         assert "past the range of the closed forms" in err
         assert "1000000.0" in err
 
+    @pytest.mark.parametrize("sets, message", [
+        # the point counts overflow before numpy is asked for the array
+        (["alpha_max=1e308"],
+         "alpha grid [0.0, 1e+308] with alpha_step = 0.05 has inf points, "
+         "more than GRID_POINTS_MAX = 1048576"),
+        (["mode=lossy", "eta_max=1e308", "eta_step=1e-300"],
+         "eta grid [0.1, 1e+308] with eta_step = 1e-300 has inf points, "
+         "more than GRID_POINTS_MAX = 1048576"),
+        # rounding to 10 decimals overflows every point but 0
+        (["alpha_max=1e300", "alpha_step=1e299"],
+         "alpha grid [0.0, 1e+300] with alpha_step = 1e+299 is empty, not "
+         "finite or not strictly increasing"),
+        # rounding merges all eleven points into 0
+        (["alpha_max=1e-320", "alpha_step=1e-321"],
+         "alpha grid [0.0, 1e-320] with alpha_step = 1e-321 is empty, not "
+         "finite or not strictly increasing"),
+        # distinct points that print alike at 12 digits
+        (["alpha_min=100", "alpha_max=100.000000001", "alpha_step=1e-10"],
+         "alpha grid [100.0, 100.000000001] with alpha_step = 1e-10 is "
+         "empty, not finite or not strictly increasing"),
+        # alpha ** 2 past the float range
+        (["alpha_max=1e298", "alpha_step=1e297"],
+         "ancilla amplitude 1e+297 must be >= 0 and at most ALPHA_MAX = "
+         "1.34078e+154"),
+    ], ids=["alpha-count", "eta-count", "overflow", "merged", "printed",
+            "alpha-squared"])
+    def test_malformed_grid_exits_2(self, sets, message, capsys):
+        argv = ["transfer"] + [a for s in sets for a in ("--set", s)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"qtelarray transfer: {message}")
+        assert err.count("\n") == 1
+
+    def test_grid_cap_counts_points(self, monkeypatch):
+        monkeypatch.setattr(cli, "GRID_POINTS_MAX", 10)
+        assert cli._grid(0.0, 9.0, 1.0, "alpha").size == 10
+        with pytest.raises(cli.ConfigError, match="GRID_POINTS_MAX = 10"):
+            cli._grid(0.0, 10.0, 1.0, "alpha")
+
+    def test_grid_stays_inside_its_bounds(self):
+        # rounding to 10 decimals would put the first point below lo
+        lo = 0.12345678901234
+        pts = cli._grid(lo, 0.2, 0.05, "alpha")
+        assert pts[0] == lo and pts.tolist() == sorted(set(pts.tolist()))
+
     def test_byte_identical_reruns(self, tmp_path):
         argv = ["transfer", "--set", "alpha_max=0.5"]
         _, first = run_to_file(tmp_path, argv, "a.txt")
@@ -322,6 +374,14 @@ class TestFormulasCommand:
     def test_bad_fidelity_and_seed_exit_2(self, bad):
         assert cli.main(["formulas", "--set", bad]) == 2
 
+    @pytest.mark.parametrize("trials", ["1e19", "1e300",
+                                        "9223372036854775808"])
+    def test_trials_past_numpy_size_exit_2(self, trials, capsys):
+        assert cli.main(["formulas", "--set", f"trials={trials}"]) == 2
+        assert capsys.readouterr().err == (
+            f"qtelarray formulas: trials = {int(float(trials))} exceeds "
+            f"numpy's largest array size, {np.iinfo(np.intp).max}\n")
+
     def test_too_many_sites_exits_2(self, capsys):
         assert cli.main(["formulas", "--set", "N=1030"]) == 2
         assert "N = 1030" in capsys.readouterr().err
@@ -331,10 +391,12 @@ class TestFormulasCommand:
         # the photon sites of 1e12 trials need 8e12 bytes
         ("formulas --set N=64 --set trials=1e12",
          "qtelarray formulas: trials = 1000000000000 needs 8000000000000 bytes"),
-        # 1e12 complex site amplitudes, and a 2e12-point alpha grid
+        # 1e12 complex site amplitudes; a 2e12-point alpha grid is refused
+        # before it is allocated
         ("encode --set N=1e12", "qtelarray encode: Unable to allocate "),
         ("transfer --set alpha_step=1e-12",
-         "qtelarray transfer: Unable to allocate "),
+         "qtelarray transfer: alpha grid [0.0, 2.0] with alpha_step = 1e-12 "
+         "has 2e+12 points, more than GRID_POINTS_MAX = 1048576"),
         # 4e10 baseline differences
         ("imaging --set N=200000", "qtelarray imaging: Unable to allocate "),
     ], ids=["formulas", "encode", "transfer", "imaging"])
@@ -470,3 +532,79 @@ def test_transfer_uses_the_optics_module_function():
     from qtelarray.qcore import optics
 
     assert transfer.linear_optics_matrix is optics.linear_optics_matrix
+
+
+# ---- fuzz: every input exits 0, 2 or 3 with at most one line of stderr ----------
+
+EDGES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308 / 3, 1e308,
+         2 ** 63]
+# trials at most 1e4, or past what numpy allocates at all
+TRIALS = st.one_of(st.integers(0, 10_000),
+                   st.sampled_from(EDGES + [1e19, 1e300, -1]))
+
+
+def _edgy(ordinary):
+    return st.one_of(ordinary, st.sampled_from(EDGES))
+
+
+def _run_cli(command, config):
+    """Exit code, stdout and stderr lines (warnings count as stderr)."""
+    argv = [command]
+    for key, value in config.items():
+        argv += ["--set", f"{key}={value!r}" if isinstance(value, float)
+                 else f"{key}={value}"]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    return code, out.getvalue(), lines
+
+
+def _grid_points(lo, hi, step):
+    with np.errstate(all="ignore"):
+        return np.float64(hi - lo) / np.float64(step)
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(mode=st.sampled_from(["sweep", "lossy", "warp"]),
+           lo=_edgy(st.floats(-0.5, 5.0)), hi=_edgy(st.floats(-0.5, 6.0)),
+           step=_edgy(st.floats(0.05, 2.0)), seed=_edgy(st.integers(0, 9)))
+    def test_transfer(self, mode, lo, hi, step, seed):
+        name = "eta" if mode == "lossy" else "alpha"
+        count = _grid_points(lo, hi, step)
+        # the cap refuses larger grids; keep the accepted ones cheap
+        assume(not 100 < count < cli.GRID_POINTS_MAX)
+        config = {"mode": mode, f"{name}_min": lo, f"{name}_max": hi,
+                  f"{name}_step": step, "seed": seed}
+        code, out, err = _run_cli("transfer", config)
+        assert code in (0, 2, 3), (code, err)
+        if code:
+            assert len(err) == 1 and err[0].startswith("qtelarray transfer:")
+            return
+        assert err == []
+        rows = [line.split(",") for line in out.splitlines()
+                if line and not line.startswith(("#", name))]
+        grid = [float(r[0]) for r in rows]
+        assert grid and all(b > a for a, b in zip(grid, grid[1:]))
+        # as the report prints them: 12 significant digits
+        shown = [float(cli._format_value(x)) for x in (lo, hi + 1e-10)]
+        assert shown[0] <= grid[0] and grid[-1] <= shown[1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(N=_edgy(st.integers(0, 64)), p1=_edgy(st.floats(0.0, 1.0)),
+           f2=_edgy(st.floats(0.0, 1.0)), trials=TRIALS,
+           seed=_edgy(st.integers(0, 9)))
+    def test_formulas(self, N, p1, f2, trials, seed):
+        config = {"N": N, "p1": p1, "f2": f2, "trials": trials, "seed": seed}
+        code, out, err = _run_cli("formulas", config)
+        assert code in (0, 2, 3), (code, err)
+        if code:
+            assert len(err) == 1 and err[0].startswith("qtelarray formulas:")
+            return
+        assert err == []
+        values = [float(line.split(" = ")[1]) for line in out.splitlines()
+                  if " = " in line]
+        assert values and all(math.isfinite(v) for v in values)

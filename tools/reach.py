@@ -26,9 +26,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 # located without importing it: the import runs under the profiler
-PACKAGE = Path(
-    importlib.util.find_spec("qtelarray").submodule_search_locations[0]
-).resolve()
+SPEC = importlib.util.find_spec("qtelarray")
+if SPEC is None:
+    sys.exit("reach.py: cannot import qtelarray; run it with PYTHONPATH=src")
+PACKAGE = Path(SPEC.submodule_search_locations[0]).resolve()
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
