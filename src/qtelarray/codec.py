@@ -39,11 +39,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .util import ConfigError  # re-exported: codec.ConfigError
+
 LAYOUTS = ("sequential", "parallel")
-
-
-class ConfigError(ValueError):
-    """Bad run configuration."""
 
 
 class EncodeError(RuntimeError):
@@ -362,7 +360,10 @@ def new_run(config: RunConfig) -> EncodeRun:
     ledger.add("memory_qubits_per_site", layout.qubits_per_site)
     # receiving qubits: one per band at each site, reset between bins
     ledger.add("ancilla_qubits", config.N * config.R)
-    vacuum = np.zeros(config.N, dtype=complex)
+    try:
+        vacuum = np.zeros(config.N, dtype=complex)
+    except ValueError as exc:  # numpy's size error: N past its largest array
+        raise ConfigError(f"N = {config.N}: {exc}") from None
     vacuum[0] = 1.0
     return EncodeRun(
         config=config,

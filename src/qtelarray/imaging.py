@@ -29,11 +29,13 @@ from functools import wraps
 import numpy as np
 
 from .source import VisibilityModel, native_grid
-from .util import make_rng, qft_matrix
+from .util import ConfigError, make_rng, qft_matrix
 
 QUADRATURE_MODES = ("auto", "real", "both")
 SAMPLERS = ("w_state", "direct_pair")
 IMAG_TOL = 1e-12
+# int64 maximum: multinomial and binomial counts are C longs
+SHOTS_MAX = np.iinfo(np.int64).max
 # Pair draws resolved per block of _draw_pairs (128 KiB of indices).
 DRAW_BLOCK = 1 << 14
 # Bytes of DFT tables kept between calls; one N=256 frame's take 3 MiB.
@@ -98,7 +100,8 @@ def image_from_visibilities(gk, N: int) -> np.ndarray:
     """Natural-weighting image from baseline visibilities g_1..g_{N-1}."""
     gk = np.asarray(gk, dtype=complex)
     if gk.shape != (N - 1,):
-        raise ValueError(f"need {N - 1} baseline visibilities, got {gk.shape}")
+        raise ConfigError(
+            f"need {N - 1} baseline visibilities, got {gk.shape}")
     phases = _phase_table(N)
     return 1.0 / N + (phases * (natural_weights(N) * gk)).real.sum(axis=1)
 
@@ -126,7 +129,7 @@ def qft_process(vis_or_rho) -> np.ndarray:
     else:
         rho = np.asarray(vis_or_rho, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ValueError("which-site density must be square")
+            raise ConfigError("which-site density must be square")
     F, F_dag = _qft_pair(rho.shape[0])
     return F @ rho @ F_dag
 
@@ -136,10 +139,17 @@ def _grid(vis: VisibilityModel) -> np.ndarray:
     return native_grid(geo.N, geo.d)
 
 
+def _check_shots(shots):
+    if not 1 <= shots <= SHOTS_MAX:
+        raise ConfigError(
+            f"shots = {shots} must be >= 1 and at most SHOTS_MAX = "
+            f"{SHOTS_MAX}, the largest count numpy's samplers take"
+        )
+
+
 def sample_qft(vis: VisibilityModel, shots: int, rng=None) -> ImagingEstimate:
     """Sample the QFT site-index distribution with a budget of stored photons."""
-    if shots < 1:
-        raise ValueError("need a positive detection budget")
+    _check_shots(shots)
     rng = make_rng(rng)
     i_exact = qft_image_diagonal(vis)
     p = np.clip(i_exact, 0.0, None)
@@ -159,7 +169,7 @@ def sample_qft(vis: VisibilityModel, shots: int, rng=None) -> ImagingEstimate:
 def resolve_quadratures(vis: VisibilityModel, quadratures: str = "auto") -> str:
     """Pick the measurement settings: XX only for real g, else XX and XY."""
     if quadratures not in QUADRATURE_MODES:
-        raise ValueError(f"quadratures must be one of {QUADRATURE_MODES}")
+        raise ConfigError(f"quadratures must be one of {QUADRATURE_MODES}")
     if quadratures != "auto":
         return quadratures
     g = vis.baseline_visibilities()
@@ -215,8 +225,8 @@ def _draw_pairs(rng, weight: np.ndarray, size: int) -> np.ndarray:
     total = weight.sum()
     # a NaN or infinite weight makes the total NaN or infinite
     if not (0 < total < np.inf and weight.min() >= 0):
-        raise ValueError("pair weights must be finite, nonnegative and not "
-                         "all zero")
+        raise ConfigError("pair weights must be finite, nonnegative and not "
+                          "all zero")
     cdf = (weight / total).cumsum()
     cdf /= cdf[-1]
     # the guide's temporaries are freed before u is drawn, which keeps the
@@ -258,9 +268,8 @@ def classical_pipeline(vis: VisibilityModel, shots: int, rng=None,
     bounds the true propagated variance from above.
     """
     if sampler not in SAMPLERS:
-        raise ValueError(f"unknown sampler {sampler!r}")
-    if shots < 1:
-        raise ValueError("need a positive attempt budget")
+        raise ConfigError(f"unknown sampler {sampler!r}")
+    _check_shots(shots)
     rng = make_rng(rng)
     N = vis.geometry.N
     mode = resolve_quadratures(vis, quadratures)

@@ -8,12 +8,11 @@ on the native grid y_j = (N-1) j / (N d).
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
-EPS_DEFAULT = 0.01
-EPS_WARN = 0.1
+from .util import ConfigError
+
 # Complex entries of one block of the visibility phase matrix (16 MiB).
 VIS_BLOCK = 1 << 20
 # Rows of g per block of the conjugate-symmetry check.
@@ -32,16 +31,16 @@ class ArrayGeometry:
             pos = np.asarray(positions, dtype=float)
         else:
             if N is None or d is None:
-                raise ValueError("give positions, or both N and d")
+                raise ConfigError("give positions, or both N and d")
             if N < 2:
-                raise ValueError("need at least two sites")
+                raise ConfigError(f"need at least two sites, not N = {N}")
             pos = d * np.arange(N) / (N - 1)
         if pos.ndim != 1 or pos.size < 2:
-            raise ValueError("need at least two sites")
+            raise ConfigError("need at least two sites")
         if not np.all(np.isfinite(pos)):
-            raise ValueError("positions must be finite")
+            raise ConfigError("positions must be finite")
         if np.any(np.diff(pos) <= 0):
-            raise ValueError("positions must be strictly increasing")
+            raise ConfigError("positions must be strictly increasing")
         self.positions = pos
         self.N = int(pos.size)
         self.d = float(pos[-1] - pos[0])
@@ -56,7 +55,7 @@ class ArrayGeometry:
     def baseline(self, k: int) -> float:
         """x_k = d k / (N - 1) for uniform arrays."""
         if not self.is_uniform:
-            raise ValueError("baselines indexed by k need a uniform array")
+            raise ConfigError("baselines indexed by k need a uniform array")
         return self.d * k / (self.N - 1)
 
     def __repr__(self):
@@ -66,13 +65,22 @@ class ArrayGeometry:
 def native_grid(N: int, d: float) -> np.ndarray:
     """Reconstruction grid y_j = (N-1) j / (N d), j = 0..N-1.
 
-    Raises ValueError when the grid leaves the float range: an N d past it
+    Raises ConfigError when N is not a positive float array size numpy
+    takes, or when the grid leaves the float range: an N d past it
     collapses the grid onto 0, and a tiny d sends its last point to inf.
     """
+    # past this numpy's arange raises a bare size error, or for N = 2 ** 63
+    # returns an empty range
+    largest = np.iinfo(np.intp).max // 8
+    if not 1 <= N <= largest:
+        raise ConfigError(
+            f"native grid needs 1 <= N <= {largest} sites, not N = {N}"
+        )
     span = N * d
     if not (0 < span < math.inf and (N - 1) / span * (N - 1) < math.inf):
-        raise ValueError(
-            f"native grid of N = {N} sites over d = {d} leaves the float range"
+        raise ConfigError(
+            f"native grid of N = {N} sites over d = {d}: d must be positive "
+            f"and the grid must stay inside the float range"
         )
     return (N - 1) * np.arange(N) / span
 
@@ -83,24 +91,24 @@ class IntensityDistribution:
     def __init__(self, samples, normalize=False):
         samples = [(float(y), float(i)) for y, i in samples]
         if not samples:
-            raise ValueError("need at least one sample")
+            raise ConfigError("need at least one sample")
         y = np.array([s[0] for s in samples])
         w = np.array([s[1] for s in samples])
         if not np.all(np.isfinite(y)):
-            raise ValueError("sample positions must be finite")
+            raise ConfigError("sample positions must be finite")
         if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise ValueError("intensities must be finite and nonnegative")
+            raise ConfigError("intensities must be finite and nonnegative")
         # finite weights can still sum past the float range
         with np.errstate(over="ignore"):
             total = w.sum()
         if normalize:
             if total <= 0:
-                raise ValueError("cannot normalize zero intensity")
+                raise ConfigError("cannot normalize zero intensity")
             if total == np.inf:
-                raise ValueError("intensities sum past the float range")
+                raise ConfigError("intensities sum past the float range")
             w = w / total
         elif abs(total - 1.0) > 1e-12:
-            raise ValueError(f"intensities sum to {total}, not 1")
+            raise ConfigError(f"intensities sum to {total}, not 1")
         self.y = y
         self.weights = w
 
@@ -114,11 +122,18 @@ class IntensityDistribution:
         return cls([(y, 1.0 / N) for y in grid])
 
     @classmethod
+    def point_on_grid(cls, N, d, j: int) -> "IntensityDistribution":
+        grid = native_grid(N, d)
+        if not 0 <= j < N:
+            raise ConfigError(f"point source index {j} outside 0..{N - 1}")
+        return cls([(y, float(k == j)) for k, y in enumerate(grid)])
+
+    @classmethod
     def on_grid(cls, N, d, weights, normalize=False) -> "IntensityDistribution":
         grid = native_grid(N, d)
         weights = np.asarray(weights, dtype=float)
         if weights.size != N:
-            raise ValueError("need one weight per grid point")
+            raise ConfigError("need one weight per grid point")
         return cls(list(zip(grid, weights)), normalize=normalize)
 
     def __len__(self):
@@ -128,45 +143,37 @@ class IntensityDistribution:
 class VisibilityModel:
     """Array geometry plus the complex coherence matrix g_{i,j}."""
 
-    def __init__(self, geometry: ArrayGeometry, g, epsilon=EPS_DEFAULT):
+    def __init__(self, geometry: ArrayGeometry, g):
         g = np.asarray(g, dtype=complex)
         N = geometry.N
         if g.shape != (N, N):
-            raise ValueError("g must be N x N")
+            raise ConfigError("g must be N x N")
         # NaN passes the tolerance checks below, so reject it first
         if not np.isfinite(g).all():
-            raise ValueError("g must be finite")
+            raise ConfigError("g must be finite")
         if np.max(np.abs(np.diagonal(g) - 1.0)) > 1e-12:
-            raise ValueError("g must have unit diagonal")
+            raise ConfigError("g must have unit diagonal")
         # row blocks against the matching columns keep the temporaries at
         # SYMMETRY_ROWS x N; the maximum, and so the verdict, is the same
         for lo in range(0, N, SYMMETRY_ROWS):
             rows = slice(lo, lo + SYMMETRY_ROWS)
             if np.max(np.abs(g[rows] - g[:, rows].conj().T)) > 1e-12:
-                raise ValueError("g must be conjugate-symmetric")
-        if not 0 < epsilon < 1:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if epsilon > EPS_WARN:
-            warnings.warn(
-                f"epsilon={epsilon} strains the weak-source approximation",
-                stacklevel=2,
-            )
+                raise ConfigError("g must be conjugate-symmetric")
         self.geometry = geometry
         self.g = g
-        self.epsilon = float(epsilon)
 
     def baseline_visibilities(self) -> np.ndarray:
         """g^{(k)} = g(x_k), k = 0..N-1, for uniform arrays (Toeplitz row)."""
         if not self.geometry.is_uniform:
-            raise ValueError("baseline visibilities need a uniform array")
+            raise ConfigError("baseline visibilities need a uniform array")
         # g[i, j] = g(x_i - x_j); the first column walks positive baselines
         return self.g[:, 0].copy()
 
     @classmethod
-    def two_site(cls, g01, d=1.0, epsilon=EPS_DEFAULT) -> "VisibilityModel":
+    def two_site(cls, g01, d=1.0) -> "VisibilityModel":
         geom = ArrayGeometry(N=2, d=d)
         g = np.array([[1.0, g01], [np.conj(g01), 1.0]])
-        return cls(geom, g, epsilon)
+        return cls(geom, g)
 
 
 def visibility_function(intensity: IntensityDistribution, x) -> np.ndarray:
@@ -187,7 +194,6 @@ def visibility_function(intensity: IntensityDistribution, x) -> np.ndarray:
 def visibility_from_intensity(
     intensity: IntensityDistribution,
     geometry: ArrayGeometry,
-    epsilon=EPS_DEFAULT,
 ) -> VisibilityModel:
     """Van Cittert-Zernike step: coherence matrix from the intensity."""
     pos = geometry.positions
@@ -205,4 +211,4 @@ def visibility_from_intensity(
     g = values[inv].reshape(pos.size, pos.size)
     # g(0) sums the intensities, which need not give exactly 1
     np.fill_diagonal(g, 1.0)
-    return VisibilityModel(geometry, g, epsilon)
+    return VisibilityModel(geometry, g)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qcore.optics import linear_optics_matrix
-from .util import make_rng, qft_matrix
+from .util import ConfigError, make_rng, qft_matrix
 
 BRANCH_PRUNE = 1e-12
 RATIO_TOL = 1e-9
@@ -51,8 +51,8 @@ MAX_PAIR_SITES = 1029
 ALPHA_MAX = math.sqrt(sys.float_info.max)
 
 
-class TransferError(RuntimeError):
-    """Inconsistent transfer configuration or protocol state."""
+class TransferError(ConfigError):
+    """Malformed transfer input, named in the message."""
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,8 @@ def _norm_amps(amps) -> np.ndarray:
     amps = np.asarray(amps, dtype=complex)
     if amps.ndim != 1 or amps.size < 2:
         raise TransferError("need which-site amplitudes for at least 2 sites")
+    if not np.isfinite(amps).all():
+        raise TransferError("which-site amplitudes must be finite")
     norm = np.linalg.norm(amps)
     if norm == 0:
         raise TransferError("which-site amplitudes cannot all vanish")
@@ -186,7 +188,14 @@ def coherent_amplitude_table(alpha: float, cutoff: int) -> AmplitudeTable:
                 continue
             c1[(i, j)] = _coherent_raw(alpha, i, j) * d / alpha
     for table in (c0, c1):
-        mass = np.sqrt(sum(abs(a) ** 2 for a in table.values()))
+        mass2 = sum(abs(a) ** 2 for a in table.values())
+        # a subnormal mass has lost its digits, and a zero one divides by 0
+        if mass2 < sys.float_info.min:
+            raise TransferError(
+                f"ancilla amplitude {alpha} at cutoff {cutoff}: the table's "
+                f"mass underflows; raise the cutoff toward alpha ** 2"
+            )
+        mass = np.sqrt(mass2)
         for key in table:
             table[key] /= mass
     return AmplitudeTable(c0=c0, c1=c1, kind=f"coherent({alpha})")
@@ -208,7 +217,7 @@ def multiport_amplitude_table(ports: int) -> AmplitudeTable:
     out_cutoffs = (k,) * k
     matrix, leak = linear_optics_matrix(S, in_cutoffs, out_cutoffs)
     if leak.max() > 1e-12:
-        raise TransferError("multiport enumeration unexpectedly truncated")
+        raise RuntimeError("multiport enumeration unexpectedly truncated")
     plus = np.array([2 ** -0.5, 2 ** -0.5])
     vac_in = np.array([1.0, 0.0])
     pho_in = np.array([0.0, 1.0])

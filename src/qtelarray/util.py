@@ -1,8 +1,14 @@
-"""Shared helpers: seeded RNG plumbing, config parsing, the DFT unitary."""
+"""Shared helpers: the input error, seeded RNG plumbing, config parsing,
+the DFT unitary."""
 
 from __future__ import annotations
 
 import numpy as np
+
+
+class ConfigError(ValueError):
+    """Malformed input: a bad configuration, size or argument. Every layer
+    raises it (or a subclass) naming the input; the CLI exits 2 on it."""
 
 
 def make_rng(seed_or_rng) -> np.random.Generator:
@@ -16,7 +22,7 @@ def parse_key_value(text: str) -> dict:
     """Parse ``key = value`` lines into a string dict.
 
     Blank lines and lines starting with ``#`` are skipped; a repeated key or
-    a line without ``=`` raises ValueError. Values keep their raw string
+    a line without ``=`` raises ConfigError. Values keep their raw string
     form; callers coerce and validate.
     """
     out: dict[str, str] = {}
@@ -25,14 +31,15 @@ def parse_key_value(text: str) -> dict:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key = value, got {raw!r}")
+            raise ConfigError(
+                f"line {lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if not key:
-            raise ValueError(f"line {lineno}: empty key")
+            raise ConfigError(f"line {lineno}: empty key")
         if key in out:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         out[key] = value
     return out
 

@@ -24,7 +24,9 @@ from qtelarray.qcore import (
     qubit,
     qubit_registry,
 )
-from qtelarray.source import EPS_WARN
+
+# Weak-source probability past which the broadband state warns.
+EPS_WARN = 0.1
 
 
 # ---- source states -----------------------------------------------------------

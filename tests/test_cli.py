@@ -413,6 +413,57 @@ class TestFormulasCommand:
         assert proc.stderr.count("\n") == 1
 
 
+class TestLibraryRejects:
+    """The runners hold no checks the library makes: each of these inputs
+    is refused by the library's ConfigError, which main turns into exit 2."""
+
+    @pytest.mark.parametrize("argv, message", [
+        ("imaging --set N=1", "need at least two sites, not N = 1"),
+        ("imaging --set N=0", "native grid needs 1 <= N <= "),
+        ("imaging --set shots=0", "shots = 0 must be >= 1 and at most "
+                                  "SHOTS_MAX = 9223372036854775807"),
+        ("imaging --set N=1e200", f"not N = {int(1e200)}"),
+        ("imaging --set N=1e200 --set source=point:0",
+         f"not N = {int(1e200)}"),
+        ("transfer --set mode=lossy --set eta_max=1.5",
+         "transmission eta = 1.1 must lie in [0, 1]"),
+    ])
+    def test_library_check_exits_2(self, argv, message, capsys):
+        command = argv.split()[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv.split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"qtelarray {command}: ")
+        assert message in err and err.count("\n") == 1
+
+    def test_undecodable_config_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"M = \xff\xfe\n")
+        assert cli.main(["encode", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "qtelarray encode: cannot read config file: ")
+
+    def test_one_input_error_type(self):
+        from qtelarray import codec, transfer, util
+
+        assert cli.ConfigError is codec.ConfigError is util.ConfigError
+        assert issubclass(util.ConfigError, ValueError)
+        assert issubclass(transfer.TransferError, util.ConfigError)
+        assert not issubclass(transfer.TransferError, RuntimeError)
+
+    def test_runners_convert_no_errors(self):
+        tree = ast.parse((ROOT / "src" / "qtelarray" / "cli.py").read_text())
+        runners = [node for node in tree.body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name.startswith("run_")]
+        assert len(runners) == 4
+        for runner in runners:
+            handlers = [node for node in ast.walk(runner)
+                        if isinstance(node, ast.ExceptHandler)]
+            assert handlers == [], runner.name
+
+
 ROOT = Path(__file__).resolve().parents[1]
 UNALLOCATABLE_SCRIPT = textwrap.dedent("""
     import resource, sys
@@ -562,6 +613,43 @@ def _run_cli(command, config):
     return code, out.getvalue(), lines
 
 
+def _seldom_edgy(ordinary):
+    """Edge values one draw in eight, so that commands with many keys still
+    see accepted configs."""
+    return st.tuples(st.integers(0, 7), ordinary, st.sampled_from(EDGES)).map(
+        lambda t: t[2] if t[0] == 7 else t[1])
+
+
+def _normalized(weights):
+    """Weights over their total, scaled by the largest first so that the
+    total cannot overflow."""
+    w = np.asarray(weights, dtype=float)
+    w = w / w.max()
+    return w / w.sum()
+
+
+@st.composite
+def _scenes(draw):
+    """(N, source text, N -> the I_true an accepted scene must report)."""
+    N = draw(_seldom_edgy(st.integers(2, 64)))
+    kind = draw(st.sampled_from(["flat", "point", "weights", "malformed"]))
+    if kind == "flat":
+        return N, "flat", lambda n: np.full(n, 1.0 / n)
+    if kind == "point":
+        j = draw(st.integers(-2, 66))
+        return N, f"point:{j}", lambda n: np.eye(n)[j]
+    if kind == "weights":
+        fits = isinstance(N, int) and 0 <= N <= 64 and draw(st.booleans())
+        size = N if fits else draw(st.integers(0, 8))
+        weights = draw(st.lists(_seldom_edgy(st.floats(0.0, 10.0)),
+                                min_size=size, max_size=size))
+        return (N, ",".join(repr(w) for w in weights),
+                lambda n: _normalized(weights))
+    text = draw(st.sampled_from(["", "widefield", "point:", "point:x",
+                                 "1,,2", "1;2"]))
+    return N, text, None
+
+
 def _grid_points(lo, hi, step):
     with np.errstate(all="ignore"):
         return np.float64(hi - lo) / np.float64(step)
@@ -608,3 +696,49 @@ class TestFuzz:
         values = [float(line.split(" = ")[1]) for line in out.splitlines()
                   if " = " in line]
         assert values and all(math.isfinite(v) for v in values)
+
+    @settings(max_examples=150, deadline=None)
+    @given(M=_seldom_edgy(st.integers(1, 8)),
+           R=_seldom_edgy(st.integers(1, 8)),
+           N=_seldom_edgy(st.integers(2, 64)),
+           eps=_seldom_edgy(st.floats(0.0, 1.0)),
+           layout=st.sampled_from(["sequential", "parallel", "bogus"]),
+           seed=_seldom_edgy(st.integers(0, 9)))
+    def test_encode(self, M, R, N, eps, layout, seed):
+        # ordinary draws keep M * R <= 64; the edge values are refused
+        # before anything large is allocated
+        config = {"M": M, "R": R, "N": N, "eps": eps, "layout": layout,
+                  "seed": seed}
+        code, out, err = _run_cli("encode", config)
+        assert code in (0, 2, 3), (code, err)
+        if code:
+            assert len(err) == 1 and err[0].startswith("qtelarray encode:")
+            return
+        assert err == []
+        rows = [line.split(",") for line in out.splitlines()
+                if line and not line.startswith(("#", "m,"))]
+        assert len(rows) == M * R
+        assert all(r[0:2] == r[2:4] and r[5] == "1" for r in rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(scene=_scenes(), d=_seldom_edgy(st.floats(1e-3, 1e3)),
+           shots=_seldom_edgy(st.integers(1, 10_000)),
+           sampler=st.sampled_from(["w_state", "direct_pair", "bogus"]),
+           quadratures=st.sampled_from(["auto", "real", "both", "bogus"]),
+           seed=_seldom_edgy(st.integers(0, 9)))
+    def test_imaging(self, scene, d, shots, sampler, quadratures, seed):
+        N, source, want = scene
+        config = {"N": N, "d": d, "source": source, "shots": shots,
+                  "sampler": sampler, "quadratures": quadratures,
+                  "seed": seed}
+        code, out, err = _run_cli("imaging", config)
+        assert code in (0, 2, 3), (code, err)
+        if code:
+            assert len(err) == 1 and err[0].startswith("qtelarray imaging:")
+            return
+        assert err == []
+        rows = [line.split(",") for line in out.splitlines()
+                if line and not line.startswith(("#", "j,"))]
+        # on-grid scenes are recovered exactly: I_true is the scene itself
+        got = np.array([float(r[2]) for r in rows])
+        np.testing.assert_allclose(got, want(N), rtol=0, atol=1e-9)

@@ -60,7 +60,9 @@ def test_intensity_normalization_rules():
                               normalize=True)
 
 
-@pytest.mark.parametrize("N, d", [(4, 1e-320), (4, 5e307), (4, 0.0)])
+# np.arange(2 ** 63) comes back empty rather than raising
+@pytest.mark.parametrize("N, d", [(4, 1e-320), (4, 5e307), (4, 0.0), (0, 1.0),
+                                  (2 ** 63, 1.0), (10 ** 200, 1.0)])
 def test_native_grid_rejects_a_grid_outside_the_float_range(N, d):
     with pytest.raises(ValueError, match="native grid"):
         native_grid(N, d)
@@ -115,10 +117,6 @@ def test_visibility_model_validation():
         VisibilityModel(geom, np.array([[1.0, 0.5], [0.4, 1.0]]))
     with pytest.raises(ValueError):
         VisibilityModel(geom, np.array([[0.9, 0.5], [0.5, 1.0]]))
-    with pytest.raises(ValueError):
-        VisibilityModel.two_site(0.5, epsilon=1.2)
-    with pytest.warns(UserWarning):
-        VisibilityModel.two_site(0.5, epsilon=0.25)
 
 
 def _scene_g(N):

@@ -4,6 +4,7 @@ import itertools
 import os
 import re
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,20 @@ class TestAmplitudeTable:
             coherent_amplitude_table(1.0, 0)
         with pytest.raises(TransferError):
             multiport_amplitude_table(0)
+
+    @pytest.mark.parametrize("alpha, cutoff", [(50.0, 5), (27.2, 1)])
+    def test_rejects_a_table_whose_mass_underflows(self, alpha, cutoff):
+        # at alpha = 50 every entry up to cutoff 5 is about e^{-1250}; at
+        # 27.2 the squared entries are subnormal, and the table's mass would
+        # come out 0.995
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: coherent_amplitude_table(alpha, cutoff),
+                         lambda: heralded_transfer(alpha, cutoff=cutoff)):
+                with pytest.raises(TransferError, match=re.escape(
+                        f"amplitude {alpha} at cutoff {cutoff}: the table's "
+                        f"mass underflows")):
+                    call()
 
 
 class TestVectorizedEnumeration:
@@ -585,6 +600,15 @@ class TestPlusAncillaPair:
             transfer_branches(multiport_amplitude_table(1), (1.0,))
         with pytest.raises(TransferError):
             transfer_branches(multiport_amplitude_table(1), (0.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     complex(0, np.nan)])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(TransferError, match="amplitudes must be finite"):
+            heralded_transfer(0.8, amps=[bad, 1.0], cutoff=5)
+        # the site amplitude is named, not the ancilla amplitude
+        with pytest.raises(TransferError, match="amplitudes must be finite"):
+            deterministic_fidelity_closed(0.8, amps=[bad, 1.0])
 
 
 class TestMultiport:
