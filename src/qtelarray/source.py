@@ -17,6 +17,9 @@ from .util import ConfigError
 VIS_BLOCK = 1 << 20
 # Rows of g per block of the conjugate-symmetry check.
 SYMMETRY_ROWS = 256
+# The most float64 entries one array holds: past it numpy's arange raises a
+# bare size error, or for N = 2 ** 63 returns an empty range.
+MAX_SITES = np.iinfo(np.intp).max // 8
 
 
 class ArrayGeometry:
@@ -34,6 +37,11 @@ class ArrayGeometry:
                 raise ConfigError("give positions, or both N and d")
             if N < 2:
                 raise ConfigError(f"need at least two sites, not N = {N}")
+            if N > MAX_SITES:
+                raise ConfigError(
+                    f"a uniform array has at most {MAX_SITES} sites, numpy's "
+                    f"largest float array, not N = {N}"
+                )
             pos = d * np.arange(N) / (N - 1)
         if pos.ndim != 1 or pos.size < 2:
             raise ConfigError("need at least two sites")
@@ -69,12 +77,9 @@ def native_grid(N: int, d: float) -> np.ndarray:
     takes, or when the grid leaves the float range: an N d past it
     collapses the grid onto 0, and a tiny d sends its last point to inf.
     """
-    # past this numpy's arange raises a bare size error, or for N = 2 ** 63
-    # returns an empty range
-    largest = np.iinfo(np.intp).max // 8
-    if not 1 <= N <= largest:
+    if not 1 <= N <= MAX_SITES:
         raise ConfigError(
-            f"native grid needs 1 <= N <= {largest} sites, not N = {N}"
+            f"native grid needs 1 <= N <= {MAX_SITES} sites, not N = {N}"
         )
     span = N * d
     if not (0 < span < math.inf and (N - 1) / span * (N - 1) < math.inf):

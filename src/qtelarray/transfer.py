@@ -32,8 +32,11 @@ import math
 import os
 import sys
 import threading
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from itertools import compress, repeat
+from types import MappingProxyType
 
 import numpy as np
 
@@ -49,6 +52,8 @@ MC_BLOCK = 1 << 19
 MAX_PAIR_SITES = 1029
 # The largest ancilla amplitude whose alpha ** 2 is a finite float.
 ALPHA_MAX = math.sqrt(sys.float_info.max)
+# The smallest norm whose square is a normal float.
+NORM_MIN = math.sqrt(sys.float_info.min)
 
 
 class TransferError(ConfigError):
@@ -73,7 +78,7 @@ class Branches(Sequence):
     ``outs``. Reading an item builds its ``Branch``; a slice gives a list.
     """
 
-    outs: list
+    outs: tuple
     outcome: np.ndarray
     probability: np.ndarray
     fidelity: np.ndarray
@@ -116,9 +121,17 @@ def _norm_amps(amps) -> np.ndarray:
         raise TransferError("need which-site amplitudes for at least 2 sites")
     if not np.isfinite(amps).all():
         raise TransferError("which-site amplitudes must be finite")
-    norm = np.linalg.norm(amps)
-    if norm == 0:
-        raise TransferError("which-site amplitudes cannot all vanish")
+    with np.errstate(over="ignore", under="ignore"):
+        norm = np.linalg.norm(amps)
+    # the squared sum left the normal float range (inf, subnormal or 0):
+    # dividing by the largest modulus first brings it back, part by part,
+    # since a complex division by a subnormal overflows
+    if not NORM_MIN <= norm < math.inf:
+        top = np.abs(amps).max()
+        if top == 0:
+            raise TransferError("which-site amplitudes cannot all vanish")
+        amps = amps.real / top + 1j * (amps.imag / top)
+        norm = np.linalg.norm(amps)
     return amps / norm
 
 
@@ -137,25 +150,108 @@ def _check_alpha(alpha) -> float:
 
 @dataclass(frozen=True)
 class AmplitudeTable:
-    """Outcome amplitudes of one site for vacuum (c0) and photon (c1) input."""
+    """Outcome amplitudes of one site for vacuum (c0) and photon (c1) input.
 
-    c0: dict
-    c1: dict
+    ``c0`` and ``c1`` are read-only copies of the mappings given.
+    ``columns`` holds the sorted outcomes with both amplitudes aligned to
+    them as read-only complex arrays, 0 where a mapping has no entry; the
+    builders supply them, and a table made from mappings computes them on
+    first use.
+    """
+
+    c0: Mapping
+    c1: Mapping
     kind: str
 
-    def outcomes(self):
-        return sorted(set(self.c0) | set(self.c1))
+    def __post_init__(self):
+        for name in ("c0", "c1"):
+            object.__setattr__(self, name,
+                               MappingProxyType(dict(getattr(self, name))))
+
+    def __reduce__(self):  # neither read-only mapping pickles
+        return type(self), (dict(self.c0), dict(self.c1), self.kind)
+
+    @cached_property
+    def columns(self) -> tuple:
+        """(outcomes, c0, c1): the sorted outcome tuple and the aligned
+        complex amplitude columns."""
+        outs = sorted(set(self.c0) | set(self.c1))
+        return (tuple(outs), *_read_only(*(
+            np.array([entries.get(o, 0.0) for o in outs], dtype=complex)
+            for entries in (self.c0, self.c1))))
+
+    def outcomes(self) -> tuple:
+        return self.columns[0]
 
 
-def _coherent_raw(alpha: float, i: int, j: int) -> float:
-    """e^{-a^2/2} (a/sqrt2)^i (-a/sqrt2)^j / sqrt(i! j!) for real alpha."""
-    log_mag = (
-        -alpha ** 2 / 2.0
-        + (i + j) * (np.log(alpha) - 0.5 * np.log(2.0))
-        - 0.5 * math.lgamma(i + 1)
-        - 0.5 * math.lgamma(j + 1)
-    )
-    return (-1.0) ** j * float(np.exp(log_mag))
+def _read_only(*arrays) -> tuple:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+class _Entries(Mapping):
+    """Read-only ``keys`` to ``values`` (read-only too), zipped into a dict
+    on first read: an enumeration reads only the columns."""
+
+    def __init__(self, keys, values):
+        self._pairs = keys, values
+
+    @cached_property
+    def _dict(self) -> dict:
+        return dict(zip(*self._pairs))
+
+    def __getitem__(self, key):
+        return self._dict[key]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __len__(self):
+        return len(self._dict)
+
+    def __repr__(self):
+        return repr(self._dict)
+
+
+def _built(kind: str, outs: tuple, c0: Mapping, c1: Mapping,
+           *columns) -> AmplitudeTable:
+    """A builder's table: read-only ``c0`` and ``c1`` that nothing else
+    holds, so they need no copy, and their columns over ``outs``."""
+    table = object.__new__(AmplitudeTable)
+    # the fields, and the columns where cached_property keeps its value
+    vars(table).update(c0=c0, c1=c1, kind=kind,
+                       columns=(outs, *_read_only(*columns)))
+    return table
+
+
+@lru_cache(maxsize=8)
+def _coherent_layout(cutoff: int) -> tuple:
+    """What the coherent tables at ``cutoff`` share, whatever alpha.
+
+    ``outs`` are the sorted outcomes (i, j). The entries run through the
+    c0 table, keyed ``keys0``, then the c1 table, keyed ``keys1``; per
+    entry, ``flat`` is its place in the two columns laid end to end, and
+    the rest are its i + j, lgamma(i + 1) / 2, lgamma(j + 1) / 2, and
+    (-1)^j times 1 in c0 or times i - j in c1.
+    """
+    # the photon table's domain i, j <= cutoff, i + j <= cutoff + 1, plus
+    # the diagonal below it, where only c0 has entries
+    top = np.arange(cutoff + 1)
+    i, j = np.nonzero(np.add.outer(top, top) <= cutoff + 1)
+    kept = (i != j) | (i + j <= cutoff)
+    i, j = i[kept], j[kept]
+    outs = tuple(zip(i.tolist(), j.tolist()))
+    at0, at1 = np.flatnonzero(i + j <= cutoff), np.flatnonzero(i != j)
+    keys0, keys1 = (tuple(outs[k] for k in a.tolist()) for a in (at0, at1))
+    at = np.concatenate([at0, at1])
+    i, j = i[at], j[at]
+    lg = np.array([math.lgamma(k + 1) for k in range(cutoff + 1)])
+    factor = np.where(j % 2, -1.0, 1.0)
+    factor[len(at0):] *= (i - j)[len(at0):]
+    at[len(at0):] += len(outs)
+    arrays = _read_only(at, (i + j) * 1.0, 0.5 * lg[i], 0.5 * lg[j], factor)
+    return (outs, keys0, keys1, *arrays)
 
 
 def coherent_amplitude_table(alpha: float, cutoff: int) -> AmplitudeTable:
@@ -167,38 +263,46 @@ def coherent_amplitude_table(alpha: float, cutoff: int) -> AmplitudeTable:
     unit mass, matching a cutoff Fock simulation that conditions away its
     truncation leakage.
     """
-    _check_alpha(alpha)
+    # in float64 whatever the type given, which still names the table
+    x = _check_alpha(alpha)
     if cutoff < 1:
         raise TransferError("cutoff must be >= 1")
-    if alpha == 0.0:
+    if x == 0.0:
         return AmplitudeTable(
             c0={(0, 0): 1.0},
             c1={(1, 0): 2 ** -0.5, (0, 1): 2 ** -0.5},
             kind="coherent(0)",
         )
-    c0 = {}
-    for i in range(cutoff + 1):
-        for j in range(cutoff + 1 - i):
-            c0[(i, j)] = _coherent_raw(alpha, i, j)
-    c1 = {}
-    for i in range(cutoff + 1):
-        for j in range(min(cutoff, cutoff + 1 - i) + 1):
-            d = i - j
-            if d == 0:
-                continue
-            c1[(i, j)] = _coherent_raw(alpha, i, j) * d / alpha
-    for table in (c0, c1):
-        mass2 = sum(abs(a) ** 2 for a in table.values())
+    outs, keys0, keys1, flat, total, half_lg_i, half_lg_j, factor = (
+        _coherent_layout(cutoff))
+    # c0 = e^{-a^2/2} (a/sqrt2)^i (-a/sqrt2)^j / sqrt(i! j!) and c1 =
+    # c0 (i - j) / alpha, with the terms of the log added in this order:
+    # every entry keeps the bits it had when it was computed alone
+    log_mag = (
+        -x ** 2 / 2.0
+        + total * (np.log(x) - 0.5 * np.log(2.0))
+        - half_lg_i
+        - half_lg_j
+    )
+    amp = np.exp(log_mag)
+    amp *= factor
+    c0, c1 = amp[:len(keys0)], amp[len(keys0):]
+    c1 /= x
+    for part in (c0, c1):
+        # the builtin sum of abs(a) ** 2 in key order
+        mass2 = sum(map(pow, map(abs, part.tolist()), repeat(2)))
         # a subnormal mass has lost its digits, and a zero one divides by 0
         if mass2 < sys.float_info.min:
             raise TransferError(
                 f"ancilla amplitude {alpha} at cutoff {cutoff}: the table's "
                 f"mass underflows; raise the cutoff toward alpha ** 2"
             )
-        mass = np.sqrt(mass2)
-        for key in table:
-            table[key] /= mass
-    return AmplitudeTable(c0=c0, c1=c1, kind=f"coherent({alpha})")
+        part /= math.sqrt(mass2)
+    columns = np.zeros(2 * len(outs), dtype=complex)
+    columns[flat] = amp
+    _read_only(c0, c1)
+    return _built(f"coherent({alpha})", outs, _Entries(keys0, c0),
+                  _Entries(keys1, c1), *columns.reshape(2, -1))
 
 
 def multiport_amplitude_table(ports: int) -> AmplitudeTable:
@@ -221,20 +325,22 @@ def multiport_amplitude_table(ports: int) -> AmplitudeTable:
     plus = np.array([2 ** -0.5, 2 ** -0.5])
     vac_in = np.array([1.0, 0.0])
     pho_in = np.array([0.0, 1.0])
-    tables = []
+    outputs = []
     for head in (vac_in, pho_in):
         vec = head
         for _ in range(ports):
             vec = np.kron(vec, plus)
         out = matrix @ vec.astype(complex)
-        table = {}
-        dims = (k + 1,) * k
-        for flat in np.nonzero(np.abs(out) > 1e-14)[0]:
-            table[tuple(int(x) for x in np.unravel_index(flat, dims))] = complex(
-                out[flat]
-            )
-        tables.append(table)
-    return AmplitudeTable(c0=tables[0], c1=tables[1], kind=f"multiport({ports})")
+        outputs.append(np.where(np.abs(out) > 1e-14, out, 0))
+    # flat index order over the count tuples is their sorted order
+    flat = np.union1d(*map(np.flatnonzero, outputs))
+    counts = np.unravel_index(flat, (k + 1,) * k)
+    keys = tuple(zip(*(x.tolist() for x in counts)))
+    columns = [out[flat] for out in outputs]
+    tables = [MappingProxyType(dict(compress(zip(keys, col.tolist()),
+                                             (col != 0).tolist())))
+              for col in columns]
+    return _built(f"multiport({ports})", keys, *tables, *columns)
 
 
 # ---- joint branch enumeration ----------------------------------------------------
@@ -257,9 +363,7 @@ def transfer_branches(table: AmplitudeTable, amps, prune: float = BRANCH_PRUNE):
     """
     amps = _norm_amps(amps)
     n = len(amps)
-    outs = table.outcomes()
-    c0 = np.array([table.c0.get(o, 0.0) for o in outs], dtype=complex)
-    c1 = np.array([table.c1.get(o, 0.0) for o in outs], dtype=complex)
+    outs, c0, c1 = table.columns
     both = (c0 != 0) & (c1 != 0)
     with np.errstate(over="ignore", invalid="ignore"):
         ratio = np.divide(c1, c0, out=np.zeros_like(c1), where=both)

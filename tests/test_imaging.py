@@ -163,6 +163,9 @@ class TestCachedTables:
     def test_cache_is_bounded_by_bytes(self, monkeypatch):
         cap = 1 << 20
         monkeypatch.setattr(imaging, "TABLE_CACHE_BYTES", cap)
+        # an empty store: a table an earlier test left under the default cap
+        # is not evicted by a hit, only by the next insertion
+        monkeypatch.setattr(imaging, "_tables", type(imaging._tables)())
         for N in range(40, 400, 30):
             for table in (_phase_table, _qft_pair):
                 got, fresh = table(N), table.__wrapped__(N)

@@ -19,7 +19,7 @@ SCHEMA = {
     "photon": ("layout", {"write", "decode", "readout"}, {"density_gap"}),
     "mixture": ("layout", {"prepare", "first_decode", "replay_decode"},
                 {"components"}),
-    "transfer": (None, {"enumerate"}, {"records", "kept", "digest"}),
+    "transfer": (None, {"table", "enumerate"}, {"records", "kept", "digest"}),
     "network": ("workers", {"monte_carlo"}, {"trials", "digest"}),
 }
 SMALLEST = {"imaging": "2", "photon": "2", "mixture": "2", "transfer": "2:1",

@@ -1,5 +1,7 @@
 """Geometry, visibilities, and photonic source states."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +42,16 @@ def test_geometry_validation():
     assert not geom.is_uniform
     with pytest.raises(ValueError):
         geom.baseline(1)
+
+
+# unchecked, 10 ** 200 raises numpy's bare size error and 2 ** 63 reads as
+# "need at least two sites", since np.arange(2 ** 63) comes back empty
+@pytest.mark.parametrize("N", [2 ** 63, 10 ** 200, 1e200, source.MAX_SITES + 1])
+def test_geometry_names_an_N_past_numpys_largest_array(N):
+    with pytest.raises(ValueError, match=re.escape(
+            f"a uniform array has at most {source.MAX_SITES} sites, numpy's "
+            f"largest float array, not N = {N}")):
+        ArrayGeometry(N=N, d=1.0)
 
 
 def test_intensity_normalization_rules():

@@ -1,8 +1,14 @@
 """Tests for ancilla-interference state transfer."""
 
+import copy
+import dataclasses
+import hashlib
 import itertools
+import math
 import os
+import pickle
 import re
+import sys
 import threading
 import warnings
 
@@ -182,6 +188,62 @@ def splitter_output_amplitudes(alpha, cutoff, photon):
     return out
 
 
+def _coherent_raw(alpha, i, j):
+    """e^{-a^2/2} (a/sqrt2)^i (-a/sqrt2)^j / sqrt(i! j!) for real alpha."""
+    log_mag = (
+        -alpha ** 2 / 2.0
+        + (i + j) * (np.log(alpha) - 0.5 * np.log(2.0))
+        - 0.5 * math.lgamma(i + 1)
+        - 0.5 * math.lgamma(j + 1)
+    )
+    return (-1.0) ** j * float(np.exp(log_mag))
+
+
+def _coherent_by_entry(alpha, cutoff):
+    """The (c0, c1) dicts and kind of the coherent table, one entry at a
+    time: the route the one-pass builder replaced, with the same errors."""
+    transfer._check_alpha(alpha)
+    if cutoff < 1:
+        raise TransferError("cutoff must be >= 1")
+    if alpha == 0.0:
+        return ({(0, 0): 1.0}, {(1, 0): 2 ** -0.5, (0, 1): 2 ** -0.5},
+                "coherent(0)")
+    c0 = {}
+    for i in range(cutoff + 1):
+        for j in range(cutoff + 1 - i):
+            c0[(i, j)] = _coherent_raw(alpha, i, j)
+    c1 = {}
+    for i in range(cutoff + 1):
+        for j in range(min(cutoff, cutoff + 1 - i) + 1):
+            d = i - j
+            if d == 0:
+                continue
+            c1[(i, j)] = _coherent_raw(alpha, i, j) * d / alpha
+    for table in (c0, c1):
+        mass2 = sum(abs(a) ** 2 for a in table.values())
+        if mass2 < sys.float_info.min:
+            raise TransferError(
+                f"ancilla amplitude {alpha} at cutoff {cutoff}: the table's "
+                f"mass underflows; raise the cutoff toward alpha ** 2"
+            )
+        mass = np.sqrt(mass2)
+        for key in table:
+            table[key] /= mass
+    return c0, c1, f"coherent({alpha})"
+
+
+def assert_columns_match_mappings(table):
+    """``table.columns`` holds the sorted key union and, bit for bit, the
+    complex columns an enumeration would build from the mappings."""
+    outs, c0, c1 = table.columns
+    assert table.outcomes() is outs
+    assert list(outs) == sorted(set(table.c0) | set(table.c1))
+    for column, entries in ((c0, table.c0), (c1, table.c1)):
+        want = np.array([entries.get(o, 0.0) for o in outs], dtype=complex)
+        assert column.dtype == complex and column.tobytes() == want.tobytes()
+        assert not column.flags.writeable
+
+
 class TestAmplitudeTable:
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
     def test_matches_full_fock_simulation(self, alpha):
@@ -252,6 +314,119 @@ class TestAmplitudeTable:
                         f"amplitude {alpha} at cutoff {cutoff}: the table's "
                         f"mass underflows")):
                     call()
+
+
+def _assert_same_table(alpha, cutoff):
+    try:
+        *want, kind = _coherent_by_entry(alpha, cutoff)
+    except TransferError as exc:
+        with pytest.raises(TransferError, match=f"^{re.escape(str(exc))}$"):
+            coherent_amplitude_table(alpha, cutoff)
+        return False
+    table = coherent_amplitude_table(alpha, cutoff)
+    for got, entries in zip((table.c0, table.c1), want):
+        assert list(got) == list(entries), (alpha, cutoff)
+        assert [type(v) for v in got.values()] == [
+            type(v) for v in entries.values()], (alpha, cutoff)
+        bits = [np.float64(v).tobytes() for v in got.values()]
+        assert bits == [np.float64(v).tobytes() for v in entries.values()], (
+            alpha, cutoff)
+    assert table.kind == kind
+    assert_columns_match_mappings(table)
+    return True
+
+
+class TestTableBuild:
+    """The one-pass coherent builder against the per-entry route, and the
+    columns every table holds."""
+
+    # 5e-324 and 1e-300 build from subnormal and near-subnormal entries;
+    # the mass underflows at 27.2 up to cutoff 5, and at 50 up to 40
+    @pytest.mark.parametrize("alpha, underflows", [
+        (0.0, 0), (5e-324, 0), (1e-300, 0), (0.5, 0), (0.88, 0), (1.2, 0),
+        (1, 0), (27.2, 5), (50.0, 40)])
+    def test_coherent_matches_the_entry_by_entry_route(self, alpha,
+                                                       underflows):
+        built = [_assert_same_table(alpha, cutoff) for cutoff in range(1, 41)]
+        assert built == [False] * underflows + [True] * (40 - underflows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.floats(0.0, 40.0), cutoff=st.integers(1, 40))
+    def test_coherent_matches_at_random_amplitudes(self, alpha, cutoff):
+        _assert_same_table(alpha, cutoff)
+
+    @pytest.mark.parametrize("given", [np.float32(1.2), np.float16(0.88)])
+    def test_coherent_computes_in_float64(self, given):
+        # in the narrow type the heralded probability at cutoff 16 read
+        # 0.135 for a float32 alpha = 1.2, against 0.199
+        got = coherent_amplitude_table(given, 16)
+        want = coherent_amplitude_table(float(given), 16)
+        for entries in ("c0", "c1"):
+            assert (list(getattr(got, entries).items())
+                    == list(getattr(want, entries).items()))
+        assert got.kind == f"coherent({given})"
+
+    def test_coherent_rejects_what_the_entry_route_rejects(self):
+        for alpha, cutoff in ((-0.5, 6), (float("nan"), 6), (1.0, 0)):
+            with pytest.raises(TransferError) as want:
+                _coherent_by_entry(alpha, cutoff)
+            with pytest.raises(TransferError, match=re.escape(
+                    str(want.value))):
+                coherent_amplitude_table(alpha, cutoff)
+
+    # sha256 of the entries' keys and hex floats as the dict-by-dict
+    # builder made them
+    @pytest.mark.parametrize("ports, digest", [(1, "de1c4cd7f5c4b2b1"),
+                                               (2, "e51f09d8d5601fdd"),
+                                               (3, "f7cfdeae73f54e21")])
+    def test_multiport_tables_unchanged(self, ports, digest):
+        table = multiport_amplitude_table(ports)
+        text = repr([[(k, v.real.hex(), v.imag.hex()) for k, v in m.items()]
+                     for m in (table.c0, table.c1)] + [table.kind])
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+        assert all(type(v) is complex
+                   for m in (table.c0, table.c1) for v in m.values())
+        assert_columns_match_mappings(table)
+
+    def test_mapping_table_columns_built_once(self):
+        c0 = {(2,): 0.6, (0,): 0.8j}
+        c1 = {(1,): 1.0, (0,): 0.0}
+        table = AmplitudeTable(c0=c0, c1=c1, kind="mapped")
+        assert "columns" not in vars(table)  # not before first use
+        assert table.outcomes() == ((0,), (1,), (2,))
+        assert table.columns is table.columns
+        assert_columns_match_mappings(table)
+        branches, _ = transfer_branches(table, UNIFORM)
+        assert branches.outs is table.outcomes()
+
+    def test_mappings_and_columns_cannot_disagree(self):
+        c0 = {(0,): 0.6, (1,): 0.8}
+        table = AmplitudeTable(c0=c0, c1={(1,): 1.0}, kind="mapped")
+        c0[(0,)] = 1.0  # the table holds its own copy
+        assert table.c0 == {(0,): 0.6, (1,): 0.8}
+        for built in (table, coherent_amplitude_table(0.88, 4),
+                      multiport_amplitude_table(1)):
+            with pytest.raises(TypeError):
+                built.c0[(0, 0)] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                built.columns[1][0] = 1.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                built.columns = None
+            assert repr(dict(built.c0)) in repr(built)
+
+    @pytest.mark.parametrize("make", [
+        lambda: coherent_amplitude_table(0.88, 4),
+        lambda: multiport_amplitude_table(2),
+        lambda: AmplitudeTable(c0={(0,): 1.0}, c1={(1,): 1.0}, kind="m"),
+    ])
+    def test_copies_keep_entries_and_columns(self, make):
+        table = make()
+        for twin in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
+            assert twin == table
+            assert list(twin.c0.items()) == list(table.c0.items())
+            assert twin.outcomes() == table.outcomes()
+            for got, want in zip(twin.columns[1:], table.columns[1:]):
+                assert got.tobytes() == want.tobytes()
 
 
 class TestVectorizedEnumeration:
@@ -600,6 +775,21 @@ class TestPlusAncillaPair:
             transfer_branches(multiport_amplitude_table(1), (1.0,))
         with pytest.raises(TransferError):
             transfer_branches(multiport_amplitude_table(1), (0.0, 0.0))
+
+    # unscaled, these squared sums overflow (probability, fidelity and
+    # mass 0), underflow to 0 ("cannot all vanish"), or go subnormal
+    # (fidelity 1.0000111)
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-160, 5e-324])
+    def test_amplitudes_past_the_normal_range_scale_first(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for route in (heralded_transfer, deterministic_transfer):
+                got = route(0.8, amps=[scale, scale], cutoff=5)
+                want = route(0.8, amps=[1.0, 1.0], cutoff=5)
+                assert (got.probability, got.fidelity, got.mass) == (
+                    want.probability, want.fidelity, want.mass)
+            assert (deterministic_fidelity_closed(0.8, [scale, scale])
+                    == deterministic_fidelity_closed(0.8, [1.0, 1.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
                                      complex(0, np.nan)])

@@ -7,7 +7,8 @@ Usage, from the repository root::
 * ``imaging N``: one flat on-grid frame of SHOTS shots, stage by stage.
 * ``photon N``: one seeded photon through an M=64, R=8 codebook, per layout.
 * ``mixture N``: the exact M=64, R=8 mixture with g = I, per layout.
-* ``transfer SITES:CUTOFF``: heralded_transfer with seeded amplitudes.
+* ``transfer SITES:CUTOFF``: the coherent table, then heralded_transfer on
+  it with seeded amplitudes.
 * ``network N``: network_monte_carlo on ``one`` worker and on ``all``.
 
 Each (size, case) runs REPEATS times; each step gives the first, best,
@@ -103,17 +104,17 @@ def enumeration(spec, _case):
     sites, cutoff = (int(x) for x in spec.split(":"))
     rng = np.random.default_rng(AMPS_SEED + sites)
     amps = rng.normal(size=sites) + 1j * rng.normal(size=sites)
-    out = timed("enumerate", transfer.heralded_transfer, ALPHA, amps=amps,
-                cutoff=cutoff)
+    table = timed("table", transfer.coherent_amplitude_table, ALPHA, cutoff)
+    out = timed("enumerate", transfer.heralded_transfer, amps=amps,
+                table=table)
     h = hashlib.sha256()  # branch by branch: the peak stays the stage's
     for b in out.branches:
         h.update(repr((b.record, b.probability.hex(), b.fidelity.hex(),
                        b.accepted)).encode())
     figures = (out.mass, out.probability, out.fidelity)
     h.update(repr([float(x).hex() for x in figures]).encode())
-    outcomes = len(transfer.coherent_amplitude_table(ALPHA, cutoff).outcomes())
-    return {"records": outcomes ** sites, "kept": len(out.branches),
-            "digest": h.hexdigest()[:16]}
+    return {"records": len(table.outcomes()) ** sites,
+            "kept": len(out.branches), "digest": h.hexdigest()[:16]}
 
 
 def monte_carlo(N, workers):
