@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 import os
 import sys
-import threading
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from itertools import compress, repeat
-from types import MappingProxyType
+from functools import lru_cache, reduce
+from itertools import repeat
 
 import numpy as np
 
@@ -148,81 +147,69 @@ def _check_alpha(alpha) -> float:
 # ---- per-site amplitude tables ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AmplitudeTable:
     """Outcome amplitudes of one site for vacuum (c0) and photon (c1) input.
 
-    ``c0`` and ``c1`` are read-only copies of the mappings given.
-    ``columns`` holds the sorted outcomes with both amplitudes aligned to
-    them as read-only complex arrays, 0 where a mapping has no entry; the
-    builders supply them, and a table made from mappings computes them on
-    first use.
+    The table is its columns: ``amp0[k]`` and ``amp1[k]`` are the vacuum
+    and photon amplitudes of outcome ``outs[k]``, 0 where that input never
+    gives it. ``AmplitudeTable(kind, outs, amp0, amp1)`` takes distinct
+    outcomes and one finite amplitude per outcome in each column, and keeps
+    read-only complex copies. ``c0`` and ``c1`` are views: each read builds
+    a new dict of the nonzero entries.
     """
 
-    c0: Mapping
-    c1: Mapping
     kind: str
+    outs: tuple
+    amp0: np.ndarray
+    amp1: np.ndarray
 
     def __post_init__(self):
-        for name in ("c0", "c1"):
-            object.__setattr__(self, name,
-                               MappingProxyType(dict(getattr(self, name))))
+        outs = tuple(self.outs)
+        if len(set(outs)) != len(outs):
+            raise TransferError(
+                f"table {self.kind!r}: outcomes {self.outs!r} are not distinct"
+            )
+        object.__setattr__(self, "outs", outs)
+        for name in ("amp0", "amp1"):
+            given = getattr(self, name)
+            try:
+                column = np.array(given, dtype=complex)
+                ok = column.shape == (len(outs),) and np.isfinite(column).all()
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise TransferError(
+                    f"table {self.kind!r}: {name} = {given!r} must hold one "
+                    f"finite complex amplitude for each of its {len(outs)} "
+                    f"outcomes"
+                )
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
-    def __reduce__(self):  # neither read-only mapping pickles
-        return type(self), (dict(self.c0), dict(self.c1), self.kind)
+    def __reduce__(self):  # unpickled arrays are writeable until rebuilt
+        return type(self), (self.kind, self.outs, self.amp0, self.amp1)
 
-    @cached_property
+    @property
     def columns(self) -> tuple:
-        """(outcomes, c0, c1): the sorted outcome tuple and the aligned
-        complex amplitude columns."""
-        outs = sorted(set(self.c0) | set(self.c1))
-        return (tuple(outs), *_read_only(*(
-            np.array([entries.get(o, 0.0) for o in outs], dtype=complex)
-            for entries in (self.c0, self.c1))))
+        """(outcomes, c0, c1), the columns aligned to the outcomes."""
+        return self.outs, self.amp0, self.amp1
 
     def outcomes(self) -> tuple:
-        return self.columns[0]
+        return self.outs
+
+    c0 = property(lambda self: self._nonzero(self.amp0))
+    c1 = property(lambda self: self._nonzero(self.amp1))
+
+    def _nonzero(self, column: np.ndarray) -> dict:
+        return {o: a for o, a in zip(self.outs, column.tolist()) if a}
 
 
-def _read_only(*arrays) -> tuple:
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
-
-
-class _Entries(Mapping):
-    """Read-only ``keys`` to ``values`` (read-only too), zipped into a dict
-    on first read: an enumeration reads only the columns."""
-
-    def __init__(self, keys, values):
-        self._pairs = keys, values
-
-    @cached_property
-    def _dict(self) -> dict:
-        return dict(zip(*self._pairs))
-
-    def __getitem__(self, key):
-        return self._dict[key]
-
-    def __iter__(self):
-        return iter(self._dict)
-
-    def __len__(self):
-        return len(self._dict)
-
-    def __repr__(self):
-        return repr(self._dict)
-
-
-def _built(kind: str, outs: tuple, c0: Mapping, c1: Mapping,
-           *columns) -> AmplitudeTable:
-    """A builder's table: read-only ``c0`` and ``c1`` that nothing else
-    holds, so they need no copy, and their columns over ``outs``."""
-    table = object.__new__(AmplitudeTable)
-    # the fields, and the columns where cached_property keeps its value
-    vars(table).update(c0=c0, c1=c1, kind=kind,
-                       columns=(outs, *_read_only(*columns)))
-    return table
+def _check_count(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TransferError(f"{name} = {value!r} must be an integer") from None
 
 
 @lru_cache(maxsize=8)
@@ -230,9 +217,9 @@ def _coherent_layout(cutoff: int) -> tuple:
     """What the coherent tables at ``cutoff`` share, whatever alpha.
 
     ``outs`` are the sorted outcomes (i, j). The entries run through the
-    c0 table, keyed ``keys0``, then the c1 table, keyed ``keys1``; per
-    entry, ``flat`` is its place in the two columns laid end to end, and
-    the rest are its i + j, lgamma(i + 1) / 2, lgamma(j + 1) / 2, and
+    c0 column's domain, the first ``n0`` of them, then the c1 column's;
+    per entry, ``flat`` is its place in the two columns laid end to end,
+    and the rest are its i + j, lgamma(i + 1) / 2, lgamma(j + 1) / 2, and
     (-1)^j times 1 in c0 or times i - j in c1.
     """
     # the photon table's domain i, j <= cutoff, i + j <= cutoff + 1, plus
@@ -242,16 +229,18 @@ def _coherent_layout(cutoff: int) -> tuple:
     kept = (i != j) | (i + j <= cutoff)
     i, j = i[kept], j[kept]
     outs = tuple(zip(i.tolist(), j.tolist()))
-    at0, at1 = np.flatnonzero(i + j <= cutoff), np.flatnonzero(i != j)
-    keys0, keys1 = (tuple(outs[k] for k in a.tolist()) for a in (at0, at1))
-    at = np.concatenate([at0, at1])
+    at0 = np.flatnonzero(i + j <= cutoff)
+    n0 = len(at0)
+    at = np.concatenate([at0, np.flatnonzero(i != j)])
     i, j = i[at], j[at]
     lg = np.array([math.lgamma(k + 1) for k in range(cutoff + 1)])
     factor = np.where(j % 2, -1.0, 1.0)
-    factor[len(at0):] *= (i - j)[len(at0):]
-    at[len(at0):] += len(outs)
-    arrays = _read_only(at, (i + j) * 1.0, 0.5 * lg[i], 0.5 * lg[j], factor)
-    return (outs, keys0, keys1, *arrays)
+    factor[n0:] *= (i - j)[n0:]
+    at[n0:] += len(outs)
+    arrays = (at, (i + j) * 1.0, 0.5 * lg[i], 0.5 * lg[j], factor)
+    for array in arrays:
+        array.flags.writeable = False
+    return (outs, n0, *arrays)
 
 
 def coherent_amplitude_table(alpha: float, cutoff: int) -> AmplitudeTable:
@@ -265,15 +254,14 @@ def coherent_amplitude_table(alpha: float, cutoff: int) -> AmplitudeTable:
     """
     # in float64 whatever the type given, which still names the table
     x = _check_alpha(alpha)
+    cutoff = _check_count(cutoff, "cutoff")
     if cutoff < 1:
         raise TransferError("cutoff must be >= 1")
     if x == 0.0:
-        return AmplitudeTable(
-            c0={(0, 0): 1.0},
-            c1={(1, 0): 2 ** -0.5, (0, 1): 2 ** -0.5},
-            kind="coherent(0)",
-        )
-    outs, keys0, keys1, flat, total, half_lg_i, half_lg_j, factor = (
+        half = 2 ** -0.5
+        return AmplitudeTable("coherent(0)", ((0, 0), (0, 1), (1, 0)),
+                              (1.0, 0.0, 0.0), (0.0, half, half))
+    outs, n0, flat, total, half_lg_i, half_lg_j, factor = (
         _coherent_layout(cutoff))
     # c0 = e^{-a^2/2} (a/sqrt2)^i (-a/sqrt2)^j / sqrt(i! j!) and c1 =
     # c0 (i - j) / alpha, with the terms of the log added in this order:
@@ -286,10 +274,9 @@ def coherent_amplitude_table(alpha: float, cutoff: int) -> AmplitudeTable:
     )
     amp = np.exp(log_mag)
     amp *= factor
-    c0, c1 = amp[:len(keys0)], amp[len(keys0):]
-    c1 /= x
-    for part in (c0, c1):
-        # the builtin sum of abs(a) ** 2 in key order
+    amp[n0:] /= x
+    for part in (amp[:n0], amp[n0:]):
+        # the builtin sum of abs(a) ** 2 in outcome order
         mass2 = sum(map(pow, map(abs, part.tolist()), repeat(2)))
         # a subnormal mass has lost its digits, and a zero one divides by 0
         if mass2 < sys.float_info.min:
@@ -300,9 +287,7 @@ def coherent_amplitude_table(alpha: float, cutoff: int) -> AmplitudeTable:
         part /= math.sqrt(mass2)
     columns = np.zeros(2 * len(outs), dtype=complex)
     columns[flat] = amp
-    _read_only(c0, c1)
-    return _built(f"coherent({alpha})", outs, _Entries(keys0, c0),
-                  _Entries(keys1, c1), *columns.reshape(2, -1))
+    return AmplitudeTable(f"coherent({alpha})", outs, *columns.reshape(2, -1))
 
 
 def multiport_amplitude_table(ports: int) -> AmplitudeTable:
@@ -313,6 +298,7 @@ def multiport_amplitude_table(ports: int) -> AmplitudeTable:
     are count tuples over the P + 1 detectors. P = 1 is the balanced
     splitter with a single plus ancilla.
     """
+    ports = _check_count(ports, "ports")
     if ports < 1:
         raise TransferError("need at least one ancilla port")
     k = ports + 1
@@ -322,25 +308,17 @@ def multiport_amplitude_table(ports: int) -> AmplitudeTable:
     matrix, leak = linear_optics_matrix(S, in_cutoffs, out_cutoffs)
     if leak.max() > 1e-12:
         raise RuntimeError("multiport enumeration unexpectedly truncated")
-    plus = np.array([2 ** -0.5, 2 ** -0.5])
-    vac_in = np.array([1.0, 0.0])
-    pho_in = np.array([0.0, 1.0])
-    outputs = []
-    for head in (vac_in, pho_in):
-        vec = head
-        for _ in range(ports):
-            vec = np.kron(vec, plus)
-        out = matrix @ vec.astype(complex)
-        outputs.append(np.where(np.abs(out) > 1e-14, out, 0))
+    # the vacuum or the photon, then P plus states
+    ancillas = reduce(np.kron, [np.array([2 ** -0.5, 2 ** -0.5])] * ports)
+    outputs = [matrix @ np.kron(head, ancillas).astype(complex)
+               for head in np.eye(2)]
+    outputs = [np.where(np.abs(out) > 1e-14, out, 0) for out in outputs]
     # flat index order over the count tuples is their sorted order
     flat = np.union1d(*map(np.flatnonzero, outputs))
     counts = np.unravel_index(flat, (k + 1,) * k)
-    keys = tuple(zip(*(x.tolist() for x in counts)))
-    columns = [out[flat] for out in outputs]
-    tables = [MappingProxyType(dict(compress(zip(keys, col.tolist()),
-                                             (col != 0).tolist())))
-              for col in columns]
-    return _built(f"multiport({ports})", keys, *tables, *columns)
+    outs = tuple(zip(*(x.tolist() for x in counts)))
+    return AmplitudeTable(f"multiport({ports})", outs,
+                          *(out[flat] for out in outputs))
 
 
 # ---- joint branch enumeration ----------------------------------------------------
@@ -527,6 +505,9 @@ def heralded_rate_closed(alpha: float) -> float:
 def find_heralded_optimum(lo: float = 0.0, hi: float = 2.0,
                           step: float = 0.005):
     """Grid search of the heralded acceptance rate: (best alpha, best rate)."""
+    if not (all(map(math.isfinite, (lo, hi, step))) and lo <= hi and step > 0):
+        raise TransferError(f"bad alpha grid [{lo}, {hi}] step {step}: need "
+                            f"finite lo <= hi and a finite step > 0")
     alphas = np.arange(lo, hi + step / 2, step)
     rates = np.array([heralded_rate_closed(a) for a in alphas])
     best = int(np.argmax(rates))
@@ -705,32 +686,6 @@ def _tally(bit_generator, N: int, p1: float, photon: np.ndarray, block: int):
     return n_fail, counts
 
 
-def _in_threads(fn, n: int) -> list:
-    """[fn(0), ..., fn(n - 1)], each call on a thread of its own; an
-    exception raised in any call is raised here once all have ended."""
-    out = [None] * n
-
-    def run(i):
-        try:
-            out[i] = (fn(i), None)
-        except BaseException as exc:  # raised again in the calling thread
-            out[i] = (None, exc)
-
-    threads = []
-    try:
-        for i in range(n):
-            thread = threading.Thread(target=run, args=(i,))
-            thread.start()
-            threads.append(thread)
-    finally:
-        for thread in threads:
-            thread.join()
-    for _value, exc in out:
-        if exc is not None:
-            raise exc
-    return [value for value, _exc in out]
-
-
 def network_monte_carlo(N: int, p1: float, trials: int, rng=None) -> dict:
     """Empirical failure rate and survivor-count distribution.
 
@@ -767,13 +722,18 @@ def network_monte_carlo(N: int, p1: float, trials: int, rng=None) -> dict:
     if _advanceable(bit_generator):
         workers = min(_mc_workers(trials * N), trials)
     cuts = [trials * i // workers for i in range(workers + 1)]
-    starts = [_skipped(bit_generator, lo * N) for lo in cuts[:-1]]
+    # _tally's arguments, one run of trials per worker
+    runs = ([_skipped(bit_generator, lo * N) for lo in cuts[:-1]], repeat(N),
+            repeat(p1), [photon[lo:hi] for lo, hi in zip(cuts, cuts[1:])],
+            repeat(MC_BLOCK // workers))
+    if workers == 1:
+        parts = list(map(_tally, *runs))
+    else:  # imported here, off the import path and the one-thread runs
+        from concurrent.futures import ThreadPoolExecutor
 
-    def tally(i):
-        return _tally(starts[i], N, p1, photon[cuts[i]:cuts[i + 1]],
-                      MC_BLOCK // workers)
-
-    parts = [tally(0)] if workers == 1 else _in_threads(tally, workers)
+        # leaving the block joins every worker, then raises the first error
+        with ThreadPoolExecutor(workers) as pool:
+            parts = list(pool.map(_tally, *runs))
     n_fail = sum(f for f, _ in parts)
     counts = sum(c for _, c in parts)
     bit_generator.state = after.state

@@ -91,6 +91,23 @@ def test_encode_decode_readout_fields():
         assert isinstance(readout.attempts, int) and readout.attempts >= 1
 
 
+def test_enumeration_counts_and_cli_alias():
+    # _count_enum reads the table and amps by position or by name, then
+    # len(table.outcomes()) ** sites and len(out[0]); test_bench.py reads
+    # cli.encode_single_photon as a module attribute
+    assert list(inspect.signature(transfer.transfer_branches).parameters)[:2] == [
+        "table", "amps"]
+    assert cli.encode_single_photon is codec.encode_single_photon
+    for table, outcomes, kept in (
+            (transfer.coherent_amplitude_table(0.88, 4), 19, (336, 6048)),
+            (transfer.multiport_amplitude_table(2), 14, (179, 2199))):
+        assert isinstance(table.outcomes(), tuple)
+        assert len(table.outcomes()) == outcomes
+        for amps, want in zip(((0.6, 0.8j), (1.0, 1.0, 1.0)), kept):
+            out = transfer.transfer_branches(table, amps)
+            assert len(out[0]) == want == len(list(out[0]))
+
+
 def test_classical_estimate_reports_successes():
     dist = IntensityDistribution.flat_on_grid(4, 1.0)
     vis = visibility_from_intensity(dist, ArrayGeometry(N=4, d=1.0))

@@ -61,9 +61,10 @@ def _branches_by_record(table, amps, prune=BRANCH_PRUNE):
     n = len(amps)
     branches = []
     mass = 0.0
+    c0, c1 = table.c0, table.c1
     for record in itertools.product(table.outcomes(), repeat=n):
-        c0s = np.array([table.c0.get(o, 0.0) for o in record], dtype=complex)
-        c1s = np.array([table.c1.get(o, 0.0) for o in record], dtype=complex)
+        c0s = np.array([c0.get(o, 0.0) for o in record], dtype=complex)
+        c1s = np.array([c1.get(o, 0.0) for o in record], dtype=complex)
         site_amp = np.zeros(n, dtype=complex)
         for s in range(n):
             site_amp[s] = amps[s] * c1s[s] * np.prod(np.delete(c0s, s))
@@ -100,8 +101,8 @@ def _branches_by_index_matrix(table, amps, prune=BRANCH_PRUNE):
     amps = amps / np.linalg.norm(amps)
     n = len(amps)
     outs = table.outcomes()
-    c0 = np.array([table.c0.get(o, 0.0) for o in outs], dtype=complex)
-    c1 = np.array([table.c1.get(o, 0.0) for o in outs], dtype=complex)
+    c0, c1 = (np.array([m.get(o, 0.0) for o in outs], dtype=complex)
+              for m in (table.c0, table.c1))
     both = (c0 != 0) & (c1 != 0)
     ratio = np.divide(c1, c0, out=np.zeros_like(c1), where=both)
     phase = np.exp(-1j * np.angle(ratio))
@@ -232,15 +233,21 @@ def _coherent_by_entry(alpha, cutoff):
     return c0, c1, f"coherent({alpha})"
 
 
-def assert_columns_match_mappings(table):
-    """``table.columns`` holds the sorted key union and, bit for bit, the
-    complex columns an enumeration would build from the mappings."""
-    outs, c0, c1 = table.columns
-    assert table.outcomes() is outs
-    assert list(outs) == sorted(set(table.c0) | set(table.c1))
-    for column, entries in ((c0, table.c0), (c1, table.c1)):
-        want = np.array([entries.get(o, 0.0) for o in outs], dtype=complex)
-        assert column.dtype == complex and column.tobytes() == want.tobytes()
+def mapped_table(c0, c1, kind="mapped"):
+    """The table holding the mappings ``c0`` and ``c1``: their sorted key
+    union as outcomes, with 0 where a mapping has no entry."""
+    outs = sorted(set(c0) | set(c1))
+    return AmplitudeTable(kind, outs,
+                          *([m.get(o, 0.0) for o in outs] for m in (c0, c1)))
+
+
+def assert_same_table(got, want):
+    """Same kind and outcomes, and bit for bit the same complex columns,
+    read-only in ``got``."""
+    assert got.kind == want.kind
+    assert got.outcomes() == want.outcomes()
+    for column, expected in zip(got.columns[1:], want.columns[1:]):
+        assert column.dtype == complex and column.tobytes() == expected.tobytes()
         assert not column.flags.writeable
 
 
@@ -300,6 +307,17 @@ class TestAmplitudeTable:
             coherent_amplitude_table(1.0, 0)
         with pytest.raises(TransferError):
             multiport_amplitude_table(0)
+        for call, name in (
+                (lambda: coherent_amplitude_table(0.8, 2.5), "cutoff = 2.5"),
+                (lambda: coherent_amplitude_table(0.8, "5"), "cutoff = '5'"),
+                (lambda: multiport_amplitude_table(2.5), "ports = 2.5")):
+            with pytest.raises(TransferError, match=re.escape(name)):
+                call()
+        # any integer type numpy hands out still counts
+        assert_same_table(coherent_amplitude_table(0.8, np.int64(5)),
+                          coherent_amplitude_table(0.8, 5))
+        assert_same_table(multiport_amplitude_table(np.int64(2)),
+                          multiport_amplitude_table(2))
 
     @pytest.mark.parametrize("alpha, cutoff", [(50.0, 5), (27.2, 1)])
     def test_rejects_a_table_whose_mass_underflows(self, alpha, cutoff):
@@ -318,27 +336,18 @@ class TestAmplitudeTable:
 
 def _assert_same_table(alpha, cutoff):
     try:
-        *want, kind = _coherent_by_entry(alpha, cutoff)
+        want = mapped_table(*_coherent_by_entry(alpha, cutoff))
     except TransferError as exc:
         with pytest.raises(TransferError, match=f"^{re.escape(str(exc))}$"):
             coherent_amplitude_table(alpha, cutoff)
         return False
-    table = coherent_amplitude_table(alpha, cutoff)
-    for got, entries in zip((table.c0, table.c1), want):
-        assert list(got) == list(entries), (alpha, cutoff)
-        assert [type(v) for v in got.values()] == [
-            type(v) for v in entries.values()], (alpha, cutoff)
-        bits = [np.float64(v).tobytes() for v in got.values()]
-        assert bits == [np.float64(v).tobytes() for v in entries.values()], (
-            alpha, cutoff)
-    assert table.kind == kind
-    assert_columns_match_mappings(table)
+    assert_same_table(coherent_amplitude_table(alpha, cutoff), want)
     return True
 
 
 class TestTableBuild:
     """The one-pass coherent builder against the per-entry route, and the
-    columns every table holds."""
+    one constructor every table goes through."""
 
     # 5e-324 and 1e-300 build from subnormal and near-subnormal entries;
     # the mass underflows at 27.2 up to cutoff 5, and at 50 up to 40
@@ -360,11 +369,9 @@ class TestTableBuild:
         # in the narrow type the heralded probability at cutoff 16 read
         # 0.135 for a float32 alpha = 1.2, against 0.199
         got = coherent_amplitude_table(given, 16)
-        want = coherent_amplitude_table(float(given), 16)
-        for entries in ("c0", "c1"):
-            assert (list(getattr(got, entries).items())
-                    == list(getattr(want, entries).items()))
+        want = mapped_table(*_coherent_by_entry(float(given), 16))
         assert got.kind == f"coherent({given})"
+        assert_same_table(got, dataclasses.replace(want, kind=got.kind))
 
     def test_coherent_rejects_what_the_entry_route_rejects(self):
         for alpha, cutoff in ((-0.5, 6), (float("nan"), 6), (1.0, 0)):
@@ -384,49 +391,69 @@ class TestTableBuild:
         text = repr([[(k, v.real.hex(), v.imag.hex()) for k, v in m.items()]
                      for m in (table.c0, table.c1)] + [table.kind])
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
-        assert all(type(v) is complex
-                   for m in (table.c0, table.c1) for v in m.values())
-        assert_columns_match_mappings(table)
+        # every outcome has an entry in one view at least
+        assert_same_table(table, mapped_table(table.c0, table.c1, table.kind))
 
-    def test_mapping_table_columns_built_once(self):
-        c0 = {(2,): 0.6, (0,): 0.8j}
-        c1 = {(1,): 1.0, (0,): 0.0}
-        table = AmplitudeTable(c0=c0, c1=c1, kind="mapped")
-        assert "columns" not in vars(table)  # not before first use
-        assert table.outcomes() == ((0,), (1,), (2,))
-        assert table.columns is table.columns
-        assert_columns_match_mappings(table)
-        branches, _ = transfer_branches(table, UNIFORM)
-        assert branches.outs is table.outcomes()
+    def test_views_are_new_dicts_of_the_nonzero_entries(self):
+        # at alpha = 5e-324 and cutoff 40 the high-count entries underflow
+        # to 0: the columns keep them, the views drop them
+        table = coherent_amplitude_table(5e-324, 40)
+        outs, c0, c1 = table.columns
+        assert (c0 == 0).any() and (c1 == 0).any()
+        for view, column in ((table.c0, c0), (table.c1, c1)):
+            assert type(view) is dict
+            assert list(view) == [o for o, a in zip(outs, column) if a != 0]
+            assert list(view.values()) == column[column != 0].tolist()
+        table.c0.clear()
+        assert table.c0 and table.c0 is not table.c0
 
-    def test_mappings_and_columns_cannot_disagree(self):
-        c0 = {(0,): 0.6, (1,): 0.8}
-        table = AmplitudeTable(c0=c0, c1={(1,): 1.0}, kind="mapped")
-        c0[(0,)] = 1.0  # the table holds its own copy
-        assert table.c0 == {(0,): 0.6, (1,): 0.8}
-        for built in (table, coherent_amplitude_table(0.88, 4),
-                      multiport_amplitude_table(1)):
-            with pytest.raises(TypeError):
-                built.c0[(0, 0)] = 1.0
+    @pytest.mark.parametrize("make", [
+        lambda: coherent_amplitude_table(0.88, 4),
+        lambda: multiport_amplitude_table(1),
+        lambda: AmplitudeTable("m", [(0,), (1,)], [0.6, 0.8], [0.0, 1.0]),
+    ])
+    def test_columns_are_read_only(self, make):
+        table = make()
+        for column in table.columns[1:]:
             with pytest.raises(ValueError, match="read-only"):
-                built.columns[1][0] = 1.0
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                built.columns = None
-            assert repr(dict(built.c0)) in repr(built)
+                column[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.amp0 = None
+        with pytest.raises(AttributeError):
+            table.columns = None
+
+    def test_constructor_copies_what_it_is_given(self):
+        given = np.array([0.6, 0.8])
+        table = AmplitudeTable("m", [(0,), (1,)], given, [0.0, 1.0])
+        given[0] = 1.0
+        assert table.c0 == {(0,): 0.6, (1,): 0.8}
+        assert given.flags.writeable
+        assert table.outcomes() == ((0,), (1,))
+
+    @pytest.mark.parametrize("outs, amp0, amp1, named", [
+        ([(0,), (1,)], [1.0], [0.0, 1.0], "amp0 = [1.0] must hold one"),
+        ([(0,), (1,)], [1.0, 0.0], [[0.0, 1.0]], "amp1 = [[0.0, 1.0]] must hold"),
+        ([(0,), (1,)], [1.0, 0.0], "ab", "amp1 = 'ab' must hold"),
+        ([(0,)], [float("nan")], [1.0], "amp0 = [nan] must hold one finite"),
+        ([(0,)], [1.0], [complex(0, math.inf)], "amp1 = [infj] must hold one finite"),
+        ([(0,), (1,), (0,)], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+         "outcomes [(0,), (1,), (0,)] are not distinct"),
+    ], ids=["short", "2-D", "text", "nan", "inf", "duplicate"])
+    def test_constructor_refuses_malformed_columns(self, outs, amp0, amp1,
+                                                   named):
+        with pytest.raises(TransferError, match=re.escape(f"table 'm': {named}")):
+            AmplitudeTable("m", outs, amp0, amp1)
 
     @pytest.mark.parametrize("make", [
         lambda: coherent_amplitude_table(0.88, 4),
         lambda: multiport_amplitude_table(2),
-        lambda: AmplitudeTable(c0={(0,): 1.0}, c1={(1,): 1.0}, kind="m"),
+        lambda: mapped_table({(0,): 1.0}, {(1,): 1.0}),
     ])
     def test_copies_keep_entries_and_columns(self, make):
         table = make()
         for twin in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
-            assert twin == table
-            assert list(twin.c0.items()) == list(table.c0.items())
-            assert twin.outcomes() == table.outcomes()
-            for got, want in zip(twin.columns[1:], table.columns[1:]):
-                assert got.tobytes() == want.tobytes()
+            assert twin is not table
+            assert_same_table(twin, table)
 
 
 class TestVectorizedEnumeration:
@@ -476,7 +503,7 @@ class TestVectorizedEnumeration:
             kept = [o for o in range(k) if rng.random() > 0.2] or [0]
             norm = np.linalg.norm(c[kept])
             tables.append({o: c[o] / norm for o in kept})
-        table = AmplitudeTable(c0=tables[0], c1=tables[1], kind="random")
+        table = mapped_table(*tables, kind="random")
         assert_matches_oracle(table, _complex_amps(sites, seed))
 
 
@@ -650,6 +677,15 @@ class TestClosedForms:
         alpha, rate = find_heralded_optimum(0.0, 2.0, 0.005)
         assert alpha == pytest.approx(0.88, abs=1e-9)
         assert rate == pytest.approx(0.219092, abs=1e-6)
+
+    @pytest.mark.parametrize("lo, hi, step", [
+        (0.0, 2.0, 0.0), (0.0, 2.0, -0.005), (2.0, 0.0, 0.005),
+        (0.0, 2.0, float("nan")), (float("nan"), 2.0, 0.005),
+        (0.0, float("inf"), 0.005)])
+    def test_heralded_optimum_rejects_bad_grids(self, lo, hi, step):
+        with pytest.raises(TransferError, match=re.escape(
+                f"bad alpha grid [{lo}, {hi}] step {step}")):
+            find_heralded_optimum(lo, hi, step)
 
     @pytest.mark.parametrize("alpha, cutoff", [(0.6, 10), (1.0, 14)])
     @pytest.mark.parametrize("amps", [UNIFORM, (0.8, 0.6)])
