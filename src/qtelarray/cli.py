@@ -41,6 +41,7 @@ from .source import (
     visibility_from_intensity,
 )
 from . import transfer as _transfer
+from .transfer import GRID_POINTS_MAX
 from .util import ConfigError, make_rng, parse_key_value
 
 EXIT_OK = 0
@@ -229,10 +230,6 @@ TRANSFER_DEFAULTS = {
     "eta_min": 0.1, "eta_max": 1.0, "eta_step": 0.1,
     "seed": 0,
 }
-
-
-# one report row per grid point, as encode bounds its round trips
-GRID_POINTS_MAX = 2 ** 20
 
 
 def _grid(lo: float, hi: float, step: float, name: str) -> np.ndarray:

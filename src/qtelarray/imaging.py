@@ -36,7 +36,8 @@ SAMPLERS = ("w_state", "direct_pair")
 IMAG_TOL = 1e-12
 # int64 maximum: multinomial and binomial counts are C longs
 SHOTS_MAX = np.iinfo(np.int64).max
-# Pair draws resolved per block of _draw_pairs (128 KiB of indices).
+# Uniforms drawn per block of the classical route (128 KiB); a block of
+# pair draws holds at least one per pair.
 DRAW_BLOCK = 1 << 14
 # Bytes of DFT tables kept between calls; one N=256 frame's take 3 MiB.
 TABLE_CACHE_BYTES = 64 << 20
@@ -194,10 +195,13 @@ def _pair_correlations(vis: VisibilityModel):
 
 
 def _guide(cdf: np.ndarray) -> np.ndarray:
-    """Guide table of a normalized CDF for :func:`_draw_pairs`.
+    """Guide table of a normalized CDF for :func:`_search`.
 
     Entry j counts the CDF entries at or below j / G, over G = 2^ceil(log2 n)
-    equal cells, as ``cdf.searchsorted(arange(G) / G, side="right")`` does.
+    equal cells, as ``cdf.searchsorted(arange(G) / G, side="right")`` does:
+    an entry lies at or below j / G exactly when ceil(cdf * G) <= j, and
+    ``cdf * G`` is exact as G is a power of two, so one bincount of
+    ceil(cdf * G), summed up to j, gives the table in one pass.
     """
     G = 1 << (cdf.size - 1).bit_length()
     return np.bincount(
@@ -205,22 +209,41 @@ def _guide(cdf: np.ndarray) -> np.ndarray:
     ).cumsum()[:G]
 
 
-def _draw_pairs(rng, weight: np.ndarray, size: int) -> np.ndarray:
-    """Pair indices as ``rng.choice(weight.size, size, p=weight / weight.sum())``.
+def _blocks(size: int, block: int):
+    """Sizes of the consecutive runs of at most ``block`` that make ``size``."""
+    return (min(block, size - lo) for lo in range(0, size, block))
+
+
+def _search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``cdf.searchsorted(u, side="right")`` answered from ``_guide(cdf)``.
+
+    A draw starts at the first CDF entry above its cell's left edge and
+    steps forward while ``cdf[idx] <= u``. The CDF is nondecreasing in
+    floating point and the start never passes the answer, so the result is
+    exact. A draw takes as many steps as its cell holds CDF entries,
+    n / G <= 1 on average; the pipeline's pair weights are all 2/N, so no
+    cell holds more than a few.
+    """
+    idx = guide[(u * guide.size).astype(np.intp)]
+    active = np.flatnonzero(cdf[idx] <= u)
+    while active.size:
+        idx[active] += 1
+        active = active[cdf[idx[active]] <= u[active]]
+    return idx
+
+
+def _pair_counts(rng, weight: np.ndarray, size: int,
+                 settings: int) -> np.ndarray:
+    """Draws per setting and pair: row s bincounts draws s, s + settings, ...
+    of ``rng.choice(weight.size, size, p=weight / weight.sum())``.
 
     The same p, CDF and uniforms give the same indices and leave ``rng`` in
-    the same state, but ``cdf.searchsorted(u, side="right")`` is answered
-    from a guide table over G = 2^ceil(log2 n) equal cells: a draw starts at
-    the first CDF entry above its cell's left edge and steps forward while
-    ``cdf[idx] <= u``. The guide counts the CDF entries at or below each
-    left edge j / G in one pass: an entry lies there exactly when
-    ceil(cdf * G) <= j, and ``cdf * G`` is exact as G is a power of two, so
-    a bincount of ceil(cdf * G) summed up to j is the same table as
-    ``cdf.searchsorted(arange(G) / G, side="right")``. The CDF is
-    nondecreasing in floating point and the start never passes the answer,
-    so the result is exact. A draw takes as many steps as its cell holds
-    CDF entries, n / G <= 1 on average; the pipeline's pair weights are all
-    2/N, so no cell holds more than a few.
+    the same state; :func:`_search` stands in for choice's searchsorted.
+    The uniforms are drawn and counted in blocks of max(DRAW_BLOCK, n)
+    draws, so memory is set by n, not by ``size``, and each block's
+    bincounts cost O(block). A block's length is a multiple of
+    ``settings``, so a draw's place within its block has the same residue
+    as its place among all draws.
     """
     total = weight.sum()
     # a NaN or infinite weight makes the total NaN or infinite
@@ -229,22 +252,17 @@ def _draw_pairs(rng, weight: np.ndarray, size: int) -> np.ndarray:
                           "all zero")
     cdf = (weight / total).cumsum()
     cdf /= cdf[-1]
-    # the guide's temporaries are freed before u is drawn, which keeps the
-    # peak resident set down
+    # the guide's temporaries are freed before the uniforms are drawn,
+    # which keeps the peak resident set down
     guide = _guide(cdf)
-    G = guide.size
-    u = rng.random(size)
-    idx = np.empty(size, dtype=np.intp)
-    # blocks keep the temporaries small beside u and idx
-    for lo in range(0, size, DRAW_BLOCK):
-        ub = u[lo:lo + DRAW_BLOCK]
-        ib = guide[(ub * G).astype(np.intp)]
-        active = np.flatnonzero(cdf[ib] <= ub)
-        while active.size:
-            ib[active] += 1
-            active = active[cdf[ib[active]] <= ub[active]]
-        idx[lo:lo + DRAW_BLOCK] = ib
-    return idx
+    n = weight.size
+    block = -(-max(DRAW_BLOCK, n) // settings) * settings
+    counts = np.zeros((settings, n), dtype=np.intp)
+    for m in _blocks(size, block):
+        idx = _search(cdf, guide, rng.random(m))
+        for s in range(settings):
+            counts[s] += np.bincount(idx[s::settings], minlength=n)
+    return counts
 
 
 def classical_pipeline(vis: VisibilityModel, shots: int, rng=None,
@@ -256,7 +274,10 @@ def classical_pipeline(vis: VisibilityModel, shots: int, rng=None,
     readout attempt per shot, losing the 1/N all-zeros retries; the
     ``direct_pair`` sampler idealizes away the retries so every shot lands
     on a pair. With ``quadratures="both"`` each baseline's budget is split
-    evenly between the XX and XY settings.
+    evenly between the XX and XY settings. The readout and pair uniforms
+    are drawn and counted in blocks, so memory grows with the number of
+    pairs, not with ``shots``; the draws are those of one
+    ``rng.random(shots)`` and one ``rng.choice`` over the pairs.
 
     The reported per-point variance propagates each baseline's standard
     error isotropically through the natural weighting,
@@ -276,15 +297,16 @@ def classical_pipeline(vis: VisibilityModel, shots: int, rng=None,
     settings = ("XX",) if mode == "real" else ("XX", "XY")
 
     a, b, weight, corr_xx, corr_xy = _pair_correlations(vis)
-    n_pairs = a.size
     shots = int(shots)
     if sampler == "w_state":
-        successes = int((rng.random(shots) >= 1.0 / N).sum())
+        # one readout attempt per shot; an all-zeros retry is lost
+        successes = sum(int(np.count_nonzero(rng.random(m) >= 1.0 / N))
+                        for m in _blocks(shots, DRAW_BLOCK))
     else:
         successes = shots
-    pair_idx = _draw_pairs(rng, weight, successes)
+    # alternate settings shot by shot so every baseline splits its budget
+    pair_counts = _pair_counts(rng, weight, successes, len(settings))
 
-    # alternate settings shot by shot so every baseline splits its budget;
     # pool each setting's shots and +-1 sums by baseline k = b - a (the
     # sums are integer valued, so pooling in any order is exact)
     k_of_pair = b - a - 1
@@ -292,8 +314,7 @@ def classical_pipeline(vis: VisibilityModel, shots: int, rng=None,
     total = np.zeros((len(settings), N - 1))
     corr_by_setting = {"XX": corr_xx, "XY": corr_xy}
     for s_i, setting in enumerate(settings):
-        sel = pair_idx[s_i::len(settings)]
-        n_sel = np.bincount(sel, minlength=n_pairs)
+        n_sel = pair_counts[s_i]
         corr = np.clip(corr_by_setting[setting], -1.0, 1.0)
         p_plus = 0.5 * (1.0 + corr)
         plus = rng.binomial(n_sel, p_plus)

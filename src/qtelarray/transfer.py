@@ -46,7 +46,11 @@ BRANCH_PRUNE = 1e-12
 RATIO_TOL = 1e-9
 # Success uniforms the network Monte Carlo holds at once (4 MiB), split
 # evenly among its threads; also the fewest uniforms worth one more thread.
+# Its photon sites are drawn MC_BLOCK // 8 at a time (512 KiB of int64).
 MC_BLOCK = 1 << 19
+# Points of an alpha or eta grid: each is one closed-form call and, in the
+# CLI, one report row.
+GRID_POINTS_MAX = 2 ** 20
 # From N = 1030 on, C(N, N // 2) exceeds the largest float.
 MAX_PAIR_SITES = 1029
 # The largest ancilla amplitude whose alpha ** 2 is a finite float.
@@ -508,7 +512,12 @@ def find_heralded_optimum(lo: float = 0.0, hi: float = 2.0,
     if not (all(map(math.isfinite, (lo, hi, step))) and lo <= hi and step > 0):
         raise TransferError(f"bad alpha grid [{lo}, {hi}] step {step}: need "
                             f"finite lo <= hi and a finite step > 0")
-    alphas = np.arange(lo, hi + step / 2, step)
+    count = (hi - lo) / step
+    if not count < GRID_POINTS_MAX:  # also an overflowing span or count
+        raise TransferError(
+            f"alpha grid [{lo}, {hi}] step {step} has {count:.4g} points, "
+            f"more than GRID_POINTS_MAX = {GRID_POINTS_MAX}")
+    alphas = np.arange(lo, min(hi + step / 2, sys.float_info.max), step)
     rates = np.array([heralded_rate_closed(a) for a in alphas])
     best = int(np.argmax(rates))
     return float(alphas[best]), float(rates[best])
@@ -663,6 +672,32 @@ def _skipped(bit_generator, draws: int):
     return skipped
 
 
+def _photon_sites(rng, N: int, trials: int) -> np.ndarray:
+    """``rng.integers(0, N, size=trials)`` held in the smallest unsigned
+    dtype that fits N - 1 (one byte per trial up to N = 256). The sites are
+    drawn MC_BLOCK // 8 at a time; the blocks give the same values and leave
+    ``rng`` in the same state as one call, since numpy keeps the spare
+    32-bit half of a draw below 2^32 in the bit generator, not in the call,
+    and draws wider ranges 64 bits at a time."""
+    dtype = np.min_scalar_type(N - 1)
+    try:
+        photon = np.empty(trials, dtype=dtype)
+    except MemoryError:
+        raise TransferError(
+            f"trials = {trials} needs {trials * dtype.itemsize} bytes for "
+            f"its photon sites"
+        ) from None
+    except ValueError:  # numpy's size error: more than an intp can count
+        raise TransferError(
+            f"trials = {trials} exceeds numpy's largest array size, "
+            f"{np.iinfo(np.intp).max}"
+        ) from None
+    step = MC_BLOCK // 8
+    for lo in range(0, trials, step):
+        photon[lo:lo + step] = rng.integers(0, N, size=min(step, trials - lo))
+    return photon
+
+
 def _tally(bit_generator, N: int, p1: float, photon: np.ndarray, block: int):
     """(failures, survivor-count histogram) of the trials whose photon sites
     are ``photon``; their success uniforms, N per trial, come from
@@ -679,7 +714,9 @@ def _tally(bit_generator, N: int, p1: float, photon: np.ndarray, block: int):
         rng.random(out=ub)
         succ = np.less(ub, p1, out=succ_buf[:len(ub)])
         k = succ.sum(1, dtype=np.min_scalar_type(N))
-        ok = succ.ravel()[row_start[:len(ub)] + photon[start:start + rows]]
+        # intp sums: uint64 sites (N > 2^32) would promote to float
+        ok = succ.ravel()[np.add(row_start[:len(ub)],
+                                 photon[start:start + rows], dtype=np.intp)]
         ok &= k > 1
         n_fail += len(ub) - int(np.count_nonzero(ok))
         counts += np.bincount(k[ok], minlength=N + 1)
@@ -693,11 +730,13 @@ def network_monte_carlo(N: int, p1: float, trials: int, rng=None) -> dict:
     per-site successes followed by ``rng.integers(0, N, size=trials)`` for
     the photon sites, and ``rng`` ends in the state those two calls leave.
     The photon sites are drawn first, from a copy of the generator moved
-    past the success uniforms; the successes are then tallied in row
-    blocks, so no per-trial array but the photon sites exists. For PCG64
-    and PCG64DXSM, whose ``advance`` skips one uniform per step, contiguous
-    runs of trials are tallied on threads, each on a copy advanced to its
-    first uniform; the result does not depend on the number of threads.
+    past the success uniforms, in blocks, into the smallest unsigned dtype
+    that holds N - 1: one byte per trial up to N = 256. The successes are
+    then tallied in row blocks, so the photon sites are the only per-trial
+    array. For PCG64 and PCG64DXSM, whose ``advance`` skips one uniform per
+    step, contiguous runs of trials are tallied on threads, each on a copy
+    advanced to its first uniform; the result does not depend on the
+    number of threads.
     Other bit generators run on one thread and draw every success uniform
     twice, once to reach the photon sites and once to tally.
     """
@@ -707,17 +746,7 @@ def network_monte_carlo(N: int, p1: float, trials: int, rng=None) -> dict:
         raise TransferError(f"need at least one trial, not trials = {trials}")
     bit_generator = make_rng(rng).bit_generator
     after = _skipped(bit_generator, trials * N)
-    try:
-        photon = np.random.Generator(after).integers(0, N, size=trials)
-    except MemoryError:
-        raise TransferError(
-            f"trials = {trials} needs {8 * trials} bytes for its photon sites"
-        ) from None
-    except ValueError:  # numpy's size error: more than an intp can count
-        raise TransferError(
-            f"trials = {trials} exceeds numpy's largest array size, "
-            f"{np.iinfo(np.intp).max}"
-        ) from None
+    photon = _photon_sites(np.random.Generator(after), N, trials)
     workers = 1
     if _advanceable(bit_generator):
         workers = min(_mc_workers(trials * N), trials)

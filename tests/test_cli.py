@@ -388,9 +388,9 @@ class TestFormulasCommand:
         assert cli.main(["formulas", "--set", "N=1029"]) == 0
 
     @pytest.mark.parametrize("argv, message", [
-        # the photon sites of 1e12 trials need 8e12 bytes
+        # the photon sites of 1e12 trials need 1e12 bytes, one per trial
         ("formulas --set N=64 --set trials=1e12",
-         "qtelarray formulas: trials = 1000000000000 needs 8000000000000 bytes"),
+         "qtelarray formulas: trials = 1000000000000 needs 1000000000000 bytes"),
         # 1e12 complex site amplitudes; a 2e12-point alpha grid is refused
         # before it is allocated
         ("encode --set N=1e12", "qtelarray encode: Unable to allocate "),
@@ -411,6 +411,22 @@ class TestFormulasCommand:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith(message)
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("call, limit_mib", [
+        # 1e7 shots at N = 4 held 115 MiB of per-shot uniforms and indices
+        ("cli.main(['imaging', '--set', 'N=4', '--set', 'shots=1e7', "
+         "'--output', os.devnull])", 8),
+        # 4e6 photon sites at N = 2, one byte each, beside 4 MiB blocks of
+        # success uniforms
+        ("transfer.network_monte_carlo(2, 0.469, 4_000_000)", 16),
+    ], ids=["imaging", "network"])
+    def test_memory_stays_bounded_by_the_budget(self, call, limit_mib):
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_SCRIPT, call], cwd=ROOT,
+            env=_env_with_src(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < limit_mib << 20
 
 
 class TestLibraryRejects:
@@ -474,6 +490,15 @@ UNALLOCATABLE_SCRIPT = textwrap.dedent("""
         limit = min(limit, hard)
     resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
     sys.exit(cli.main(sys.argv[1:]))
+""")
+
+# the tracemalloc peak, in bytes, of one call made after the imports
+PEAK_SCRIPT = textwrap.dedent("""
+    import os, sys, tracemalloc
+    from qtelarray import cli, transfer
+    tracemalloc.start()
+    eval(sys.argv[1])
+    print(tracemalloc.get_traced_memory()[1])
 """)
 
 

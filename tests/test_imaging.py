@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from qtelarray import imaging
 from qtelarray.imaging import (
+    DRAW_BLOCK,
     ImagingEstimate,
-    _draw_pairs,
     _guide,
+    _pair_counts,
     _phase_table,
     _qft_pair,
+    _search,
     classical_pipeline,
     image_from_visibilities,
     natural_weights,
@@ -423,13 +425,21 @@ class TestBaselinePooling:
         assert np.array_equal(est.var, ref[1])
 
 
-def _assert_draws_like_choice(weight, size, seed):
-    """``_draw_pairs`` equals ``rng.choice`` in indices and final rng state."""
+def _counts_by_parity(idx, n, settings):
+    """Whole-array reference: row s bincounts ``idx[s::settings]``."""
+    return np.array([np.bincount(idx[s::settings], minlength=n)
+                     for s in range(settings)]).reshape(settings, n)
+
+
+def _assert_counts_like_choice(weight, size, seed, settings):
+    """``_pair_counts`` equals the per-setting bincount of ``rng.choice``
+    indices, and leaves the rng in the same final state."""
     weight = np.asarray(weight, dtype=float)
     want_rng = np.random.default_rng(seed)
-    want = want_rng.choice(weight.size, size=size, p=weight / weight.sum())
+    idx = want_rng.choice(weight.size, size=size, p=weight / weight.sum())
+    want = _counts_by_parity(idx, weight.size, settings)
     got_rng = np.random.default_rng(seed)
-    got = _draw_pairs(got_rng, weight, size)
+    got = _pair_counts(got_rng, weight, size, settings)
     assert np.array_equal(got, want)
     assert got.dtype == want.dtype
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -448,25 +458,48 @@ class _FixedUniforms:
 
     def __init__(self, u):
         self.u = u
+        self.used = 0
 
     def random(self, size):
-        assert size == self.u.size
-        return self.u
+        assert self.used + size <= self.u.size
+        self.used += size
+        return self.u[self.used - size:self.used]
 
 
-class TestDrawPairs:
+class TestPairCounts:
     @settings(max_examples=300, deadline=None)
     @given(lead=_zero_run, body=_body, tail=_zero_run, last=_heavy,
-           size=st.integers(0, 3000), seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_choice(self, lead, body, tail, last, size, seed):
+           size=st.integers(0, 3000), seed=st.integers(0, 2 ** 32 - 1),
+           n_settings=st.sampled_from([1, 2]))
+    def test_matches_choice(self, lead, body, tail, last, size, seed,
+                            n_settings):
         # ``last`` keeps the total positive; zero runs lead, sit inside and
         # trail the body
-        _assert_draws_like_choice(lead + body + [last] + tail, size, seed)
+        _assert_counts_like_choice(lead + body + [last] + tail, size, seed,
+                                   n_settings)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([1, 6, 496, DRAW_BLOCK - 1, DRAW_BLOCK + 1,
+                              20001]),
+           blocks=st.integers(0, 3), offset=st.integers(-3, 3),
+           seed=st.integers(0, 2 ** 32 - 1),
+           n_settings=st.sampled_from([1, 2]), flat=st.booleans())
+    def test_blocks_match_whole_array(self, n, blocks, offset, seed,
+                                      n_settings, flat):
+        # sizes a few draws either side of a block edge; from n >
+        # DRAW_BLOCK on a block holds n draws rounded up to a multiple of
+        # the settings, so an odd n must not shift the second setting
+        block = -(-max(DRAW_BLOCK, n) // n_settings) * n_settings
+        size = max(0, blocks * block + offset)
+        weight = (np.ones(n) if flat
+                  else np.random.default_rng(n).pareto(0.7, n) + 1e-3)
+        _assert_counts_like_choice(weight, size, seed, n_settings)
 
     @given(size=st.integers(0, 50), seed=st.integers(0, 2 ** 32 - 1))
     def test_one_pair(self, size, seed):
         # N = 2: every draw lands on the single pair
-        _assert_draws_like_choice([1.0], size, seed)
+        _assert_counts_like_choice([1.0], size, seed, 1)
+        _assert_counts_like_choice([1.0], size, seed, 2)
 
     @pytest.mark.parametrize("N", [2, 3, 32, 256, 1024])
     @pytest.mark.parametrize("scene", ["w_state", "pareto"])
@@ -476,13 +509,14 @@ class TestDrawPairs:
             weight = np.full(n_pairs, 2.0 / N)
         else:
             weight = np.random.default_rng(N).pareto(0.7, n_pairs)
-        _assert_draws_like_choice(weight, 200000, 3 * N)
+        _assert_counts_like_choice(weight, 200000, 3 * N, 2)
 
     @pytest.mark.parametrize("n_pairs", [1, 3, 5, 8, 45, 64, 496, 1000])
     @pytest.mark.parametrize("zeros", [False, True])
     def test_uniforms_on_cdf_entries_and_cell_edges(self, n_pairs, zeros):
         # uniforms equal to, and one ulp either side of, every CDF entry and
-        # every dyadic cell edge: ties must resolve as searchsorted "right"
+        # every dyadic cell edge: ties must resolve as searchsorted "right",
+        # draw by draw and in the counts
         weight = np.full(n_pairs, 1.0)
         if zeros:
             weight[::3] = 0.0
@@ -495,8 +529,16 @@ class TestDrawPairs:
         pts = np.concatenate([cdf, edges])
         u = np.concatenate([pts, np.nextafter(pts, 0.0), np.nextafter(pts, 1.0)])
         u = u[u < 1.0]
-        got = _draw_pairs(_FixedUniforms(u), weight, u.size)
-        assert np.array_equal(got, cdf.searchsorted(u, side="right"))
+        want = cdf.searchsorted(u, side="right")
+        assert np.array_equal(_search(cdf, _guide(cdf), u), want)
+        # repeated past a block edge
+        u = np.tile(u, DRAW_BLOCK // u.size + 2)
+        fixed = _FixedUniforms(u)
+        got = _pair_counts(fixed, weight, u.size, 2)
+        assert fixed.used == u.size
+        assert np.array_equal(
+            got, _counts_by_parity(cdf.searchsorted(u, side="right"),
+                                   n_pairs, 2))
 
     @settings(max_examples=300, deadline=None)
     @given(lead=_zero_run, body=_body, tail=_zero_run, last=_heavy)
@@ -531,7 +573,7 @@ class TestDrawPairs:
         # a thousand near-zero weights share one guide cell, so some draws
         # step a thousand times from their start
         weight = np.r_[np.full(1000, 1e-300), 1.0, np.full(1000, 1e-300)]
-        _assert_draws_like_choice(weight, 100000, 17)
+        _assert_counts_like_choice(weight, 100000, 17, 2)
 
     def test_uses_the_normalized_cdf(self):
         # the first uniform of seed 5 falls between the raw cumulative sum
@@ -540,8 +582,9 @@ class TestDrawPairs:
         raw = (weight / weight.sum()).cumsum()
         u0 = np.random.default_rng(5).random()
         assert raw.searchsorted(u0, side="right") == 1
-        _assert_draws_like_choice(weight, 1, 5)
-        assert _draw_pairs(np.random.default_rng(5), weight, 1)[0] == 0
+        _assert_counts_like_choice(weight, 1, 5, 1)
+        got = _pair_counts(np.random.default_rng(5), weight, 1, 1)
+        assert got.tolist() == [[1, 0, 0]]
 
     @pytest.mark.parametrize("weight", [
         [0.5, np.nan, 0.5],
@@ -559,5 +602,5 @@ class TestDrawPairs:
             with pytest.raises(ValueError):
                 rng.choice(weight.size, size=4, p=weight / weight.sum())
             with pytest.raises(ValueError, match="finite, nonnegative"):
-                _draw_pairs(rng, weight, 4)
+                _pair_counts(rng, weight, 4, 2)
         assert rng.bit_generator.state == before

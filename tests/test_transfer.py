@@ -19,7 +19,7 @@ from scipy.special import ive
 from scipy.stats import skellam
 
 import teleport_route
-from qtelarray import transfer
+from qtelarray import cli, transfer
 from qtelarray.qcore import (
     ModeRegistry,
     QuantumState,
@@ -29,6 +29,7 @@ from qtelarray.qcore import (
 )
 from qtelarray.transfer import (
     BRANCH_PRUNE,
+    GRID_POINTS_MAX,
     AmplitudeTable,
     MC_BLOCK,
     RATIO_TOL,
@@ -687,6 +688,26 @@ class TestClosedForms:
                 f"bad alpha grid [{lo}, {hi}] step {step}")):
             find_heralded_optimum(lo, hi, step)
 
+    @pytest.mark.parametrize("lo, hi, step, count", [
+        # numpy's bare size error, before the cap
+        (0.0, 1e300, 1e-300, "inf"),
+        (-1e308, 1e308, 1.0, "inf"),
+        (0.0, 2.0, 2.0 / GRID_POINTS_MAX, "1.049e+06"),
+    ])
+    def test_heralded_optimum_caps_its_points(self, lo, hi, step, count):
+        with pytest.raises(TransferError, match=re.escape(
+                f"alpha grid [{lo}, {hi}] step {step} has {count} points, "
+                f"more than GRID_POINTS_MAX = 1048576")):
+            find_heralded_optimum(lo, hi, step)
+
+    def test_heralded_optimum_cap_is_the_cli_cap(self, monkeypatch):
+        assert cli.GRID_POINTS_MAX is transfer.GRID_POINTS_MAX
+        monkeypatch.setattr(transfer, "GRID_POINTS_MAX", 10)
+        # nine points: (hi - lo) / step = 8 stays under the cap
+        assert find_heralded_optimum(0.0, 2.0, 0.25)[0] == 1.0
+        with pytest.raises(TransferError, match="has 10 points"):
+            find_heralded_optimum(0.0, 2.0, 0.2)
+
     @pytest.mark.parametrize("alpha, cutoff", [(0.6, 10), (1.0, 14)])
     @pytest.mark.parametrize("amps", [UNIFORM, (0.8, 0.6)])
     def test_enumeration_matches_closed_form(self, alpha, cutoff, amps):
@@ -1085,12 +1106,44 @@ class TestNetwork:
         (4, 0.6, 1, False),
         # a 32-bit half left over from an earlier draw
         (6, 0.469, 1001, True),
+        # uint32 photon sites, a few trials of 70000 uniforms each
+        (70000, 0.5, 3, False),
+        (70000, 0.3, 5, True),
     ])
     def test_monte_carlo_odd_sizes_match_one_draw(self, monkeypatch, N, p1,
                                                   trials, buffered,
                                                   bit_generator, workers):
         self._assert_monte_carlo_matches_one_draw(
             monkeypatch, N, p1, trials, bit_generator, workers, buffered)
+
+    @pytest.mark.parametrize("N", [2, 3, 256, 257, 65537, 2 ** 32,
+                                   2 ** 32 + 3])
+    @pytest.mark.parametrize("size", [
+        1, MC_BLOCK // 8 - 1, MC_BLOCK // 8, MC_BLOCK // 8 + 1,
+        2 * (MC_BLOCK // 8) + 5])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_photon_sites_match_one_draw(self, N, size, buffered):
+        rng = np.random.default_rng(23)
+        got_rng = np.random.default_rng(23)
+        if buffered:  # half of a 64-bit draw left for the next bounded draw
+            rng.integers(0, 5, size=1)
+            got_rng.integers(0, 5, size=1)
+        want = rng.integers(0, N, size=size)
+        got = transfer._photon_sites(got_rng, N, size)
+        assert np.array_equal(got, want)
+        assert got.dtype == np.min_scalar_type(N - 1)
+        assert got.itemsize == (1 if N <= 256 else 2 if N <= 65536
+                                else 4 if N <= 2 ** 32 else 8)
+        assert got_rng.bit_generator.state == rng.bit_generator.state
+
+    def test_tally_takes_every_site_dtype(self):
+        photon = np.random.default_rng(2).integers(0, 5, size=1000)
+        want = transfer._tally(np.random.PCG64(4), 5, 0.5, photon, 64)
+        for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+            got = transfer._tally(np.random.PCG64(4), 5, 0.5,
+                                  photon.astype(dtype), 64)
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1])
 
     def test_monte_carlo_worker_error_reaches_caller(self, monkeypatch):
         tally = transfer._tally
