@@ -14,7 +14,8 @@ Exit codes: 0 on success, 2 for malformed input, 3 when a built-in
 consistency check fails. The library checks its own inputs and raises
 ``ConfigError`` naming the bad one (``TransferError`` is one); the runners
 check only the CLI's own keys and reports, and :func:`main` alone turns an
-error into exit 2.
+error into exit 2. ``transfer`` and its ``qcore.optics`` are imported by the
+two runners that use them, so ``encode`` and ``imaging`` never load them.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ from .source import (
     native_grid,
     visibility_from_intensity,
 )
-from . import transfer as _transfer
-from .transfer import GRID_POINTS_MAX
 from .util import ConfigError, make_rng, parse_key_value
 
 EXIT_OK = 0
@@ -232,39 +231,12 @@ TRANSFER_DEFAULTS = {
 }
 
 
-def _grid(lo: float, hi: float, step: float, name: str) -> np.ndarray:
-    if not np.isfinite([lo, hi, step]).all() or step <= 0 or hi < lo:
-        raise ConfigError(f"bad {name} grid [{lo}, {hi}] step {step}")
-    count = (hi - lo) / step
-    if not count < GRID_POINTS_MAX:  # also an overflowing span or count
-        raise ConfigError(
-            f"{name} grid [{lo}, {hi}] with {name}_step = {step} has "
-            f"{count:.4g} points, more than GRID_POINTS_MAX = {GRID_POINTS_MAX}"
-        )
-    stop = min(hi + step / 2, sys.float_info.max)  # arange refuses inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        pts = np.round(np.arange(lo, stop, step), 10)
-    # arange's inclusive-endpoint trick can overshoot hi when the span is
-    # not a multiple of step, and rounding can undershoot lo; never emit
-    # points outside the requested bounds
-    kept = np.maximum(pts[pts <= hi + 1e-10], lo)
-    # _format_value prints each point to 12 digits: rows must stay distinct
-    shown = np.array(["%.12g" % p for p in kept.tolist()], dtype=float)
-    if not (np.isfinite(pts).all() and kept.size
-            and np.all(np.diff(shown) > 0)):
-        raise ConfigError(
-            f"{name} grid [{lo}, {hi}] with {name}_step = {step} is empty, "
-            f"not finite or not strictly increasing once rounded to 10 "
-            f"decimals and printed to 12 digits"
-        )
-    return kept
-
-
 def run_transfer(config: dict):
+    from . import transfer as _transfer
     mode = config["mode"]
     if mode == "sweep":
-        alphas = _grid(config["alpha_min"], config["alpha_max"],
-                       config["alpha_step"], "alpha")
+        alphas = _transfer.value_grid(config["alpha_min"], config["alpha_max"],
+                                      config["alpha_step"], "alpha")
         rows = []
         for alpha in alphas:
             f_det = _transfer.deterministic_fidelity_closed(float(alpha))
@@ -284,8 +256,8 @@ def run_transfer(config: dict):
         )
         return text, ok
     if mode == "lossy":
-        etas = _grid(config["eta_min"], config["eta_max"],
-                     config["eta_step"], "eta")
+        etas = _transfer.value_grid(config["eta_min"], config["eta_max"],
+                                    config["eta_step"], "eta")
         outs = [_transfer.lossy_transfer(float(e)) for e in etas]
         rows = [(e, o.fidelity, o.probability) for e, o in zip(etas, outs)]
         f = np.array([o.fidelity for o in outs])
@@ -308,6 +280,7 @@ FORMULAS_DEFAULTS = {
 
 
 def run_formulas(config: dict):
+    from . import transfer as _transfer
     N, p1, f2 = config["N"], config["p1"], config["f2"]
     if config["trials"] < 0:
         raise ConfigError(f"trials must be >= 0, got {config['trials']}")

@@ -39,13 +39,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .util import ConfigError  # re-exported: codec.ConfigError
+from .source import coherence_matrix
+from .util import ConfigError, unit_amplitudes  # re-exported: codec.ConfigError
 
 LAYOUTS = ("sequential", "parallel")
 
 
 class EncodeError(RuntimeError):
-    """Protocol misuse during encoding."""
+    """Protocol misuse, or a run the protocol cannot reach: a run already
+    decoded or compressed, a second photon, branch weights that do not sum
+    to 1. Malformed input raises ConfigError instead."""
 
 
 # ---- codebook ----------------------------------------------------------------
@@ -374,21 +377,12 @@ def new_run(config: RunConfig) -> EncodeRun:
 
 
 def _photon_amps(amps, N: int) -> np.ndarray:
-    """Validated, normalized per-site amplitudes of a spatial single photon."""
+    """Per-site amplitudes of a spatial single photon, as a unit vector."""
     amps = np.asarray(amps, dtype=complex)
     if amps.shape != (N,):
-        raise EncodeError(
-            f"photon amplitudes need shape ({N},) for N={N} sites, "
-            f"got {amps.shape}"
-        )
-    if not np.isfinite(amps).all():
-        raise EncodeError("photon amplitudes must be finite")
-    # np.linalg.norm of a 1-D complex vector, without its argument handling
-    re, im = amps.real, amps.imag
-    norm = np.sqrt(re.dot(re) + im.dot(im))
-    if norm == 0:
-        raise EncodeError("photon amplitudes are all zero")
-    return amps / norm
+        raise ConfigError(f"photon amplitudes need shape ({N},) for N={N} "
+                          f"sites, got {amps.shape}")
+    return unit_amplitudes(amps)
 
 
 def encode_bin(run: EncodeRun, m: int, photon=None) -> EncodeRun:
@@ -435,18 +429,11 @@ def _band_matrices(config, band_g):
     mats = []
     for g in band_g:
         if np.isscalar(g):
-            mat = np.full((N, N), complex(g))
-            mat[np.tril_indices(N, -1)] = np.conj(complex(g))
-            np.fill_diagonal(mat, 1.0)
-        else:
-            mat = np.asarray(g, dtype=complex)
-            if mat.shape != (N, N):
-                raise ConfigError("band g matrix must be N x N")
-        if not np.allclose(mat, mat.conj().T, atol=1e-12):
-            raise ConfigError("band g matrix must be Hermitian")
-        if not np.allclose(np.diag(mat).real, 1.0, atol=1e-12):
-            raise ConfigError("band g matrix needs a unit diagonal")
-        mats.append(mat)
+            c = complex(g)
+            g = np.full((N, N), c)
+            g[np.tril_indices(N, -1)] = np.conj(c)
+            np.fill_diagonal(g, 1.0)
+        mats.append(coherence_matrix(g, N))
     if len(mats) != R:
         raise ConfigError("need one g per band")
     return mats

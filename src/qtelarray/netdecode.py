@@ -58,7 +58,9 @@ RETRY_CAP = 64
 
 
 class DecodeError(RuntimeError):
-    """Memory content inconsistent with the arrival protocol."""
+    """Memory content the protocol cannot produce (weights that are not a
+    distribution, a pattern off the codebook or the carrier) or the retry
+    cap reached. Malformed input raises ConfigError instead."""
 
 
 # ---- arrival decoding on encode runs --------------------------------------------
@@ -357,14 +359,14 @@ def w_state_readout(rho, rng, max_attempts: int = RETRY_CAP,
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DecodeError("which-site density must be square")
+        raise ConfigError("which-site density must be square")
     if not np.isfinite(rho).all():
-        raise DecodeError("which-site density must be finite")
+        raise ConfigError("which-site density must be finite")
     diag = rho.diagonal().real
     if (diag < 0).any():
-        raise DecodeError("which-site density has a negative diagonal")
+        raise ConfigError("which-site density has a negative diagonal")
     if abs(diag.sum() - 1.0) > 1e-10:
-        raise DecodeError("which-site density must have unit trace")
+        raise ConfigError("which-site density must have unit trace")
     n = rho.shape[0]
     # site pairs a < b in row-major order
     first, second = np.triu_indices(n, 1)
@@ -412,10 +414,10 @@ def sample_pair_products(density: np.ndarray, setting: str, shots: int, rng):
     """Sampled +-1 products of local X/Y measurements on a collapsed pair."""
     corr = pair_correlators(density)
     if setting not in ("XX", "XY", "YX", "YY"):
-        raise ValueError(f"unknown setting {setting!r}")
+        raise ConfigError(f"unknown setting {setting!r}")
     p_plus = 0.5 * (1.0 + corr[setting])
     if not -1e-12 <= p_plus <= 1 + 1e-12:
-        raise DecodeError("pair correlator outside [-1, 1]")
+        raise ConfigError("pair correlator outside [-1, 1]")
     p_plus = min(max(p_plus, 0.0), 1.0)
     plus = make_rng(rng).binomial(1, p_plus, size=int(shots))
     return 2 * plus - 1

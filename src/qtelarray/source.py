@@ -145,27 +145,32 @@ class IntensityDistribution:
         return self.y.size
 
 
+def coherence_matrix(g, N: int) -> np.ndarray:
+    """g as a complex N x N array, checked: finite, with a unit diagonal
+    and conjugate-symmetric to 1e-12. ConfigError names the rule it breaks."""
+    g = np.asarray(g, dtype=complex)
+    if g.shape != (N, N):
+        raise ConfigError("g must be N x N")
+    # NaN passes the tolerance checks below, so reject it first
+    if not np.isfinite(g).all():
+        raise ConfigError("g must be finite")
+    if np.max(np.abs(np.diagonal(g) - 1.0)) > 1e-12:
+        raise ConfigError("g must have unit diagonal")
+    # row blocks against the matching columns keep the temporaries at
+    # SYMMETRY_ROWS x N; the maximum, and so the verdict, is the same
+    for lo in range(0, N, SYMMETRY_ROWS):
+        rows = slice(lo, lo + SYMMETRY_ROWS)
+        if np.max(np.abs(g[rows] - g[:, rows].conj().T)) > 1e-12:
+            raise ConfigError("g must be conjugate-symmetric")
+    return g
+
+
 class VisibilityModel:
     """Array geometry plus the complex coherence matrix g_{i,j}."""
 
     def __init__(self, geometry: ArrayGeometry, g):
-        g = np.asarray(g, dtype=complex)
-        N = geometry.N
-        if g.shape != (N, N):
-            raise ConfigError("g must be N x N")
-        # NaN passes the tolerance checks below, so reject it first
-        if not np.isfinite(g).all():
-            raise ConfigError("g must be finite")
-        if np.max(np.abs(np.diagonal(g) - 1.0)) > 1e-12:
-            raise ConfigError("g must have unit diagonal")
-        # row blocks against the matching columns keep the temporaries at
-        # SYMMETRY_ROWS x N; the maximum, and so the verdict, is the same
-        for lo in range(0, N, SYMMETRY_ROWS):
-            rows = slice(lo, lo + SYMMETRY_ROWS)
-            if np.max(np.abs(g[rows] - g[:, rows].conj().T)) > 1e-12:
-                raise ConfigError("g must be conjugate-symmetric")
         self.geometry = geometry
-        self.g = g
+        self.g = coherence_matrix(g, geometry.N)
 
     def baseline_visibilities(self) -> np.ndarray:
         """g^{(k)} = g(x_k), k = 0..N-1, for uniform arrays (Toeplitz row)."""

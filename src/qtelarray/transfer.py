@@ -40,7 +40,7 @@ from itertools import repeat
 import numpy as np
 
 from .qcore.optics import linear_optics_matrix
-from .util import ConfigError, make_rng, qft_matrix
+from .util import ConfigError, make_rng, qft_matrix, unit_amplitudes
 
 BRANCH_PRUNE = 1e-12
 RATIO_TOL = 1e-9
@@ -55,8 +55,6 @@ GRID_POINTS_MAX = 2 ** 20
 MAX_PAIR_SITES = 1029
 # The largest ancilla amplitude whose alpha ** 2 is a finite float.
 ALPHA_MAX = math.sqrt(sys.float_info.max)
-# The smallest norm whose square is a normal float.
-NORM_MIN = math.sqrt(sys.float_info.min)
 
 
 class TransferError(ConfigError):
@@ -122,20 +120,7 @@ def _norm_amps(amps) -> np.ndarray:
     amps = np.asarray(amps, dtype=complex)
     if amps.ndim != 1 or amps.size < 2:
         raise TransferError("need which-site amplitudes for at least 2 sites")
-    if not np.isfinite(amps).all():
-        raise TransferError("which-site amplitudes must be finite")
-    with np.errstate(over="ignore", under="ignore"):
-        norm = np.linalg.norm(amps)
-    # the squared sum left the normal float range (inf, subnormal or 0):
-    # dividing by the largest modulus first brings it back, part by part,
-    # since a complex division by a subnormal overflows
-    if not NORM_MIN <= norm < math.inf:
-        top = np.abs(amps).max()
-        if top == 0:
-            raise TransferError("which-site amplitudes cannot all vanish")
-        amps = amps.real / top + 1j * (amps.imag / top)
-        norm = np.linalg.norm(amps)
-    return amps / norm
+    return unit_amplitudes(amps, TransferError)
 
 
 def _check_alpha(alpha) -> float:
@@ -506,18 +491,41 @@ def heralded_rate_closed(alpha: float) -> float:
     return _check_value(ive(1, 2.0 * alpha ** 2), alpha)
 
 
-def find_heralded_optimum(lo: float = 0.0, hi: float = 2.0,
-                          step: float = 0.005):
-    """Grid search of the heralded acceptance rate: (best alpha, best rate)."""
+def value_grid(lo: float, hi: float, step: float, name: str) -> np.ndarray:
+    """The alpha or eta grid lo, lo + step, ... <= hi, rounded to 10
+    decimals and clamped to [lo, hi]; TransferError names a bad one."""
     if not (all(map(math.isfinite, (lo, hi, step))) and lo <= hi and step > 0):
-        raise TransferError(f"bad alpha grid [{lo}, {hi}] step {step}: need "
+        raise TransferError(f"bad {name} grid [{lo}, {hi}] step {step}: need "
                             f"finite lo <= hi and a finite step > 0")
     count = (hi - lo) / step
     if not count < GRID_POINTS_MAX:  # also an overflowing span or count
         raise TransferError(
-            f"alpha grid [{lo}, {hi}] step {step} has {count:.4g} points, "
-            f"more than GRID_POINTS_MAX = {GRID_POINTS_MAX}")
-    alphas = np.arange(lo, min(hi + step / 2, sys.float_info.max), step)
+            f"{name} grid [{lo}, {hi}] with {name}_step = {step} has "
+            f"{count:.4g} points, more than GRID_POINTS_MAX = {GRID_POINTS_MAX}"
+        )
+    stop = min(hi + step / 2, sys.float_info.max)  # arange refuses inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = np.round(np.arange(lo, stop, step), 10)
+    # arange's inclusive-endpoint trick can overshoot hi when the span is
+    # not a multiple of step, and rounding can undershoot lo; never emit
+    # points outside the requested bounds
+    kept = np.maximum(pts[pts <= hi + 1e-10], lo)
+    # a report prints each point to 12 digits: rows must stay distinct
+    shown = np.array(["%.12g" % p for p in kept.tolist()], dtype=float)
+    if not (np.isfinite(pts).all() and kept.size
+            and np.all(np.diff(shown) > 0)):
+        raise TransferError(
+            f"{name} grid [{lo}, {hi}] with {name}_step = {step} is empty, "
+            f"not finite or not strictly increasing once rounded to 10 "
+            f"decimals and printed to 12 digits"
+        )
+    return kept
+
+
+def find_heralded_optimum(lo: float = 0.0, hi: float = 2.0,
+                          step: float = 0.005):
+    """Grid search of the heralded acceptance rate: (best alpha, best rate)."""
+    alphas = value_grid(lo, hi, step, "alpha")
     rates = np.array([heralded_rate_closed(a) for a in alphas])
     best = int(np.argmax(rates))
     return float(alphas[best]), float(rates[best])

@@ -1,7 +1,10 @@
 """Shared helpers: the input error, seeded RNG plumbing, config parsing,
-the DFT unitary."""
+the site-amplitude normalizer, the DFT unitary."""
 
 from __future__ import annotations
+
+import math
+import sys
 
 import numpy as np
 
@@ -42,6 +45,27 @@ def parse_key_value(text: str) -> dict:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         out[key] = value
     return out
+
+
+def unit_amplitudes(amps, error=ConfigError) -> np.ndarray:
+    """Site amplitudes over their norm, in the bits ``np.linalg.norm`` gives;
+    a squared norm past the normal float range (inf, subnormal or 0) is taken
+    again after dividing by the largest part, with no numpy warning. Raises
+    ``error`` for a non-finite or all-zero input."""
+    amps = np.asarray(amps, dtype=complex)
+    re, im = amps.real, amps.imag
+    with np.errstate(over="ignore", under="ignore"):
+        # np.linalg.norm's sum; a NaN or inf entry also leaves the range
+        sq = float(re.dot(re) + im.dot(im))
+    if sys.float_info.min <= sq < math.inf:
+        return amps / math.sqrt(sq)
+    if not np.isfinite(amps).all():
+        raise error("site amplitudes must be finite")
+    top = max(np.abs(re).max(), np.abs(im).max())
+    if top == 0:
+        raise error("site amplitudes are all zero")
+    # part by part, since a complex division by a subnormal overflows
+    return unit_amplitudes(re / top + 1j * (im / top), error)
 
 
 def qft_matrix(n: int) -> np.ndarray:

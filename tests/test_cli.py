@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qtelarray import cli
+from qtelarray import cli, transfer
 from qtelarray.imaging import qft_image_diagonal
 from qtelarray.source import (
     ArrayGeometry,
@@ -320,15 +320,15 @@ class TestTransferCommand:
         assert err.count("\n") == 1
 
     def test_grid_cap_counts_points(self, monkeypatch):
-        monkeypatch.setattr(cli, "GRID_POINTS_MAX", 10)
-        assert cli._grid(0.0, 9.0, 1.0, "alpha").size == 10
+        monkeypatch.setattr(transfer, "GRID_POINTS_MAX", 10)
+        assert transfer.value_grid(0.0, 9.0, 1.0, "alpha").size == 10
         with pytest.raises(cli.ConfigError, match="GRID_POINTS_MAX = 10"):
-            cli._grid(0.0, 10.0, 1.0, "alpha")
+            transfer.value_grid(0.0, 10.0, 1.0, "alpha")
 
     def test_grid_stays_inside_its_bounds(self):
         # rounding to 10 decimals would put the first point below lo
         lo = 0.12345678901234
-        pts = cli._grid(lo, 0.2, 0.05, "alpha")
+        pts = transfer.value_grid(lo, 0.2, 0.05, "alpha")
         assert pts[0] == lo and pts.tolist() == sorted(set(pts.tolist()))
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -549,6 +549,10 @@ IMPORT_PATH_SCRIPT = textwrap.dedent("""
               for m in ("registry", "states", "gates", "support")]
     loaded = [m for m in engine if m in sys.modules]
     assert not loaded, loaded
+    # nor transfer and its optics module, until a runner needs them
+    loaded = [m for m in ("qtelarray.transfer", "qtelarray.qcore.optics")
+              if m in sys.modules]
+    assert not loaded, loaded
 """)
 
 
@@ -689,7 +693,7 @@ class TestFuzz:
         name = "eta" if mode == "lossy" else "alpha"
         count = _grid_points(lo, hi, step)
         # the cap refuses larger grids; keep the accepted ones cheap
-        assume(not 100 < count < cli.GRID_POINTS_MAX)
+        assume(not 100 < count < transfer.GRID_POINTS_MAX)
         config = {"mode": mode, f"{name}_min": lo, f"{name}_max": hi,
                   f"{name}_step": step, "seed": seed}
         code, out, err = _run_cli("transfer", config)

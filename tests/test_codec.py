@@ -300,7 +300,7 @@ class TestEncodeBin:
         np.zeros(3),
     ])
     def test_bad_amplitudes_rejected(self, amps):
-        with pytest.raises(EncodeError, match="amplitudes"):
+        with pytest.raises(ConfigError, match="amplitudes"):
             encode_single_photon(RunConfig(M=3, R=1, N=3), 1, 1, amps=amps)
 
     def test_superposed_photon_keeps_coherence(self):
@@ -405,6 +405,12 @@ class TestEncodeRunFull:
         skew = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(ConfigError):
             encode_run_full(cfg, band_g=[skew, 0.1])
+        # np.allclose passes a 1e-7 asymmetry, and eigh reads one triangle
+        for bad, match in ((np.inf, "finite"), (np.nan, "finite"),
+                           (0.5 + 1e-7, "conjugate-symmetric")):
+            g = np.array([[1.0, bad], [0.5, 1.0]])
+            with pytest.raises(ConfigError, match=match):
+                encode_run_full(cfg, band_g=[0.1, g])
 
 
 class TestParallelCompress:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import gate_route
 from qtelarray.codec import (
     Codebook,
+    ConfigError,
     EncodeError,
     MemoryLayout,
     RunConfig,
@@ -89,7 +90,7 @@ def test_single_photon_matches_gate_route(case):
 @pytest.mark.parametrize("layout", ["sequential", "parallel"])
 def test_all_zero_photon_raises(layout):
     cfg = RunConfig(M=5, R=2, N=2, layout=layout)
-    with pytest.raises(EncodeError, match="all zero"):
+    with pytest.raises(ConfigError, match="all zero"):
         encode_single_photon(cfg, 3, 2, amps=[0, 0])
 
 

@@ -17,6 +17,7 @@ from dense_route import (
 )
 from qtelarray.codec import (
     Codebook,
+    ConfigError,
     EncodeError,
     EncodeRun,
     RunConfig,
@@ -531,7 +532,7 @@ class TestWReadout:
             rho[idx] = value
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        with pytest.raises(DecodeError, match=match):
+        with pytest.raises(ConfigError, match=match):
             w_state_readout(rho, rng=rng)
         assert rng.bit_generator.state == before
 
@@ -747,3 +748,5 @@ class TestPairCorrelators:
         assert abs(vals.mean() - g) < 3 * se
         again = sample_pair_products(rho, "XX", 20000, np.random.default_rng(6))
         assert np.array_equal(vals, again)
+        with pytest.raises(ConfigError, match="unknown setting 'ZZ'"):
+            sample_pair_products(rho, "ZZ", 10, np.random.default_rng(6))

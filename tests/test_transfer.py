@@ -20,6 +20,8 @@ from scipy.stats import skellam
 
 import teleport_route
 from qtelarray import cli, transfer
+from qtelarray.codec import RunConfig, encode_single_photon
+from qtelarray.netdecode import decode_arrival
 from qtelarray.qcore import (
     ModeRegistry,
     QuantumState,
@@ -678,6 +680,8 @@ class TestClosedForms:
         alpha, rate = find_heralded_optimum(0.0, 2.0, 0.005)
         assert alpha == pytest.approx(0.88, abs=1e-9)
         assert rate == pytest.approx(0.219092, abs=1e-6)
+        # arange's inclusive end would add 0.6, past hi
+        assert find_heralded_optimum(0.0, 0.5, 0.3)[0] == 0.3
 
     @pytest.mark.parametrize("lo, hi, step", [
         (0.0, 2.0, 0.0), (0.0, 2.0, -0.005), (2.0, 0.0, 0.005),
@@ -696,17 +700,18 @@ class TestClosedForms:
     ])
     def test_heralded_optimum_caps_its_points(self, lo, hi, step, count):
         with pytest.raises(TransferError, match=re.escape(
-                f"alpha grid [{lo}, {hi}] step {step} has {count} points, "
-                f"more than GRID_POINTS_MAX = 1048576")):
+                f"alpha grid [{lo}, {hi}] with alpha_step = {step} has {count} "
+                f"points, more than GRID_POINTS_MAX = 1048576")):
             find_heralded_optimum(lo, hi, step)
 
     def test_heralded_optimum_cap_is_the_cli_cap(self, monkeypatch):
-        assert cli.GRID_POINTS_MAX is transfer.GRID_POINTS_MAX
         monkeypatch.setattr(transfer, "GRID_POINTS_MAX", 10)
         # nine points: (hi - lo) / step = 8 stays under the cap
         assert find_heralded_optimum(0.0, 2.0, 0.25)[0] == 1.0
+        assert cli.main(["transfer", "--set", "alpha_step=0.25"]) == 0
         with pytest.raises(TransferError, match="has 10 points"):
             find_heralded_optimum(0.0, 2.0, 0.2)
+        assert cli.main(["transfer", "--set", "alpha_step=0.2"]) == 2
 
     @pytest.mark.parametrize("alpha, cutoff", [(0.6, 10), (1.0, 14)])
     @pytest.mark.parametrize("amps", [UNIFORM, (0.8, 0.6)])
@@ -834,19 +839,29 @@ class TestPlusAncillaPair:
             transfer_branches(multiport_amplitude_table(1), (0.0, 0.0))
 
     # unscaled, these squared sums overflow (probability, fidelity and
-    # mass 0), underflow to 0 ("cannot all vanish"), or go subnormal
-    # (fidelity 1.0000111)
-    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-160, 5e-324])
+    # mass 0; an all-zero carrier), underflow to 0 ("all zero"), or go
+    # subnormal (fidelity and carrier trace 1.0000111); the last one's
+    # modulus overflows as well (mass NaN)
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-160, 5e-324,
+                                       1e308 + 1e308j])
     def test_amplitudes_past_the_normal_range_scale_first(self, scale):
+        cfg = RunConfig(N=3, M=2, R=1)
+        # the same vector with its largest part at 1
+        unit = scale / max(abs(scale.real), abs(scale.imag))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for route in (heralded_transfer, deterministic_transfer):
                 got = route(0.8, amps=[scale, scale], cutoff=5)
-                want = route(0.8, amps=[1.0, 1.0], cutoff=5)
+                want = route(0.8, amps=[unit, unit], cutoff=5)
                 assert (got.probability, got.fidelity, got.mass) == (
                     want.probability, want.fidelity, want.mass)
             assert (deterministic_fidelity_closed(0.8, [scale, scale])
-                    == deterministic_fidelity_closed(0.8, [1.0, 1.0]))
+                    == deterministic_fidelity_closed(0.8, [unit, unit]))
+            # the codec normalizes the photon's site amplitudes the same way
+            got, want = (decode_arrival(
+                encode_single_photon(cfg, 1, 1, amps=[a] * 3)).state
+                for a in (scale, unit))
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
                                      complex(0, np.nan)])
