@@ -28,7 +28,7 @@ from functools import wraps
 
 import numpy as np
 
-from .source import VisibilityModel, native_grid
+from .source import VisibilityModel
 from .util import ConfigError, make_rng, qft_matrix
 
 QUADRATURE_MODES = ("auto", "real", "both")
@@ -47,11 +47,8 @@ TABLE_CACHE_BYTES = 64 << 20
 class ImagingEstimate:
     """Per-grid-point image estimate with its reported variance."""
 
-    y: np.ndarray
     i_hat: np.ndarray
     var: np.ndarray
-    i_exact: np.ndarray
-    method: str
     shots: int
     extra: dict = field(default_factory=dict)
 
@@ -135,11 +132,6 @@ def qft_process(vis_or_rho) -> np.ndarray:
     return F @ rho @ F_dag
 
 
-def _grid(vis: VisibilityModel) -> np.ndarray:
-    geo = vis.geometry
-    return native_grid(geo.N, geo.d)
-
-
 def _check_shots(shots):
     if not 1 <= shots <= SHOTS_MAX:
         raise ConfigError(
@@ -152,16 +144,12 @@ def sample_qft(vis: VisibilityModel, shots: int, rng=None) -> ImagingEstimate:
     """Sample the QFT site-index distribution with a budget of stored photons."""
     _check_shots(shots)
     rng = make_rng(rng)
-    i_exact = qft_image_diagonal(vis)
-    p = np.clip(i_exact, 0.0, None)
+    p = np.clip(qft_image_diagonal(vis), 0.0, None)
     counts = rng.multinomial(int(shots), p / p.sum())
     i_hat = counts / float(shots)
     return ImagingEstimate(
-        y=_grid(vis),
         i_hat=i_hat,
         var=i_hat * (1.0 - i_hat) / float(shots),
-        i_exact=i_exact,
-        method="qft",
         shots=int(shots),
         extra={"counts": counts},
     )
@@ -343,11 +331,8 @@ def classical_pipeline(vis: VisibilityModel, shots: int, rng=None,
     i_hat = image_from_visibilities(g_hat, N)
     var = float((natural_weights(N) ** 2 * sigma2).sum())
     return ImagingEstimate(
-        y=_grid(vis),
         i_hat=i_hat,
         var=np.full(N, var),
-        i_exact=qft_image_diagonal(vis),
-        method="classical",
         shots=shots,
         extra={
             "sampler": sampler,

@@ -45,6 +45,7 @@ giving interferometric access to one baseline per shot.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -357,6 +358,8 @@ def w_state_readout(rho, rng, max_attempts: int = RETRY_CAP,
     one W state; the all-zeros outcome (probability 1/N) retries with the
     carrier intact.
     """
+    if max_attempts < 1:
+        raise ConfigError(f"max_attempts = {max_attempts} must be >= 1")
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ConfigError("which-site density must be square")
@@ -412,6 +415,12 @@ def pair_correlators(density: np.ndarray) -> dict:
 
 def sample_pair_products(density: np.ndarray, setting: str, shots: int, rng):
     """Sampled +-1 products of local X/Y measurements on a collapsed pair."""
+    if np.shape(density) != (2, 2):
+        raise ConfigError("pair density must be 2 x 2")
+    try:
+        shots = operator.index(shots)
+    except TypeError:
+        raise ConfigError(f"shots = {shots!r} must be an integer") from None
     corr = pair_correlators(density)
     if setting not in ("XX", "XY", "YX", "YY"):
         raise ConfigError(f"unknown setting {setting!r}")
@@ -419,5 +428,10 @@ def sample_pair_products(density: np.ndarray, setting: str, shots: int, rng):
     if not -1e-12 <= p_plus <= 1 + 1e-12:
         raise ConfigError("pair correlator outside [-1, 1]")
     p_plus = min(max(p_plus, 0.0), 1.0)
-    plus = make_rng(rng).binomial(1, p_plus, size=int(shots))
+    try:
+        plus = make_rng(rng).binomial(1, p_plus, size=shots)
+    except (ValueError, MemoryError):
+        # numpy refuses a negative size before it draws
+        raise ConfigError(f"shots = {shots} must be >= 0 and at most the "
+                          f"draws numpy can allocate") from None
     return 2 * plus - 1

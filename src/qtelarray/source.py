@@ -91,14 +91,15 @@ def native_grid(N: int, d: float) -> np.ndarray:
 
 
 class IntensityDistribution:
-    """Discrete source intensity: samples (y_j, I_j) with sum I_j = 1."""
+    """Discrete source intensity: float arrays y_j and I_j, sum I_j = 1."""
 
-    def __init__(self, samples, normalize=False):
-        samples = [(float(y), float(i)) for y, i in samples]
-        if not samples:
+    def __init__(self, y, weights, normalize=False):
+        y = np.asarray(y, dtype=float)
+        w = np.asarray(weights, dtype=float)
+        if y.ndim != 1 or w.shape != y.shape:
+            raise ConfigError("need 1-D positions and weights of equal length")
+        if not y.size:
             raise ConfigError("need at least one sample")
-        y = np.array([s[0] for s in samples])
-        w = np.array([s[1] for s in samples])
         if not np.all(np.isfinite(y)):
             raise ConfigError("sample positions must be finite")
         if not np.all(np.isfinite(w)) or np.any(w < 0):
@@ -119,19 +120,18 @@ class IntensityDistribution:
 
     @classmethod
     def point(cls, y0: float) -> "IntensityDistribution":
-        return cls([(y0, 1.0)])
+        return cls([y0], [1.0])
 
     @classmethod
     def flat_on_grid(cls, N: int, d: float) -> "IntensityDistribution":
-        grid = native_grid(N, d)
-        return cls([(y, 1.0 / N) for y in grid])
+        return cls(native_grid(N, d), np.full(N, 1.0 / N))
 
     @classmethod
     def point_on_grid(cls, N, d, j: int) -> "IntensityDistribution":
         grid = native_grid(N, d)
         if not 0 <= j < N:
             raise ConfigError(f"point source index {j} outside 0..{N - 1}")
-        return cls([(y, float(k == j)) for k, y in enumerate(grid)])
+        return cls(grid, (np.arange(N) == j).astype(float))
 
     @classmethod
     def on_grid(cls, N, d, weights, normalize=False) -> "IntensityDistribution":
@@ -139,7 +139,7 @@ class IntensityDistribution:
         weights = np.asarray(weights, dtype=float)
         if weights.size != N:
             raise ConfigError("need one weight per grid point")
-        return cls(list(zip(grid, weights)), normalize=normalize)
+        return cls(grid, weights, normalize=normalize)
 
     def __len__(self):
         return self.y.size

@@ -313,20 +313,20 @@ def multiport_amplitude_table(ports: int) -> AmplitudeTable:
 # ---- joint branch enumeration ----------------------------------------------------
 
 
-def transfer_branches(table: AmplitudeTable, amps, prune: float = BRANCH_PRUNE):
+def transfer_branches(table: AmplitudeTable, amps):
     """Enumerate joint detection records for one shared photon over sites.
 
     Every site uses the same ancilla table. Branch fidelities are taken
     after the local phase corrections; a branch is accepted (heralded)
     when all ratio moduli are finite, nonzero, and equal.
 
-    Returns the records of probability above ``prune`` as ``Branches``, in
-    ``itertools.product`` order over ``table.outcomes()``, and the total
-    mass of all K^n records. Every record is evaluated by broadcasting the
-    sites' amplitude vectors over the K^n outcome grid, so temporaries
-    scale as K^n * n complex at most, with no index matrix over all
-    records; only the kept records are gathered, for their fidelities and
-    herald flags, and no per-record object is built.
+    Returns the records of probability above ``BRANCH_PRUNE`` as
+    ``Branches``, in ``itertools.product`` order over ``table.outcomes()``,
+    and the total mass of all K^n records. Every record is evaluated by
+    broadcasting the sites' amplitude vectors over the K^n outcome grid, so
+    temporaries scale as K^n * n complex at most, with no index matrix over
+    all records; only the kept records are gathered, for their fidelities
+    and herald flags, and no per-record object is built.
     """
     amps = _norm_amps(amps)
     n = len(amps)
@@ -372,7 +372,7 @@ def transfer_branches(table: AmplitudeTable, amps, prune: float = BRANCH_PRUNE):
     # the kept records' amplitudes are evaluated again, from gathers; each
     # record's overlap terms lie side by side, which numpy sums pairwise
     # from four sites on: the order the pinned figures depend on
-    keep = np.flatnonzero(p > prune)
+    keep = np.flatnonzero(p > BRANCH_PRUNE)
     rec = np.array(np.unravel_index(keep, (K,) * n))
     r0, r1 = c0[rec], c1[rec]
     p = p[keep]

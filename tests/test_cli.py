@@ -419,7 +419,10 @@ class TestFormulasCommand:
         # 4e6 photon sites at N = 2, one byte each, beside 4 MiB blocks of
         # success uniforms
         ("transfer.network_monte_carlo(2, 0.469, 4_000_000)", 16),
-    ], ids=["imaging", "network"])
+        # the 2^20-point flat scene, two float arrays of 8 MiB; as (y, I)
+        # pairs it peaked at 232 MiB
+        ("cli.IntensityDistribution.flat_on_grid(2 ** 20, 1.0)", 48),
+    ], ids=["imaging", "network", "scene"])
     def test_memory_stays_bounded_by_the_budget(self, call, limit_mib):
         proc = subprocess.run(
             [sys.executable, "-c", PEAK_SCRIPT, call], cwd=ROOT,

@@ -1,6 +1,7 @@
 """Parity-check decoding and W-state readout tests."""
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -496,11 +497,21 @@ class TestWReadout:
 
     def test_retry_cap(self):
         rho = np.eye(3) / 3
+        # the first uniform of seed 3 is 0.086 < 1/3: an all-zeros retry
+        assert np.random.default_rng(3).random() < 1 / 3
         with pytest.raises(
             DecodeError,
-            match=rf"max_attempts=0 attempts \(default RETRY_CAP={RETRY_CAP}\) on N=3",
+            match=rf"max_attempts=1 attempts \(default RETRY_CAP={RETRY_CAP}\) on N=3",
         ):
-            w_state_readout(rho, rng=np.random.default_rng(0), max_attempts=0)
+            w_state_readout(rho, rng=np.random.default_rng(3), max_attempts=1)
+        # a cap below one is refused before any draw
+        for cap in (0, -1):
+            rng = np.random.default_rng(3)
+            state = rng.bit_generator.state
+            with pytest.raises(ConfigError,
+                               match=rf"max_attempts = {cap} must be >= 1"):
+                w_state_readout(rho, rng=rng, max_attempts=cap)
+            assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 17, 32, 64])
     def test_pair_draws_match_list_route(self, n):
@@ -750,3 +761,21 @@ class TestPairCorrelators:
         assert np.array_equal(vals, again)
         with pytest.raises(ConfigError, match="unknown setting 'ZZ'"):
             sample_pair_products(rho, "ZZ", 10, np.random.default_rng(6))
+        assert sample_pair_products(rho, "XX", 0, 6).shape == (0,)
+        assert np.array_equal(
+            sample_pair_products(rho, "XX", np.int64(5), 6),
+            sample_pair_products(rho, "XX", 5, 6))
+        shape = "pair density must be 2 x 2"
+        allocate = "must be >= 0 and at most the draws numpy can allocate"
+        for density, shots, message in [
+            (np.ones((1, 1)), 10, shape),
+            (np.eye(3) / 3, 10, shape),
+            (np.full(4, 0.5), 10, shape),
+            (rho, 1.5, "shots = 1.5 must be an integer"),
+            (rho, 1e20, "shots = 1e+20 must be an integer"),
+            (rho, -1, f"shots = -1 {allocate}"),
+            (rho, 10 ** 20, f"shots = {10 ** 20} {allocate}"),
+            (rho, 2 ** 62, f"shots = {2 ** 62} {allocate}"),
+        ]:
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                sample_pair_products(density, "XX", shots, 6)

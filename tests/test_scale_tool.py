@@ -14,8 +14,8 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "scale.py"
 # stage -> (case key, steps, checks)
 SCHEMA = {
-    "imaging": (None, {"visibility", "closed", "conjugation", "sample_qft",
-                       "classical"}, {"digest"}),
+    "imaging": (None, {"scene", "visibility", "closed", "conjugation",
+                       "sample_qft", "classical"}, {"digest"}),
     "photon": ("layout", {"write", "decode", "readout"}, {"density_gap"}),
     "mixture": ("layout", {"prepare", "first_decode", "replay_decode"},
                 {"components"}),

@@ -17,6 +17,7 @@ from qtelarray.source import (
     visibility_from_intensity,
     visibility_function,
 )
+from qtelarray.util import ConfigError
 
 
 def test_geometry_uniform_positions():
@@ -56,20 +57,136 @@ def test_geometry_names_an_N_past_numpys_largest_array(N):
 
 def test_intensity_normalization_rules():
     with pytest.raises(ValueError):
-        IntensityDistribution([(0.0, 0.4), (1.0, 0.4)])
-    dist = IntensityDistribution([(0.0, 0.4), (1.0, 0.4)], normalize=True)
+        IntensityDistribution([0.0, 1.0], [0.4, 0.4])
+    dist = IntensityDistribution([0.0, 1.0], [0.4, 0.4], normalize=True)
     np.testing.assert_allclose(dist.weights, [0.5, 0.5])
     with pytest.raises(ValueError):
-        IntensityDistribution([(0.0, -0.1), (1.0, 1.1)])
+        IntensityDistribution([0.0, 1.0], [-0.1, 1.1])
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
-            IntensityDistribution([(0.0, bad), (1.0, 1.0)], normalize=True)
+            IntensityDistribution([0.0, 1.0], [bad, 1.0], normalize=True)
         with pytest.raises(ValueError, match="positions must be finite"):
-            IntensityDistribution([(bad, 1.0)])
+            IntensityDistribution([bad], [1.0])
     # finite weights whose total overflows are rejected, never rescaled
     with pytest.raises(ValueError, match="float range"):
-        IntensityDistribution([(0.0, 1e308), (1.0, 1e308), (2.0, 0.0)],
+        IntensityDistribution([0.0, 1.0, 2.0], [1e308, 1e308, 0.0],
                               normalize=True)
+
+
+def _pair_route(samples, normalize=False):
+    """Reference route: the (y, I) pair-list constructor the two arrays
+    replaced, returning its y and weights."""
+    samples = [(float(y), float(i)) for y, i in samples]
+    if not samples:
+        raise ConfigError("need at least one sample")
+    y = np.array([s[0] for s in samples])
+    w = np.array([s[1] for s in samples])
+    if not np.all(np.isfinite(y)):
+        raise ConfigError("sample positions must be finite")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ConfigError("intensities must be finite and nonnegative")
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if normalize:
+        if total <= 0:
+            raise ConfigError("cannot normalize zero intensity")
+        if total == np.inf:
+            raise ConfigError("intensities sum past the float range")
+        w = w / total
+    elif abs(total - 1.0) > 1e-12:
+        raise ConfigError(f"intensities sum to {total}, not 1")
+    return y, w
+
+
+def _pair_on_grid(N, d, weights, normalize=False):
+    grid = native_grid(N, d)
+    weights = np.asarray(weights, dtype=float)
+    if weights.size != N:
+        raise ConfigError("need one weight per grid point")
+    return _pair_route(list(zip(grid, weights)), normalize=normalize)
+
+
+def _pair_point_on_grid(N, d, j):
+    grid = native_grid(N, d)
+    if not 0 <= j < N:
+        raise ConfigError(f"point source index {j} outside 0..{N - 1}")
+    return _pair_route([(y, float(k == j)) for k, y in enumerate(grid)])
+
+
+def _outcome(build, *args, **kwargs):
+    """The y and weights bits a route gives, or its error text."""
+    try:
+        out = build(*args, **kwargs)
+    except ConfigError as exc:
+        return "error", str(exc)
+    if isinstance(out, IntensityDistribution):
+        out = out.y, out.weights
+    assert all(a.dtype == np.float64 for a in out)
+    return tuple(a.tobytes() for a in out)
+
+
+def _assert_same(route, oracle, *args, **kwargs):
+    assert _outcome(route, *args, **kwargs) == _outcome(oracle, *args,
+                                                        **kwargs)
+
+
+class TestArraysMatchPairRoute:
+    @pytest.mark.parametrize("N", [1, 2, 3, 7, 64, 1000])
+    @pytest.mark.parametrize("d", [1.0, 0.37, 2e3])
+    def test_builders(self, N, d):
+        rng = np.random.default_rng(N)
+        for y0 in (native_grid(N, d)[-1], -0.0, 1e300):
+            _assert_same(IntensityDistribution.point,
+                         lambda y0: _pair_route([(y0, 1.0)]), y0)
+        _assert_same(IntensityDistribution.flat_on_grid,
+                     lambda N, d: _pair_route([(y, 1.0 / N)
+                                               for y in native_grid(N, d)]),
+                     N, d)
+        for j in (0, N // 2, N - 1, N, -1):
+            _assert_same(IntensityDistribution.point_on_grid,
+                         _pair_point_on_grid, N, d, j)
+        scenes = [np.full(N, 1.0 / N), rng.random(N), np.eye(N)[N // 3],
+                  np.zeros(N), np.ones(N + 1)]
+        for weights in scenes:
+            for normalize in (False, True):
+                _assert_same(IntensityDistribution.on_grid, _pair_on_grid,
+                             N, d, weights, normalize=normalize)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(st.one_of(
+            st.just(0.0), st.floats(0.0, 1.0), st.floats(1e307, 1.7e308),
+            st.sampled_from([-0.0, -1e-300, float("nan"), float("inf")]),
+        ), min_size=1, max_size=40),
+        d=st.floats(1e-3, 1e3),
+        normalize=st.booleans(),
+    )
+    def test_on_grid_weights(self, weights, d, normalize):
+        _assert_same(IntensityDistribution.on_grid, _pair_on_grid,
+                     len(weights), d, weights, normalize=normalize)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        samples=st.lists(st.tuples(
+            st.floats(),
+            st.one_of(st.just(0.0), st.floats(0.0, 1.0),
+                      st.floats(1e307, 1.7e308), st.floats()),
+        ), max_size=12),
+        normalize=st.booleans(),
+    )
+    def test_constructor(self, samples, normalize):
+        y = [s[0] for s in samples]
+        w = [s[1] for s in samples]
+        assert _outcome(IntensityDistribution, y, w, normalize=normalize) == (
+            _outcome(_pair_route, samples, normalize=normalize))
+
+    @pytest.mark.parametrize("y, w", [
+        ([0.0, 1.0], [1.0]), ([0.0], [0.5, 0.5]), ([[0.0]], [[1.0]]),
+        (0.0, 1.0),
+    ])
+    def test_positions_and_weights_pair_up(self, y, w):
+        with pytest.raises(ConfigError, match="equal length"):
+            IntensityDistribution(y, w)
 
 
 # np.arange(2 ** 63) comes back empty rather than raising
@@ -113,10 +230,8 @@ def test_off_center_point_has_unit_modulus_and_linear_phase():
 def test_visibility_toeplitz_for_uniform_arrays():
     rng = np.random.default_rng(21)
     N, d = 5, 2.0
-    dist = IntensityDistribution(
-        [(float(y), float(w)) for y, w in zip(rng.uniform(0, 2, 4), rng.uniform(0.1, 1, 4))],
-        normalize=True,
-    )
+    dist = IntensityDistribution(rng.uniform(0, 2, 4), rng.uniform(0.1, 1, 4),
+                                 normalize=True)
     vis = visibility_from_intensity(dist, ArrayGeometry(N=N, d=d))
     for k in range(1, N):
         col = np.array([vis.g[i + k, i] for i in range(N - k)])
@@ -278,7 +393,7 @@ def test_broadband_domain_checks():
 
 
 def test_visibility_function_matches_direct_sum():
-    dist = IntensityDistribution([(0.1, 0.3), (0.9, 0.7)])
+    dist = IntensityDistribution([0.1, 0.9], [0.3, 0.7])
     x = 1.7
     expect = 0.3 * np.exp(-2j * np.pi * x * 0.1) + 0.7 * np.exp(
         -2j * np.pi * x * 0.9
@@ -321,7 +436,7 @@ class TestUniqueBaselineRoute:
     def test_nonuniform_positions_match_full_grid(self, gaps, start, sources):
         pos = start + np.concatenate([[0.0], np.cumsum(gaps)])
         geom = ArrayGeometry(positions=pos)
-        dist = IntensityDistribution(sources, normalize=True)
+        dist = IntensityDistribution(*zip(*sources), normalize=True)
         got = visibility_from_intensity(dist, geom).g
         want = _visibility_by_full_grid(dist, geom)
         assert np.abs(got - want).max() <= 1e-12
@@ -390,7 +505,7 @@ class TestVisibilityBlocks:
     )
     def test_row_blocks_match_one_piece(self, gaps, sources, block):
         pos = np.concatenate([[0.0], np.cumsum(gaps)])
-        dist = IntensityDistribution(sources, normalize=True)
+        dist = IntensityDistribution(*zip(*sources), normalize=True)
         x = np.unique((pos[:, None] - pos[None, :]).reshape(-1))
         want = _visibility_one_piece(dist, x)
         with pytest.MonkeyPatch.context() as mp:

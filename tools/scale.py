@@ -59,7 +59,7 @@ def digest(data: bytes) -> str:
 
 
 def imaging_frame(N, _case):
-    dist = source.IntensityDistribution.flat_on_grid(N, 1.0)
+    dist = timed("scene", source.IntensityDistribution.flat_on_grid, N, 1.0)
     vis = timed("visibility", source.visibility_from_intensity, dist,
                 source.ArrayGeometry(N, 1.0))
     timed("closed", imaging.qft_image_diagonal, vis)
