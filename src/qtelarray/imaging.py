@@ -22,6 +22,7 @@ per-point variance on flat sources.
 
 from __future__ import annotations
 
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import wraps
@@ -132,25 +133,32 @@ def qft_process(vis_or_rho) -> np.ndarray:
     return F @ rho @ F_dag
 
 
-def _check_shots(shots):
+def _check_shots(shots) -> int:
+    """``shots`` as an int, or ConfigError when it is not an integer count
+    numpy's samplers take."""
+    try:
+        shots = operator.index(shots)
+    except TypeError:
+        raise ConfigError(f"shots = {shots!r} must be an integer") from None
     if not 1 <= shots <= SHOTS_MAX:
         raise ConfigError(
             f"shots = {shots} must be >= 1 and at most SHOTS_MAX = "
             f"{SHOTS_MAX}, the largest count numpy's samplers take"
         )
+    return shots
 
 
 def sample_qft(vis: VisibilityModel, shots: int, rng=None) -> ImagingEstimate:
     """Sample the QFT site-index distribution with a budget of stored photons."""
-    _check_shots(shots)
+    shots = _check_shots(shots)
     rng = make_rng(rng)
     p = np.clip(qft_image_diagonal(vis), 0.0, None)
-    counts = rng.multinomial(int(shots), p / p.sum())
+    counts = rng.multinomial(shots, p / p.sum())
     i_hat = counts / float(shots)
     return ImagingEstimate(
         i_hat=i_hat,
         var=i_hat * (1.0 - i_hat) / float(shots),
-        shots=int(shots),
+        shots=shots,
         extra={"counts": counts},
     )
 
@@ -202,21 +210,39 @@ def _blocks(size: int, block: int):
     return (min(block, size - lo) for lo in range(0, size, block))
 
 
-def _search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _max_steps(guide: np.ndarray, n: int) -> int:
+    """The most forward steps :func:`_search` can take on a draw, from the
+    guide table of an n-entry CDF.
+
+    A draw in cell j starts at guide[j] and ends at or before guide[j + 1];
+    in the last cell it ends at or before n - 1, as cdf[n - 1] = 1 exceeds
+    every uniform.
+    """
+    return int(max((guide[1:] - guide[:-1]).max(initial=0), n - 1 - guide[-1]))
+
+
+def _search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray,
+            steps=None) -> np.ndarray:
     """``cdf.searchsorted(u, side="right")`` answered from ``_guide(cdf)``.
 
     A draw starts at the first CDF entry above its cell's left edge and
     steps forward while ``cdf[idx] <= u``. The CDF is nondecreasing in
     floating point and the start never passes the answer, so the result is
-    exact. A draw takes as many steps as its cell holds CDF entries,
-    n / G <= 1 on average; the pipeline's pair weights are all 2/N, so no
-    cell holds more than a few.
+    exact. ``steps`` is ``_max_steps(guide, cdf.size)``, found here when not
+    given. Every draw takes its first step in one vectorized pass; only when
+    a cell holds more than one CDF entry do the draws still short of their
+    answer step on, in an active set. The pipeline's pair weights are all
+    2/N, so each cell holds at most one entry and one pass resolves a block.
     """
+    if steps is None:
+        steps = _max_steps(guide, cdf.size)
     idx = guide[(u * guide.size).astype(np.intp)]
-    active = np.flatnonzero(cdf[idx] <= u)
-    while active.size:
-        idx[active] += 1
-        active = active[cdf[idx[active]] <= u[active]]
+    idx += cdf[idx] <= u
+    if steps > 1:
+        active = np.flatnonzero(cdf[idx] <= u)
+        while active.size:
+            idx[active] += 1
+            active = active[cdf[idx[active]] <= u[active]]
     return idx
 
 
@@ -244,10 +270,11 @@ def _pair_counts(rng, weight: np.ndarray, size: int,
     # which keeps the peak resident set down
     guide = _guide(cdf)
     n = weight.size
+    steps = _max_steps(guide, n)
     block = -(-max(DRAW_BLOCK, n) // settings) * settings
     counts = np.zeros((settings, n), dtype=np.intp)
     for m in _blocks(size, block):
-        idx = _search(cdf, guide, rng.random(m))
+        idx = _search(cdf, guide, rng.random(m), steps)
         for s in range(settings):
             counts[s] += np.bincount(idx[s::settings], minlength=n)
     return counts
@@ -278,14 +305,13 @@ def classical_pipeline(vis: VisibilityModel, shots: int, rng=None,
     """
     if sampler not in SAMPLERS:
         raise ConfigError(f"unknown sampler {sampler!r}")
-    _check_shots(shots)
+    shots = _check_shots(shots)
     rng = make_rng(rng)
     N = vis.geometry.N
     mode = resolve_quadratures(vis, quadratures)
     settings = ("XX",) if mode == "real" else ("XX", "XY")
 
     a, b, weight, corr_xx, corr_xy = _pair_correlations(vis)
-    shots = int(shots)
     if sampler == "w_state":
         # one readout attempt per shot; an all-zeros retry is lost
         successes = sum(int(np.count_nonzero(rng.random(m) >= 1.0 / N))

@@ -9,6 +9,8 @@ from qtelarray.imaging import (
     DRAW_BLOCK,
     ImagingEstimate,
     _guide,
+    _max_steps,
+    _pair_correlations,
     _pair_counts,
     _phase_table,
     _qft_pair,
@@ -22,7 +24,7 @@ from qtelarray.imaging import (
     sample_qft,
     snr_report,
 )
-from qtelarray.util import qft_matrix
+from qtelarray.util import ConfigError, qft_matrix
 from qtelarray.source import (
     ArrayGeometry,
     IntensityDistribution,
@@ -220,6 +222,28 @@ class TestSampleQft:
         a = sample_qft(vis, 1000, rng=np.random.default_rng(7))
         b = sample_qft(vis, 1000, rng=np.random.default_rng(7))
         assert np.array_equal(a.extra["counts"], b.extra["counts"])
+
+
+class TestShotCounts:
+    @pytest.mark.parametrize("route", [sample_qft, classical_pipeline])
+    @pytest.mark.parametrize("shots", [2.5, 7.0, "7"])
+    def test_refuses_a_count_that_is_not_an_integer(self, route, shots):
+        vis, _ = on_grid_model(4, np.ones(4))
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ConfigError,
+                           match=rf"shots = {shots!r} must be an integer"):
+            route(vis, shots, rng=rng)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("route", [sample_qft, classical_pipeline])
+    def test_numpy_integer_count(self, route):
+        vis, _ = on_grid_model(4, [0.4, 0.3, 0.2, 0.1])
+        got = route(vis, np.int64(7), rng=np.random.default_rng(3))
+        want = route(vis, 7, rng=np.random.default_rng(3))
+        assert type(got.shots) is int and got.shots == 7
+        assert np.array_equal(got.i_hat, want.i_hat)
+        assert np.array_equal(got.var, want.var)
 
 
 class TestQuadraturePolicy:
@@ -585,6 +609,59 @@ class TestPairCounts:
         G = 1 << (n - 1).bit_length()
         want = cdf.searchsorted(np.arange(G) / G, side="right")
         assert np.array_equal(_guide(cdf), want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lead=_zero_run, body=_body, tail=_zero_run, last=_heavy,
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_search_matches_searchsorted(self, lead, body, tail, last, seed):
+        weight = np.array(lead + body + [last] + tail)
+        cdf = (weight / weight.sum()).cumsum()
+        cdf /= cdf[-1]
+        guide = _guide(cdf)
+        steps = _max_steps(guide, cdf.size)
+        u = np.random.default_rng(seed).random(2000)
+        want = cdf.searchsorted(u, side="right")
+        # no draw needs more forward steps from its start than the bound
+        start = guide[(u * guide.size).astype(np.intp)]
+        assert (want - start).max() <= steps
+        assert np.array_equal(_search(cdf, guide, u, steps), want)
+
+    @pytest.mark.parametrize("weight, one_pass", [
+        (np.ones(1000), True),
+        (np.ones(1024), True),
+        (np.linspace(1.0, 1.01, 1000), True),
+        # a zero weight ties two CDF entries in one cell
+        (np.r_[np.ones(500), 0.0, np.ones(500)], False),
+        (np.random.default_rng(7).pareto(0.7, 5000) + 1e-3, False),
+        (np.r_[np.full(100, 1e-300), 1.0, np.full(100, 1e-300)], False),
+    ])
+    def test_search_in_one_pass_and_in_several(self, weight, one_pass):
+        # uniforms at random, on every CDF entry and cell edge and one ulp
+        # either side: the one-pass route where no cell holds two entries,
+        # the stepping route elsewhere
+        cdf = (weight / weight.sum()).cumsum()
+        cdf /= cdf[-1]
+        guide = _guide(cdf)
+        steps = _max_steps(guide, cdf.size)
+        assert (steps <= 1) == one_pass
+        pts = np.concatenate([cdf, np.arange(guide.size) / guide.size,
+                              np.random.default_rng(1).random(50000)])
+        u = np.concatenate([pts, np.nextafter(pts, 0.0),
+                            np.nextafter(pts, 1.0)])
+        u = u[u < 1.0]
+        want = cdf.searchsorted(u, side="right")
+        assert np.array_equal(_search(cdf, guide, u, steps), want)
+        assert np.array_equal(_search(cdf, guide, u), want)
+
+    @pytest.mark.parametrize("N", [2, 3, 32, 64, 128, 256, 1024])
+    def test_flat_pair_weights_take_one_pass(self, N):
+        # the imaging frames' pair weights put at most one CDF entry in a
+        # guide cell, so _pair_counts resolves each block in one pass
+        vis, _ = on_grid_model(N, np.ones(N))
+        weight = _pair_correlations(vis)[2]
+        cdf = (weight / weight.sum()).cumsum()
+        cdf /= cdf[-1]
+        assert _max_steps(_guide(cdf), weight.size) <= 1
 
     def test_crowded_cell(self):
         # a thousand near-zero weights share one guide cell, so some draws

@@ -189,6 +189,17 @@ class TestArraysMatchPairRoute:
             IntensityDistribution(y, w)
 
 
+@pytest.mark.parametrize("j", [1.5, 1.0, "1", None])
+def test_point_on_grid_needs_an_integer_index(j):
+    with pytest.raises(ConfigError, match=r"index j = .* must be an integer"):
+        IntensityDistribution.point_on_grid(4, 1.0, j)
+
+
+def test_point_on_grid_takes_a_numpy_integer_index():
+    dist = IntensityDistribution.point_on_grid(4, 1.0, np.int64(2))
+    assert dist.weights.tolist() == [0.0, 0.0, 1.0, 0.0]
+
+
 # np.arange(2 ** 63) comes back empty rather than raising
 @pytest.mark.parametrize("N, d", [(4, 1e-320), (4, 5e307), (4, 0.0), (0, 1.0),
                                   (2 ** 63, 1.0), (10 ** 200, 1.0)])
@@ -518,12 +529,40 @@ class TestVisibilityBlocks:
         assert np.abs(vis.g - want_g).max() <= 1e-12
 
     @pytest.mark.parametrize("N", [32, 64, 128, 256])
-    def test_uniform_frames_stay_in_one_block(self, N):
+    @pytest.mark.parametrize("scene", ["flat", "point", "random"])
+    def test_uniform_frames_stay_in_one_block(self, N, scene):
         # the imaging frames evaluate every distinct baseline in one piece,
-        # exactly as before blocking, so their reports do not move
+        # with the bits of one np.exp over the phase matrix, so their
+        # reports do not move
         pos = ArrayGeometry(N=N, d=1.0).positions
         x = np.unique((pos[:, None] - pos[None, :]).reshape(-1))
         assert x.size * N <= source.VIS_BLOCK
-        dist = IntensityDistribution.flat_on_grid(N, 1.0)
-        assert np.array_equal(visibility_function(dist, x),
-                              _visibility_one_piece(dist, x))
+        weights = {"flat": np.ones(N), "point": np.eye(N)[N // 3],
+                   "random": np.random.default_rng(N).random(N)}[scene]
+        dist = IntensityDistribution.on_grid(N, 1.0, weights, normalize=True)
+        _assert_same_bits(visibility_function(dist, x),
+                          _visibility_one_piece(dist, x))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        gaps=st.lists(st.floats(1e-3, 5.0), min_size=1, max_size=24),
+        d=st.sampled_from([0.013, 1.0, 3.7, 1e3]),
+        sources=st.lists(
+            st.tuples(st.one_of(st.floats(-3.0, 3.0),
+                                st.sampled_from([0.0, -0.0])),
+                      st.floats(0.01, 1.0)),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_cos_sin_phases_match_exp_bits(self, gaps, d, sources):
+        # baselines of either sign over a span d, x = +0 and -0, and
+        # sources below, at and above y = 0: the phases and g carry the
+        # bits of np.exp, the signs of their zeros included
+        pos = np.concatenate([[0.0], np.cumsum(gaps)])
+        pos *= d / pos[-1]
+        x = np.r_[np.unique((pos[:, None] - pos[None, :]).reshape(-1)), -0.0]
+        dist = IntensityDistribution(*zip(*sources), normalize=True)
+        _assert_same_bits(source._phases(x, dist.y),
+                          np.exp(-2j * np.pi * np.outer(x, dist.y)))
+        _assert_same_bits(visibility_function(dist, x),
+                          _visibility_one_piece(dist, x))

@@ -54,19 +54,24 @@ def timed(step, fn, *args, **kwargs):
     return out
 
 
-def digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()[:16]
+def digest(*chunks) -> str:
+    """The sha256 of the chunks (bytes or contiguous arrays), in order."""
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()[:16]
 
 
 def imaging_frame(N, _case):
     dist = timed("scene", source.IntensityDistribution.flat_on_grid, N, 1.0)
     vis = timed("visibility", source.visibility_from_intensity, dist,
                 source.ArrayGeometry(N, 1.0))
-    timed("closed", imaging.qft_image_diagonal, vis)
+    closed = timed("closed", imaging.qft_image_diagonal, vis)
     timed("conjugation", imaging.qft_process, vis)
     timed("sample_qft", imaging.sample_qft, vis, SHOTS, rng=N)
     est = timed("classical", imaging.classical_pipeline, vis, SHOTS, rng=N + 1)
-    return {"digest": digest(est.i_hat.tobytes())}
+    # the bits of g and of the closed-form image, as well as the sample's
+    return {"digest": digest(vis.g, closed, est.i_hat)}
 
 
 def photon(N, layout):
