@@ -10,11 +10,14 @@ Four subcommands cover the pipeline end to end:
 Every subcommand reads an optional ``key=value`` config file, applies
 ``--set key=value`` overrides, and writes a deterministic report whose
 ``#`` header records the tool version, the resolved config, and the seed.
-Exit codes: 0 on success, 2 for malformed input, 3 when a built-in
-consistency check fails. The library checks its own inputs and raises
-``ConfigError`` naming the bad one (``TransferError`` is one); the runners
-check only the CLI's own keys and reports, and :func:`main` alone turns an
-error into exit 2. ``transfer`` and its ``qcore.optics`` are imported by the
+Exit codes: 0 on success, 2 for malformed input or an ``--output`` path
+that cannot be written, 3 when a built-in consistency check fails. The
+library checks its own inputs and raises ``ConfigError`` naming the bad one
+(``transfer.TransferError`` is the same class under another name). Every
+count (N, M, R, shots, trials, seed, ...) must be an integer within its
+bounds, so ``N=2.5`` is refused, not rounded. The runners check only the
+CLI's own keys and reports, and :func:`main` alone turns an error into
+exit 2. ``transfer`` and its ``qcore.optics`` are imported by the
 two runners that use them, so ``encode`` and ``imaging`` never load them.
 """
 
@@ -41,7 +44,7 @@ from .source import (
     native_grid,
     visibility_from_intensity,
 )
-from .util import ConfigError, make_rng, parse_key_value
+from .util import ConfigError, count, make_rng, parse_key_value
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -109,8 +112,7 @@ def resolve_config(defaults: dict, path, sets) -> dict:
                 known = ", ".join(sorted(defaults))
                 raise ConfigError(f"unknown config key {key!r} (known: {known})")
             merged[key] = _coerce(key, raw, defaults[key])
-    if merged.get("seed", 0) < 0:
-        raise ConfigError(f"seed must be >= 0, got {merged['seed']}")
+    count(merged["seed"], "seed")
     return merged
 
 
@@ -282,8 +284,7 @@ FORMULAS_DEFAULTS = {
 def run_formulas(config: dict):
     from . import transfer as _transfer
     N, p1, f2 = config["N"], config["p1"], config["f2"]
-    if config["trials"] < 0:
-        raise ConfigError(f"trials must be >= 0, got {config['trials']}")
+    count(config["trials"], "trials")
     p_fail = _transfer.network_failure_probability(N, p1)
     dist = _transfer.network_pair_distribution(N, p1)
     fid = _transfer.network_fidelity(N, f2)
@@ -350,8 +351,13 @@ def main(argv=None) -> int:
         print(f"qtelarray {args.command}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"qtelarray {args.command}: cannot write {args.output!r}: "
+                  f"{exc.strerror}", file=sys.stderr)
+            return EXIT_CONFIG
     else:
         sys.stdout.write(text)
     if not ok:

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .source import coherence_matrix
-from .util import ConfigError, unit_amplitudes  # re-exported: codec.ConfigError
+from .util import ConfigError, count, unit_amplitudes  # re-exported: codec.ConfigError
 
 LAYOUTS = ("sequential", "parallel")
 
@@ -65,23 +65,26 @@ class Codebook:
     """Injective map (time bin m, band r) -> codeword bit string."""
 
     def __init__(self, M: int, R: int):
-        if M < 1 or R < 1:
-            raise ConfigError("need M >= 1 and R >= 1")
-        self.M = int(M)
-        self.R = int(R)
-        self.t_bits = log2_ceil(M + 1)
-        self.f_bits = log2_ceil(R)
+        self.M = count(M, "M", 1)
+        self.R = count(R, "R", 1)
+        self.t_bits = log2_ceil(self.M + 1)
+        self.f_bits = log2_ceil(self.R)
 
     @property
     def length(self) -> int:
         return self.t_bits + self.f_bits
 
+    def time_bin(self, m: int) -> int:
+        """m as an int, or ConfigError when it is not a time bin 1..M."""
+        return count(m, "time bin m", 1, self.M)
+
+    def band(self, r: int) -> int:
+        """r as an int, or ConfigError when it is not a band 1..R."""
+        return count(r, "band r", 1, self.R)
+
     def codeword(self, m: int, r: int) -> str:
         """binary(m) over t_bits, then binary(r-1) over f_bits, MSB first."""
-        if not 1 <= m <= self.M:
-            raise ConfigError(f"time bin {m} outside 1..{self.M}")
-        if not 1 <= r <= self.R:
-            raise ConfigError(f"band {r} outside 1..{self.R}")
+        m, r = self.time_bin(m), self.band(r)
         word = format(m, f"0{self.t_bits}b")
         if self.f_bits:
             word += format(r - 1, f"0{self.f_bits}b")
@@ -128,12 +131,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.M < 1:
-            raise ConfigError("M must be >= 1")
-        if self.R < 1:
-            raise ConfigError("R must be >= 1")
-        if self.N < 2:
-            raise ConfigError("N must be >= 2")
+        for name, low in (("M", 1), ("R", 1), ("N", 2), ("seed", 0)):
+            object.__setattr__(self, name, count(getattr(self, name), name, low))
         if not 0.0 <= self.eps < 1.0:
             raise ConfigError("eps must lie in [0, 1)")
         if self.layout not in LAYOUTS:
@@ -246,10 +245,7 @@ class MemoryLayout:
         band are range checked in both layouts.
         """
         book = self.book
-        if not 1 <= m <= book.M:
-            raise ConfigError(f"time bin {m} outside 1..{book.M}")
-        if not 1 <= r <= book.R:
-            raise ConfigError(f"band {r} outside 1..{book.R}")
+        m, r = book.time_bin(m), book.band(r)
         if self.config.layout == "sequential":
             return _reversed_bits(m << book.f_bits | r - 1, book.length)
         t = book.t_bits
@@ -257,9 +253,7 @@ class MemoryLayout:
 
     def band_code(self, r: int) -> str:
         """Compressed-register pattern for band r (vacuum stays zero)."""
-        if not 1 <= r <= self.config.R:
-            raise ConfigError(f"band {r} outside 1..{self.config.R}")
-        return format(r, f"0{self.c_bits}b")
+        return format(self.book.band(r), f"0{self.c_bits}b")
 
     @cached_property
     def compress_folds(self) -> tuple:
@@ -386,7 +380,7 @@ def _photon_amps(amps, N: int) -> np.ndarray:
 
 
 def encode_bin(run: EncodeRun, m: int, photon=None) -> EncodeRun:
-    """Advance the run through time bin m.
+    """Advance the run through time bin m (1..M, vacuum bins too).
 
     ``photon`` is None for a vacuum bin or ``(r, amps)`` for a single photon
     in band r with per-site spatial amplitudes. Vacuum receiving qubits are
@@ -400,6 +394,7 @@ def encode_bin(run: EncodeRun, m: int, photon=None) -> EncodeRun:
     if run.compressed:
         raise EncodeError("run already compressed")
     if photon is None:
+        run.book.time_bin(m)
         return run
     r, amps = photon
     written = SiteState(

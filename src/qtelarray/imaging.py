@@ -22,7 +22,6 @@ per-point variance on flat sources.
 
 from __future__ import annotations
 
-import operator
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import wraps
@@ -30,7 +29,7 @@ from functools import wraps
 import numpy as np
 
 from .source import VisibilityModel
-from .util import ConfigError, make_rng, qft_matrix
+from .util import ConfigError, count, make_rng, qft_matrix
 
 QUADRATURE_MODES = ("auto", "real", "both")
 SAMPLERS = ("w_state", "direct_pair")
@@ -133,24 +132,9 @@ def qft_process(vis_or_rho) -> np.ndarray:
     return F @ rho @ F_dag
 
 
-def _check_shots(shots) -> int:
-    """``shots`` as an int, or ConfigError when it is not an integer count
-    numpy's samplers take."""
-    try:
-        shots = operator.index(shots)
-    except TypeError:
-        raise ConfigError(f"shots = {shots!r} must be an integer") from None
-    if not 1 <= shots <= SHOTS_MAX:
-        raise ConfigError(
-            f"shots = {shots} must be >= 1 and at most SHOTS_MAX = "
-            f"{SHOTS_MAX}, the largest count numpy's samplers take"
-        )
-    return shots
-
-
 def sample_qft(vis: VisibilityModel, shots: int, rng=None) -> ImagingEstimate:
     """Sample the QFT site-index distribution with a budget of stored photons."""
-    shots = _check_shots(shots)
+    shots = count(shots, "shots", 1, SHOTS_MAX, "SHOTS_MAX")
     rng = make_rng(rng)
     p = np.clip(qft_image_diagonal(vis), 0.0, None)
     counts = rng.multinomial(shots, p / p.sum())
@@ -305,7 +289,7 @@ def classical_pipeline(vis: VisibilityModel, shots: int, rng=None,
     """
     if sampler not in SAMPLERS:
         raise ConfigError(f"unknown sampler {sampler!r}")
-    shots = _check_shots(shots)
+    shots = count(shots, "shots", 1, SHOTS_MAX, "SHOTS_MAX")
     rng = make_rng(rng)
     N = vis.geometry.N
     mode = resolve_quadratures(vis, quadratures)

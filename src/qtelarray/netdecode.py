@@ -45,7 +45,6 @@ giving interferometric access to one baseline per shot.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -53,7 +52,7 @@ from functools import lru_cache
 import numpy as np
 
 from .codec import ConfigError, EncodeError, EncodeRun
-from .util import make_rng
+from .util import count, make_rng
 
 RETRY_CAP = 64
 
@@ -358,8 +357,7 @@ def w_state_readout(rho, rng, max_attempts: int = RETRY_CAP,
     one W state; the all-zeros outcome (probability 1/N) retries with the
     carrier intact.
     """
-    if max_attempts < 1:
-        raise ConfigError(f"max_attempts = {max_attempts} must be >= 1")
+    max_attempts = count(max_attempts, "max_attempts", 1)
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ConfigError("which-site density must be square")
@@ -417,10 +415,7 @@ def sample_pair_products(density: np.ndarray, setting: str, shots: int, rng):
     """Sampled +-1 products of local X/Y measurements on a collapsed pair."""
     if np.shape(density) != (2, 2):
         raise ConfigError("pair density must be 2 x 2")
-    try:
-        shots = operator.index(shots)
-    except TypeError:
-        raise ConfigError(f"shots = {shots!r} must be an integer") from None
+    shots = count(shots, "shots")
     corr = pair_correlators(density)
     if setting not in ("XX", "XY", "YX", "YY"):
         raise ConfigError(f"unknown setting {setting!r}")
@@ -431,7 +426,6 @@ def sample_pair_products(density: np.ndarray, setting: str, shots: int, rng):
     try:
         plus = make_rng(rng).binomial(1, p_plus, size=shots)
     except (ValueError, MemoryError):
-        # numpy refuses a negative size before it draws
-        raise ConfigError(f"shots = {shots} must be >= 0 and at most the "
-                          f"draws numpy can allocate") from None
+        raise ConfigError(f"shots = {shots} must be at most the draws numpy "
+                          f"can allocate") from None
     return 2 * plus - 1

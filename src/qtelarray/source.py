@@ -8,11 +8,10 @@ on the native grid y_j = (N-1) j / (N d).
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
-from .util import ConfigError
+from .util import ConfigError, count
 
 # Complex entries of one block of the visibility phase matrix (16 MiB).
 VIS_BLOCK = 1 << 20
@@ -31,19 +30,13 @@ class ArrayGeometry:
     """
 
     def __init__(self, N=None, d=None, positions=None):
-        if positions is not None:
-            pos = np.asarray(positions, dtype=float)
-        else:
-            if N is None or d is None:
-                raise ConfigError("give positions, or both N and d")
-            if N < 2:
-                raise ConfigError(f"need at least two sites, not N = {N}")
-            if N > MAX_SITES:
-                raise ConfigError(
-                    f"a uniform array has at most {MAX_SITES} sites, numpy's "
-                    f"largest float array, not N = {N}"
-                )
+        if (N is None, d is None) != (positions is not None,) * 2:
+            raise ConfigError("give positions, or both N and d")
+        if positions is None:
+            N = count(N, "N", 2, MAX_SITES, "MAX_SITES")
             pos = d * np.arange(N) / (N - 1)
+        else:
+            pos = np.asarray(positions, dtype=float)
         if pos.ndim != 1 or pos.size < 2:
             raise ConfigError("need at least two sites")
         if not np.all(np.isfinite(pos)):
@@ -74,14 +67,11 @@ class ArrayGeometry:
 def native_grid(N: int, d: float) -> np.ndarray:
     """Reconstruction grid y_j = (N-1) j / (N d), j = 0..N-1.
 
-    Raises ConfigError when N is not a positive float array size numpy
-    takes, or when the grid leaves the float range: an N d past it
-    collapses the grid onto 0, and a tiny d sends its last point to inf.
+    Raises ConfigError when N is not a count in 1..MAX_SITES, or when the
+    grid leaves the float range: an N d past it collapses the grid onto 0,
+    and a tiny d sends its last point to inf.
     """
-    if not 1 <= N <= MAX_SITES:
-        raise ConfigError(
-            f"native grid needs 1 <= N <= {MAX_SITES} sites, not N = {N}"
-        )
+    N = count(N, "native grid N", 1, MAX_SITES, "MAX_SITES")
     span = N * d
     if not (0 < span < math.inf and (N - 1) / span * (N - 1) < math.inf):
         raise ConfigError(
@@ -130,13 +120,7 @@ class IntensityDistribution:
     @classmethod
     def point_on_grid(cls, N, d, j: int) -> "IntensityDistribution":
         grid = native_grid(N, d)
-        try:
-            j = operator.index(j)
-        except TypeError:
-            raise ConfigError(
-                f"point source index j = {j!r} must be an integer") from None
-        if not 0 <= j < N:
-            raise ConfigError(f"point source index {j} outside 0..{N - 1}")
+        j = count(j, "point source index j", 0, N - 1)
         return cls(grid, (np.arange(N) == j).astype(float))
 
     @classmethod

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import copy
 import math
-import operator
 import os
 import sys
 from collections.abc import Sequence
@@ -40,7 +39,7 @@ from itertools import repeat
 import numpy as np
 
 from .qcore.optics import linear_optics_matrix
-from .util import ConfigError, make_rng, qft_matrix, unit_amplitudes
+from .util import ConfigError, count, make_rng, qft_matrix, unit_amplitudes
 
 BRANCH_PRUNE = 1e-12
 RATIO_TOL = 1e-9
@@ -57,8 +56,8 @@ MAX_PAIR_SITES = 1029
 ALPHA_MAX = math.sqrt(sys.float_info.max)
 
 
-class TransferError(ConfigError):
-    """Malformed transfer input, named in the message."""
+# malformed transfer input: the one input error, under this module's name
+TransferError = ConfigError
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ def _norm_amps(amps) -> np.ndarray:
     amps = np.asarray(amps, dtype=complex)
     if amps.ndim != 1 or amps.size < 2:
         raise TransferError("need which-site amplitudes for at least 2 sites")
-    return unit_amplitudes(amps, TransferError)
+    return unit_amplitudes(amps)
 
 
 def _check_alpha(alpha) -> float:
@@ -194,13 +193,6 @@ class AmplitudeTable:
         return {o: a for o, a in zip(self.outs, column.tolist()) if a}
 
 
-def _check_count(value, name: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TransferError(f"{name} = {value!r} must be an integer") from None
-
-
 @lru_cache(maxsize=8)
 def _coherent_layout(cutoff: int) -> tuple:
     """What the coherent tables at ``cutoff`` share, whatever alpha.
@@ -243,9 +235,7 @@ def coherent_amplitude_table(alpha: float, cutoff: int) -> AmplitudeTable:
     """
     # in float64 whatever the type given, which still names the table
     x = _check_alpha(alpha)
-    cutoff = _check_count(cutoff, "cutoff")
-    if cutoff < 1:
-        raise TransferError("cutoff must be >= 1")
+    cutoff = count(cutoff, "cutoff", 1)
     if x == 0.0:
         half = 2 ** -0.5
         return AmplitudeTable("coherent(0)", ((0, 0), (0, 1), (1, 0)),
@@ -287,9 +277,7 @@ def multiport_amplitude_table(ports: int) -> AmplitudeTable:
     are count tuples over the P + 1 detectors. P = 1 is the balanced
     splitter with a single plus ancilla.
     """
-    ports = _check_count(ports, "ports")
-    if ports < 1:
-        raise TransferError("need at least one ancilla port")
+    ports = count(ports, "ports", 1)
     k = ports + 1
     S = qft_matrix(k)
     in_cutoffs = (1,) * k
@@ -594,20 +582,17 @@ def lossy_transfer(eta: float, theta: float = 0.0) -> TransferOutcome:
 # ---- network scaling ----------------------------------------------------------------
 
 
-def _check_sites(N: int):
-    if N < 2:
-        raise TransferError(f"a network needs at least 2 sites, not N = {N}")
-
-
-def _check_network(N: int, p1: float):
-    _check_sites(N)
+def _check_network(N: int, p1: float) -> int:
+    """N as an int, once N and p1 pass their checks."""
+    N = count(N, "N", 2)
     if not 0.0 <= p1 <= 1.0:
         raise TransferError(f"per-site success p1 = {p1} must lie in [0, 1]")
+    return N
 
 
 def network_fidelity(N: int, f2: float) -> float:
     """W-state fidelity over N sites from the pairwise fidelity f2."""
-    _check_sites(N)
+    N = count(N, "N", 2)
     if not 0.0 <= f2 <= 1.0:
         raise TransferError("pairwise fidelity f2 must lie in [0, 1]")
     return (1.0 + (N - 1) * (2.0 * f2 - 1.0)) / N
@@ -620,7 +605,7 @@ def network_failure_probability(N: int, p1: float) -> float:
     attempt fails when the photon's site failed or fewer than two sites
     succeeded. Equals (1-p1) (1 + p1 (1-p1)^(N-2)).
     """
-    _check_network(N, p1)
+    N = _check_network(N, p1)
     q = 1.0 - p1
     return q * (1.0 + p1 * q ** (N - 2))
 
@@ -631,14 +616,10 @@ def network_pair_distribution(N: int, p1: float) -> dict:
     p(N, k) = C(N, k) p1^k q^(N-k) * k / (N (1 - p_fail)); the factor k/N
     is the chance the photon sits among the k survivors.
     """
+    N = count(N, "N", 2, MAX_PAIR_SITES, "MAX_PAIR_SITES")
     p_fail = network_failure_probability(N, p1)
     if p_fail >= 1.0:
         raise TransferError("the network never succeeds at p1 = 0")
-    if N > MAX_PAIR_SITES:
-        raise TransferError(
-            f"C(N, k) overflows a float at N = {N}; the pair distribution "
-            f"supports N <= {MAX_PAIR_SITES}"
-        )
     q = 1.0 - p1
     return {
         k: math.comb(N, k) * p1 ** k * q ** (N - k) * k / (N * (1.0 - p_fail))
@@ -748,10 +729,8 @@ def network_monte_carlo(N: int, p1: float, trials: int, rng=None) -> dict:
     Other bit generators run on one thread and draw every success uniform
     twice, once to reach the photon sites and once to tally.
     """
-    _check_network(N, p1)
-    trials = int(trials)
-    if trials < 1:
-        raise TransferError(f"need at least one trial, not trials = {trials}")
+    N = _check_network(N, p1)
+    trials = count(trials, "trials", 1)
     bit_generator = make_rng(rng).bit_generator
     after = _skipped(bit_generator, trials * N)
     photon = _photon_sites(np.random.Generator(after), N, trials)

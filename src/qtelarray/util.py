@@ -1,9 +1,10 @@
-"""Shared helpers: the input error, seeded RNG plumbing, config parsing,
-the site-amplitude normalizer, the DFT unitary."""
+"""Shared helpers: the input error, the integer-count rule, seeded RNG
+plumbing, config parsing, the site-amplitude normalizer, the DFT unitary."""
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 
 import numpy as np
@@ -12,6 +13,28 @@ import numpy as np
 class ConfigError(ValueError):
     """Malformed input: a bad configuration, size or argument. Every layer
     raises it (or a subclass) naming the input; the CLI exits 2 on it."""
+
+
+def count(value, name: str, low: int = 0, high: int | None = None,
+          high_name: str | None = None) -> int:
+    """``value`` as an int in ``low..high`` (no upper end when ``high`` is
+    None), or ConfigError naming ``name``, the value and the bound it broke.
+
+    Anything ``operator.index`` takes counts, numpy integers included; a
+    float (even 4.0), a string or None does not. ``high_name`` names the
+    constant ``high`` comes from.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} = {value!r} must be an integer") from None
+    if high is None:
+        if value < low:
+            raise ConfigError(f"{name} = {value} must be >= {low}")
+    elif not low <= value <= high:
+        bound = f"{high_name} = {high}" if high_name else high
+        raise ConfigError(f"{name} = {value} outside {low}..{bound}")
+    return value
 
 
 def make_rng(seed_or_rng) -> np.random.Generator:
@@ -47,11 +70,11 @@ def parse_key_value(text: str) -> dict:
     return out
 
 
-def unit_amplitudes(amps, error=ConfigError) -> np.ndarray:
+def unit_amplitudes(amps) -> np.ndarray:
     """Site amplitudes over their norm, in the bits ``np.linalg.norm`` gives;
     a squared norm past the normal float range (inf, subnormal or 0) is taken
     again after dividing by the largest part, with no numpy warning. Raises
-    ``error`` for a non-finite or all-zero input."""
+    ConfigError for a non-finite or all-zero input."""
     amps = np.asarray(amps, dtype=complex)
     re, im = amps.real, amps.imag
     with np.errstate(over="ignore", under="ignore"):
@@ -60,17 +83,16 @@ def unit_amplitudes(amps, error=ConfigError) -> np.ndarray:
     if sys.float_info.min <= sq < math.inf:
         return amps / math.sqrt(sq)
     if not np.isfinite(amps).all():
-        raise error("site amplitudes must be finite")
+        raise ConfigError("site amplitudes must be finite")
     top = max(np.abs(re).max(), np.abs(im).max())
     if top == 0:
-        raise error("site amplitudes are all zero")
+        raise ConfigError("site amplitudes are all zero")
     # part by part, since a complex division by a subnormal overflows
-    return unit_amplitudes(re / top + 1j * (im / top), error)
+    return unit_amplitudes(re / top + 1j * (im / top))
 
 
 def qft_matrix(n: int) -> np.ndarray:
     """Discrete Fourier unitary with entries omega^{jk}/sqrt(n)."""
-    if n < 1:
-        raise ValueError("qft size must be >= 1")
+    n = count(n, "n", 1)
     j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     return np.exp(2j * np.pi * j * k / n) / np.sqrt(n)

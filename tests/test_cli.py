@@ -45,6 +45,15 @@ class TestConfigHandling:
     def test_missing_config_file_exits_2(self, capsys):
         assert cli.main(["encode", "--config", "/nonexistent.cfg"]) == 2
 
+    @pytest.mark.parametrize("where", ["no_such_dir/x.csv", "a_dir"])
+    def test_unwritable_output_exits_2(self, tmp_path, where, capsys):
+        (tmp_path / "a_dir").mkdir()
+        path = str(tmp_path / where)
+        assert cli.main(["formulas", "--output", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"qtelarray formulas: cannot write {path!r}: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("command, setting", [
         ("encode", "M=inf"),
         ("encode", "M=1e400"),
@@ -437,13 +446,13 @@ class TestLibraryRejects:
     is refused by the library's ConfigError, which main turns into exit 2."""
 
     @pytest.mark.parametrize("argv, message", [
-        ("imaging --set N=1", "need at least two sites, not N = 1"),
-        ("imaging --set N=0", "native grid needs 1 <= N <= "),
-        ("imaging --set shots=0", "shots = 0 must be >= 1 and at most "
-                                  "SHOTS_MAX = 9223372036854775807"),
-        ("imaging --set N=1e200", f"not N = {int(1e200)}"),
+        ("imaging --set N=1", "N = 1 outside 2..MAX_SITES = "),
+        ("imaging --set N=0", "N = 0 outside 1..MAX_SITES = "),
+        ("imaging --set shots=0", "shots = 0 outside 1..SHOTS_MAX = "
+                                  "9223372036854775807"),
+        ("imaging --set N=1e200", f"N = {int(1e200)} outside 1..MAX_SITES"),
         ("imaging --set N=1e200 --set source=point:0",
-         f"not N = {int(1e200)}"),
+         f"N = {int(1e200)} outside 1..MAX_SITES"),
         ("transfer --set mode=lossy --set eta_max=1.5",
          "transmission eta = 1.1 must lie in [0, 1]"),
     ])

@@ -129,3 +129,25 @@ def test_tools_name_pythonpath_when_the_package_is_missing(tool, tmp_path):
     assert proc.returncode == 1
     assert proc.stderr == (f"{tool}: cannot import qtelarray; run it with "
                            "PYTHONPATH=src\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["imaging", "x"], ["transfer", "3"], ["network", "2.5"],
+    ["transfer", "2:x"], ["transfer", "2:3:4"], ["photon", "4", "2:2"],
+])
+def test_malformed_size_exits_with_the_usage_line(scale, argv):
+    with pytest.raises(SystemExit) as exc:
+        scale.main(argv)
+    assert exc.value.code == scale.USAGE
+    assert exc.value.code.startswith("usage: scale.py {imaging,")
+
+
+def test_sizes_parse_once_per_stage(scale):
+    assert scale.parse_size("imaging", "64") == 64
+    assert scale.parse_size("transfer", "3:8") == (3, 8)
+
+
+def test_size_the_library_refuses_exits_with_its_message(scale):
+    with pytest.raises(SystemExit) as exc:
+        scale.main(["imaging", "1"])
+    assert exc.value.code.startswith("scale.py imaging 1: N = 1 outside 2..")

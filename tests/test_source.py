@@ -45,13 +45,26 @@ def test_geometry_validation():
         geom.baseline(1)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"N": 5, "d": 3.0, "positions": [0.0, 1.0]},
+    {"N": 2, "positions": [0.0, 1.0]},
+    {"d": 1.0, "positions": [0.0, 1.0]},
+    {"N": 4},
+    {"d": 1.0},
+    {},
+])
+def test_geometry_takes_positions_or_both_N_and_d(kwargs):
+    with pytest.raises(ConfigError, match="give positions, or both N and d"):
+        ArrayGeometry(**kwargs)
+
+
 # unchecked, 10 ** 200 raises numpy's bare size error and 2 ** 63 reads as
 # "need at least two sites", since np.arange(2 ** 63) comes back empty
 @pytest.mark.parametrize("N", [2 ** 63, 10 ** 200, 1e200, source.MAX_SITES + 1])
 def test_geometry_names_an_N_past_numpys_largest_array(N):
     with pytest.raises(ValueError, match=re.escape(
-            f"a uniform array has at most {source.MAX_SITES} sites, numpy's "
-            f"largest float array, not N = {N}")):
+            f"N = {N!r} must be an integer" if isinstance(N, float) else
+            f"N = {N} outside 2..MAX_SITES = {source.MAX_SITES}")):
         ArrayGeometry(N=N, d=1.0)
 
 
@@ -109,7 +122,7 @@ def _pair_on_grid(N, d, weights, normalize=False):
 def _pair_point_on_grid(N, d, j):
     grid = native_grid(N, d)
     if not 0 <= j < N:
-        raise ConfigError(f"point source index {j} outside 0..{N - 1}")
+        raise ConfigError(f"point source index j = {j} outside 0..{N - 1}")
     return _pair_route([(y, float(k == j)) for k, y in enumerate(grid)])
 
 

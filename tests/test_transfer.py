@@ -208,7 +208,7 @@ def _coherent_by_entry(alpha, cutoff):
     time: the route the one-pass builder replaced, with the same errors."""
     transfer._check_alpha(alpha)
     if cutoff < 1:
-        raise TransferError("cutoff must be >= 1")
+        raise TransferError(f"cutoff = {cutoff} must be >= 1")
     if alpha == 0.0:
         return ({(0, 0): 1.0}, {(1, 0): 2 ** -0.5, (0, 1): 2 ** -0.5},
                 "coherent(0)")
@@ -1204,7 +1204,8 @@ class TestNetwork:
             network_failure_probability(4, 1.5)
         with pytest.raises(TransferError):
             network_pair_distribution(4, 0.0)
-        with pytest.raises(TransferError, match="N = 1030.*N <= 1029"):
+        with pytest.raises(TransferError,
+                           match=r"N = 1030 outside 2\.\.MAX_PAIR_SITES = 1029"):
             network_pair_distribution(1030, 0.5)
 
     @pytest.mark.parametrize("N, p1, trials, name", [

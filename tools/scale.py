@@ -11,11 +11,13 @@ Usage, from the repository root::
   it with seeded amplitudes.
 * ``network N``: network_monte_carlo on ``one`` worker and on ``all``.
 
-Each (size, case) runs REPEATS times; each step gives the first, best,
-median and max of its samples in seconds, one more run the tracemalloc
-peak. One size runs in this process, several (or none: the defaults) each
-in a fresh interpreter, with cold caches. The output is one JSON document:
-stage, commit, src_sha256, host, protocol and sweep rows.
+A SIZE is an int, or ``SITES:CUTOFF`` for ``transfer``; a malformed one
+exits with the usage line. Each (size, case) runs REPEATS times; each step
+gives the first, best, median and max of its samples in seconds, one more
+run the tracemalloc peak. One size runs in this process, several (or
+none: the defaults) each in a fresh interpreter, with cold caches. The
+output is one JSON document: stage, commit, src_sha256, host, protocol and
+sweep rows.
 """
 
 import hashlib
@@ -38,6 +40,7 @@ from qtelarray import imaging, source, transfer
 from qtelarray.codec import (RunConfig, encode_run_full, encode_single_photon,
                              parallel_frequency_compress)
 from qtelarray.netdecode import decode_arrival, w_state_readout
+from qtelarray.util import ConfigError
 
 REPEATS, REPLAYS, SHOTS = 3, 50, 200_000
 WORDS = {"sequential": (63, 8), "parallel": (63, 7)}
@@ -105,8 +108,8 @@ def mixture(N, layout):
     return {"components": len(run.components)}
 
 
-def enumeration(spec, _case):
-    sites, cutoff = (int(x) for x in spec.split(":"))
+def enumeration(size, _case):
+    sites, cutoff = size
     rng = np.random.default_rng(AMPS_SEED + sites)
     amps = rng.normal(size=sites) + 1j * rng.normal(size=sites)
     table = timed("table", transfer.coherent_amplitude_table, ALPHA, cutoff)
@@ -145,9 +148,23 @@ STAGES = {
 }
 
 
+USAGE = (f"usage: scale.py {{{','.join(STAGES)}}} [SIZE ...], "
+         f"SIZE an int or, for transfer, SITES:CUTOFF")
+
+
+def parse_size(stage, spec):
+    """The size ``spec`` names: an int, or for ``transfer`` the pair
+    (sites, cutoff); ValueError when it is malformed."""
+    parts = spec.split(":")
+    if len(parts) != (2 if stage == "transfer" else 1):
+        raise ValueError(f"malformed {stage} size {spec!r}")
+    sizes = tuple(int(part) for part in parts)
+    return sizes if stage == "transfer" else sizes[0]
+
+
 def measure(stage, spec):
     """The sweep rows of ``stage`` at size ``spec``, in this process."""
-    size = int(spec) if spec.isdigit() else spec
+    size = parse_size(stage, spec)
     fn, (key, cases), _ = STAGES[stage]
     rows = []
     for case in cases:
@@ -187,15 +204,25 @@ def document(stage, rows):
 
 def main(argv):
     if not argv or argv[0] not in STAGES:
-        sys.exit(f"usage: scale.py {{{','.join(STAGES)}}} [SIZE ...]")
+        sys.exit(USAGE)
     stage, specs = argv[0], argv[1:] or STAGES[argv[0]][2].split()
+    try:
+        for spec in specs:
+            parse_size(stage, spec)
+    except ValueError:
+        sys.exit(USAGE)
     if len(specs) == 1:
-        rows = measure(stage, specs[0])
+        try:
+            rows = measure(stage, specs[0])
+        except ConfigError as exc:
+            sys.exit(f"scale.py {stage} {specs[0]}: {exc}")
     else:
         rows = []
         for spec in specs:
             child = subprocess.run([sys.executable, __file__, stage, spec],
-                                   stdout=subprocess.PIPE, check=True)
+                                   stdout=subprocess.PIPE)
+            if child.returncode:
+                sys.exit(child.returncode)
             rows += json.loads(child.stdout)["sweep"]
     print(json.dumps(document(stage, rows), indent=1))
 
