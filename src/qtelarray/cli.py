@@ -82,7 +82,11 @@ def _coerce(key: str, raw, default):
         return raw
     try:
         if isinstance(default, int) and not isinstance(default, bool):
-            val = float(raw)
+            # int() keeps every digit; float() only reads forms like 1e6
+            try:
+                return int(raw)
+            except ValueError:
+                val = float(raw)
             if val != int(val):
                 raise ValueError("not an integer")
             return int(val)

@@ -33,7 +33,7 @@ on as the reference in the tests, on :class:`~qtelarray.qcore.SupportState`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -56,9 +56,7 @@ class EncodeError(RuntimeError):
 
 def log2_ceil(n: int) -> int:
     """Smallest b with 2**b >= n, for n >= 1."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return int(n - 1).bit_length()
+    return (count(n, "n", 1) - 1).bit_length()
 
 
 class Codebook:
@@ -142,15 +140,6 @@ class RunConfig:
 # ---- resource ledger -----------------------------------------------------------
 
 
-LEDGER_FIELDS = (
-    "memory_qubits_per_site",
-    "bell_pairs",
-    "ghz_states",
-    "w_states",
-    "ancilla_qubits",
-)
-
-
 @dataclass
 class ResourceLedger:
     """Monotone counters of memory and entanglement consumption."""
@@ -161,18 +150,18 @@ class ResourceLedger:
     w_states: int = 0
     ancilla_qubits: int = 0
 
-    def add(self, name: str, count: int = 1):
-        if name not in LEDGER_FIELDS:
+    def add(self, name: str, amount: int = 1):
+        """Raise counter ``name`` by a nonnegative integer ``amount``."""
+        if name not in self.__dataclass_fields__:
             raise KeyError(f"unknown ledger counter {name!r}")
-        if count < 0:
-            raise ValueError("ledger counters are monotone nondecreasing")
-        setattr(self, name, getattr(self, name) + int(count))
+        amount = count(amount, "ledger amount")
+        setattr(self, name, getattr(self, name) + amount)
 
     def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in LEDGER_FIELDS}
+        return asdict(self)
 
     def copy(self) -> "ResourceLedger":
-        return ResourceLedger(**self.as_dict())
+        return replace(self)
 
 
 # ---- memory layout -------------------------------------------------------------

@@ -28,6 +28,7 @@ from functools import wraps
 
 import numpy as np
 
+from .netdecode import _cdf, pair_weights
 from .source import VisibilityModel
 from .util import ConfigError, count, make_rng, qft_matrix
 
@@ -157,23 +158,6 @@ def resolve_quadratures(vis: VisibilityModel, quadratures: str = "auto") -> str:
     return "real" if float(np.abs(g.imag).max()) < IMAG_TOL else "both"
 
 
-def _pair_correlations(vis: VisibilityModel):
-    """Per-pair conditional collapse probabilities and X/Y correlators.
-
-    Pairs (a, b), a < b, come in row-major order: a ascending, then b.
-    """
-    N = vis.geometry.N
-    a, b = np.triu_indices(N, 1)
-    # index g first, then scale: the same rho = g / N entries without the
-    # N x N quotient
-    rho_diag = np.diagonal(vis.g) / N
-    weight = (rho_diag[a] + rho_diag[b]).real
-    cond = vis.g[a, b] / N / weight
-    corr_xx = 2.0 * cond.real
-    corr_xy = -2.0 * cond.imag
-    return a, b, weight, corr_xx, corr_xy
-
-
 def _guide(cdf: np.ndarray) -> np.ndarray:
     """Guide table of a normalized CDF for :func:`_search`.
 
@@ -206,20 +190,18 @@ def _max_steps(guide: np.ndarray, n: int) -> int:
 
 
 def _search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray,
-            steps=None) -> np.ndarray:
+            steps: int) -> np.ndarray:
     """``cdf.searchsorted(u, side="right")`` answered from ``_guide(cdf)``.
 
     A draw starts at the first CDF entry above its cell's left edge and
     steps forward while ``cdf[idx] <= u``. The CDF is nondecreasing in
     floating point and the start never passes the answer, so the result is
-    exact. ``steps`` is ``_max_steps(guide, cdf.size)``, found here when not
-    given. Every draw takes its first step in one vectorized pass; only when
+    exact; ``steps`` is ``_max_steps(guide, cdf.size)``.
+    Every draw takes its first step in one vectorized pass; only when
     a cell holds more than one CDF entry do the draws still short of their
     answer step on, in an active set. The pipeline's pair weights are all
     2/N, so each cell holds at most one entry and one pass resolves a block.
     """
-    if steps is None:
-        steps = _max_steps(guide, cdf.size)
     idx = guide[(u * guide.size).astype(np.intp)]
     idx += cdf[idx] <= u
     if steps > 1:
@@ -235,21 +217,18 @@ def _pair_counts(rng, weight: np.ndarray, size: int,
     """Draws per setting and pair: row s bincounts draws s, s + settings, ...
     of ``rng.choice(weight.size, size, p=weight / weight.sum())``.
 
-    The same p, CDF and uniforms give the same indices and leave ``rng`` in
-    the same state; :func:`_search` stands in for choice's searchsorted.
+    The CDF is netdecode's pick rule, choice's own, so the same uniforms
+    give the same indices and leave ``rng`` in the same state; weights that
+    are not a distribution raise DecodeError before any draw.
+    :func:`_search` stands in for choice's searchsorted.
     The uniforms are drawn and counted in blocks of max(DRAW_BLOCK, n)
     draws, so memory is set by n, not by ``size``, and each block's
     bincounts cost O(block). A block's length is a multiple of
     ``settings``, so a draw's place within its block has the same residue
     as its place among all draws.
     """
-    total = weight.sum()
-    # a NaN or infinite weight makes the total NaN or infinite
-    if not (0 < total < np.inf and weight.min() >= 0):
-        raise ConfigError("pair weights must be finite, nonnegative and not "
-                          "all zero")
-    cdf = (weight / total).cumsum()
-    cdf /= cdf[-1]
+    # below eight weights the CDF comes as a list
+    cdf = np.asarray(_cdf(weight)[0])
     # the guide's temporaries are freed before the uniforms are drawn,
     # which keeps the peak resident set down
     guide = _guide(cdf)
@@ -295,7 +274,13 @@ def classical_pipeline(vis: VisibilityModel, shots: int, rng=None,
     mode = resolve_quadratures(vis, quadratures)
     settings = ("XX",) if mode == "real" else ("XX", "XY")
 
-    a, b, weight, corr_xx, corr_xy = _pair_correlations(vis)
+    # the W-state readout law of netdecode, on rho = g / N: index g's
+    # diagonal first, then scale, to skip the N x N quotient
+    a, b, weight = pair_weights(np.diagonal(vis.g).real / N)
+    cond = vis.g[a, b] / N / weight
+    corr_xx = 2.0 * cond.real
+    corr_xy = -2.0 * cond.imag
+    del cond  # the draws below hold no N^2 / 2 complex array
     if sampler == "w_state":
         # one readout attempt per shot; an all-zeros retry is lost
         successes = sum(int(np.count_nonzero(rng.random(m) >= 1.0 / N))

@@ -60,7 +60,9 @@ RETRY_CAP = 64
 class DecodeError(RuntimeError):
     """Memory content the protocol cannot produce (weights that are not a
     distribution, a pattern off the codebook or the carrier) or the retry
-    cap reached. Malformed input raises ConfigError instead."""
+    cap reached. The classical imaging route's pair draw raises it too, on
+    pair weights that are not a distribution. Malformed input raises
+    ConfigError instead."""
 
 
 # ---- arrival decoding on encode runs --------------------------------------------
@@ -349,6 +351,16 @@ class WReadout:
     p_pair: float
 
 
+def pair_weights(diag):
+    """Site pairs a < b in row-major order and their weights diag[a] + diag[b].
+
+    A W-state readout of a carrier with which-site diagonal ``diag``
+    collapses it onto pair (a, b) with probability weight / N.
+    """
+    a, b = np.triu_indices(len(diag), 1)
+    return a, b, diag[a] + diag[b]
+
+
 def w_state_readout(rho, rng, max_attempts: int = RETRY_CAP,
                     ledger=None) -> WReadout:
     """Collapse a carrier onto a random site pair via fresh W resources.
@@ -369,9 +381,8 @@ def w_state_readout(rho, rng, max_attempts: int = RETRY_CAP,
     if abs(diag.sum() - 1.0) > 1e-10:
         raise ConfigError("which-site density must have unit trace")
     n = rho.shape[0]
-    # site pairs a < b in row-major order
-    first, second = np.triu_indices(n, 1)
-    p_pairs = (diag[first] + diag[second]) / n
+    first, second, weight = pair_weights(diag)
+    p_pairs = weight / n
     rng = make_rng(rng)
     for attempt in range(1, max_attempts + 1):
         if ledger is not None:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from importlib.util import resolve_name
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,30 @@ class TestConfigHandling:
     def test_overflowing_integer_exits_2(self, command, setting, capsys):
         assert cli.main([command, "--set", setting]) == 2
         assert "config key" in capsys.readouterr().err
+
+    def test_integer_key_keeps_every_digit(self, tmp_path):
+        # 2**53 + 1 has no float: read through float() it became 2**53
+        code, body = run_to_file(
+            tmp_path, ["encode", "--set", "M=2", "--set",
+                       "seed=9007199254740993"])
+        assert code == 0
+        assert b" seed=9007199254740993\n" in body
+        assert b"# seed: 9007199254740993\n" in body
+
+    @pytest.mark.parametrize("raw, want", [
+        ("9007199254740993", 9007199254740993), ("1e6", 10 ** 6),
+        ("2.0", 2), (" -7 ", -7), ("1e20", 10 ** 20),
+    ])
+    def test_integer_key_forms(self, raw, want):
+        got = cli._coerce("trials", raw, 1)
+        assert got == want and type(got) is int
+
+    @pytest.mark.parametrize("raw", ["2.5", "inf", "-inf", "nan", "1e400",
+                                     "x"])
+    def test_integer_key_refuses(self, raw):
+        with pytest.raises(cli.ConfigError, match="config key 'trials'"):
+            cli._coerce("trials", raw, 1)
+        assert cli.main(["formulas", "--set", f"trials={raw}"]) == 2
 
     def test_config_file_parsing(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -578,16 +603,83 @@ def test_cli_path_loads_no_reference_engine():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_only_transfer_imports_the_reference_engine():
-    found = []
-    for path in sorted((ROOT / "src" / "qtelarray").glob("*.py")):
+# qtelarray module -> the qtelarray modules it imports, at module level or
+# inside a function; "__init__" is the package itself. A new edge is a
+# change to this table. imaging draws its pairs by netdecode's readout law,
+# and only transfer reaches the reference engine, through its optics.
+IMPORT_GRAPH = {
+    "__init__": set(),
+    "cli": {"__init__", "codec", "imaging", "netdecode", "source",
+            "transfer", "util"},
+    "codec": {"source", "util"},
+    "imaging": {"netdecode", "source", "util"},
+    "netdecode": {"codec", "util"},
+    "source": {"util"},
+    "transfer": {"qcore.optics", "util"},
+    "util": set(),
+    "qcore": set(),
+    "qcore.gates": {"qcore.registry", "qcore.states", "util"},
+    "qcore.optics": {"qcore.gates", "qcore.registry", "qcore.states"},
+    "qcore.registry": set(),
+    "qcore.states": {"qcore.gates", "qcore.registry"},
+    "qcore.support": {"qcore.states"},
+}
+
+
+def _package_import_graph() -> dict:
+    """The IMPORT_GRAPH that the package's source files declare."""
+    pkg = ROOT / "src" / "qtelarray"
+    files = {}
+    for path in pkg.rglob("*.py"):
+        parts = ("qtelarray",) + path.relative_to(pkg).with_suffix("").parts
+        files[".".join(parts).removesuffix(".__init__")] = path
+
+    def label(module):
+        return ("__init__" if module == "qtelarray"
+                else module.removeprefix("qtelarray."))
+
+    graph = {}
+    for module, path in files.items():
+        package = (module if path.name == "__init__.py"
+                   else module.rpartition(".")[0])
+        edges = set()
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                names = [a.name for a in node.names]
-                where = getattr(node, "module", None) or ""
-                if "qcore" in where or any("qcore" in n for n in names):
-                    found.append((path.stem, where, names))
-    assert found == [("transfer", "qcore.optics", ["linear_optics_matrix"])]
+            if isinstance(node, ast.Import):
+                found = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                where = resolve_name("." * node.level + (node.module or ""),
+                                     package)
+                # ``from . import transfer`` imports a module, not a name
+                found = [f"{where}.{a.name}" if f"{where}.{a.name}" in files
+                         else where for a in node.names]
+            else:
+                continue
+            edges.update(label(m) for m in found if m in files)
+        graph[label(module)] = edges
+    return graph
+
+
+def test_package_import_graph():
+    assert _package_import_graph() == IMPORT_GRAPH
+
+
+IMAGING_PATH_SCRIPT = textwrap.dedent("""
+    import sys
+    import qtelarray.imaging
+    loaded = sorted(k for k in sys.modules if k.startswith(
+        ("qtelarray.transfer", "qtelarray.qcore", "scipy")))
+    assert not loaded, loaded
+""")
+
+
+def test_imaging_path_loads_no_transfer_engine_or_scipy():
+    """imaging's import of netdecode brings codec along, but neither
+    transfer, nor any qcore module, nor scipy."""
+    proc = subprocess.run(
+        [sys.executable, "-c", IMAGING_PATH_SCRIPT], cwd=ROOT,
+        env=_env_with_src(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # every name qtelarray.qcore exported before it resolved them lazily, less

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtelarray import imaging
+from qtelarray import imaging, netdecode
 from qtelarray.imaging import (
     DRAW_BLOCK,
     ImagingEstimate,
     _guide,
     _max_steps,
-    _pair_correlations,
     _pair_counts,
     _phase_table,
     _qft_pair,
@@ -24,6 +23,7 @@ from qtelarray.imaging import (
     sample_qft,
     snr_report,
 )
+from qtelarray.netdecode import DecodeError, pair_weights
 from qtelarray.util import ConfigError, qft_matrix
 from qtelarray.source import (
     ArrayGeometry,
@@ -571,7 +571,9 @@ class TestPairCounts:
         u = np.concatenate([pts, np.nextafter(pts, 0.0), np.nextafter(pts, 1.0)])
         u = u[u < 1.0]
         want = cdf.searchsorted(u, side="right")
-        assert np.array_equal(_search(cdf, _guide(cdf), u), want)
+        guide = _guide(cdf)
+        assert np.array_equal(
+            _search(cdf, guide, u, _max_steps(guide, cdf.size)), want)
         # repeated past a block edge
         u = np.tile(u, DRAW_BLOCK // u.size + 2)
         fixed = _FixedUniforms(u)
@@ -651,14 +653,13 @@ class TestPairCounts:
         u = u[u < 1.0]
         want = cdf.searchsorted(u, side="right")
         assert np.array_equal(_search(cdf, guide, u, steps), want)
-        assert np.array_equal(_search(cdf, guide, u), want)
 
     @pytest.mark.parametrize("N", [2, 3, 32, 64, 128, 256, 1024])
     def test_flat_pair_weights_take_one_pass(self, N):
         # the imaging frames' pair weights put at most one CDF entry in a
         # guide cell, so _pair_counts resolves each block in one pass
         vis, _ = on_grid_model(N, np.ones(N))
-        weight = _pair_correlations(vis)[2]
+        weight = pair_weights(np.diagonal(vis.g).real / N)[2]
         cdf = (weight / weight.sum()).cumsum()
         cdf /= cdf[-1]
         assert _max_steps(_guide(cdf), weight.size) <= 1
@@ -695,6 +696,55 @@ class TestPairCounts:
         with np.errstate(all="ignore"):
             with pytest.raises(ValueError):
                 rng.choice(weight.size, size=4, p=weight / weight.sum())
-            with pytest.raises(ValueError, match="finite, nonnegative"):
+            with pytest.raises(DecodeError, match="finite, nonnegative"):
                 _pair_counts(rng, weight, 4, 2)
         assert rng.bit_generator.state == before
+
+
+class _BinomialSpy(np.random.Generator):
+    """A generator that keeps the success probabilities of its binomials."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.p = []
+
+    def binomial(self, n, p, size=None):
+        self.p.append(np.array(p))
+        return super().binomial(n, p, size)
+
+
+class TestReadoutLawIsShared:
+    @pytest.mark.parametrize("N", [2, 3, 4, 32, 256])
+    @pytest.mark.parametrize("scene", ["flat", "point", "random"])
+    def test_classical_route_draws_by_the_readout_law(self, scene, N,
+                                                      monkeypatch):
+        # the pair probabilities w_state_readout picks from are the
+        # classical route's pair weights over N, bit for bit, and a
+        # collapsed pair's correlators are the route's bulk ones for it
+        weights = {"flat": np.ones(N), "point": np.eye(N)[N // 3],
+                   "random": np.random.default_rng(N).random(N) + 0.05}
+        vis, _ = on_grid_model(N, weights[scene])
+        picked, drawn = [], []
+        pick, pair_counts = netdecode._pick, imaging._pair_counts
+        monkeypatch.setattr(netdecode, "_pick",
+                            lambda w, rng: picked.append(w) or pick(w, rng))
+        monkeypatch.setattr(
+            imaging, "_pair_counts",
+            lambda rng, w, *rest: drawn.append(w) or pair_counts(rng, w, *rest))
+        spy = _BinomialSpy(N)
+        classical_pipeline(vis, 64, rng=spy, quadratures="both")
+        (weight,) = drawn
+        # the bulk correlators, from the +1 probabilities (1 + c) / 2
+        corr_xx, corr_xy = (2.0 * p - 1.0 for p in spy.p)
+        first, second = np.triu_indices(N, 1)
+        for seed in range(12):
+            out = netdecode.w_state_readout(vis.g / N,
+                                            np.random.default_rng(seed))
+            assert picked[-1].tobytes() == (weight / N).tobytes()
+            k = np.flatnonzero((first == out.pair[0])
+                               & (second == out.pair[1]))[0]
+            assert out.p_pair == weight[k] / N
+            corr = netdecode.pair_correlators(out.density)
+            assert abs(corr["XX"] - corr_xx[k]) <= 1e-15
+            assert abs(corr["XY"] - corr_xy[k]) <= 1e-15
+        assert len(picked) == 12
