@@ -187,8 +187,6 @@ def _parse_source(text: str, N: int, d: float) -> IntensityDistribution:
         weights = np.array([float(w) for w in text.split(",")])
     except ValueError:
         raise ConfigError(f"bad source value {text!r}") from None
-    if weights.size != N:
-        raise ConfigError(f"source needs {N} weights, got {weights.size}")
     return IntensityDistribution.on_grid(N, d, weights, normalize=True)
 
 

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .source import coherence_matrix
-from .util import ConfigError, count, unit_amplitudes  # re-exported: codec.ConfigError
+from .util import ConfigError, count, real, unit_amplitudes  # re-exported: codec.ConfigError
 
 LAYOUTS = ("sequential", "parallel")
 
@@ -131,8 +131,10 @@ class RunConfig:
     def __post_init__(self):
         for name, low in (("M", 1), ("R", 1), ("N", 2), ("seed", 0)):
             object.__setattr__(self, name, count(getattr(self, name), name, low))
-        if not 0.0 <= self.eps < 1.0:
-            raise ConfigError("eps must lie in [0, 1)")
+        eps = real(self.eps, "eps", 0, 1)
+        if eps == 1.0:
+            raise ConfigError("eps = 1.0 must be < 1")
+        object.__setattr__(self, "eps", eps)
         if self.layout not in LAYOUTS:
             raise ConfigError(f"layout must be one of {LAYOUTS}")
 
@@ -168,13 +170,13 @@ class ResourceLedger:
 
 
 class MemoryLayout:
-    """Register rows, labels and write patterns of the per-site memories.
+    """Register rows and write patterns of the per-site memories.
 
     Every site holds the same register. ``names`` lists it in row order:
-    row q is bit q of a stored pattern, and its qubit at site i carries the
-    label ``f"s{i}_{names[q]}"``. :func:`new_run` hands every run of one
-    config the same layout, so each row's labels and the compression folds
-    are built at most once per config and must never be changed.
+    row q is bit q of a stored pattern, and a row index q with a site index
+    i addresses every memory qubit. :func:`new_run` hands every run of one
+    config the same layout, so the compression folds are built at most once
+    per config and must never be changed.
     """
 
     def __init__(self, config: RunConfig):
@@ -189,8 +191,6 @@ class MemoryLayout:
             names += [f"f{r}" for r in bands]
             names += [f"k{p}" for p in range(self.c_bits)]
         self.names = tuple(names)
-        # one label tuple per row read so far: a decode reads few rows
-        self._row_labels: dict[int, tuple] = {}
 
     @property
     def qubits_per_site(self) -> int:
@@ -213,18 +213,6 @@ class MemoryLayout:
         """Parallel layout: the compressed band register."""
         start = self.config.R * (self.book.t_bits + 1)
         return tuple(range(start, start + self.c_bits))
-
-    def site_labels(self, i: int) -> tuple:
-        return tuple(f"s{i}_{name}" for name in self.names)
-
-    def row_labels(self, q: int) -> tuple:
-        """Labels of row q across the sites, built on first use."""
-        labels = self._row_labels.get(q)
-        if labels is None:
-            name = self.names[q]
-            labels = tuple(f"s{i}_{name}" for i in range(self.config.N))
-            self._row_labels[q] = labels
-        return labels
 
     def write_mask(self, m: int, r: int) -> int:
         """Register pattern a photon at (m, r) writes at the site holding it.
@@ -251,16 +239,12 @@ class MemoryLayout:
         A pattern holding flag r gets the XOR mask, which clears the flag
         and writes binary(r) on the compressed rows.
         """
+        low = self.comp_rows()[0]
         return tuple(
             (1 << self.flag_row(r),
-             1 << self.flag_row(r) | _mask(self.comp_rows(), self.band_code(r)))
+             1 << self.flag_row(r) | _reversed_bits(r, self.c_bits) << low)
             for r in range(1, self.config.R + 1)
         )
-
-
-def _mask(rows, bits) -> int:
-    """Pattern with the given bits on the given rows."""
-    return sum(1 << q for q, b in zip(rows, bits) if int(b))
 
 
 def _reversed_bits(value: int, width: int) -> int:

@@ -275,8 +275,9 @@ def classical_pipeline(vis: VisibilityModel, shots: int, rng=None,
     settings = ("XX",) if mode == "real" else ("XX", "XY")
 
     # the W-state readout law of netdecode, on rho = g / N: index g's
-    # diagonal first, then scale, to skip the N x N quotient
-    a, b, weight = pair_weights(np.diagonal(vis.g).real / N)
+    # diagonal first, then scale, to skip the N x N quotient; the complex
+    # quotient gives the bits of rho's diagonal
+    a, b, weight = pair_weights((np.diagonal(vis.g) / N).real)
     cond = vis.g[a, b] / N / weight
     corr_xx = 2.0 * cond.real
     corr_xy = -2.0 * cond.imag

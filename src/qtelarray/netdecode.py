@@ -11,8 +11,10 @@ surplus rows are measured out in the X basis, whose random signs are undone
 by Z corrections on the carrier once the full record is known. On the
 site-vector form of the codec a row check reads one bit of the register
 pattern, and an X outcome of -1 on site i only flips the sign of a_i, so the
-fold is one +-1 vector per row. The carrier is returned as its N x N
-which-site density.
+fold is one +-1 vector per row. A row index and a site index address every
+memory qubit: the carrier is returned as its row and its N x N which-site
+density, and the record keeps the draws as the row patterns, the GHZ
+outcome vectors and one (row, sign vector) pair per folded row.
 
 Parity checks have no back-action within a pattern class (the components
 whose patterns agree on the rows read), so the joint record of a row group
@@ -72,15 +74,19 @@ class DecodeError(RuntimeError):
 class DecodeResult:
     """Outcome of decoding one run: the arrival and the collapsed carrier.
 
-    ``state`` is the carrier's N x N which-site density (site order of
-    ``carrier_labels``), or None for a vacuum arrival.
+    ``carrier_row`` is the register row the photon was folded onto, and
+    ``state`` the carrier's N x N which-site density over sites 0..N-1;
+    both are None for a vacuum arrival. ``record`` keeps the draws: the
+    ``lead_pattern`` and ``ghz_outcomes`` of the row checks, and for a
+    photon ``fold_signs``, one (row, +-1 signs over the sites) pair per
+    folded row, in fold order.
     """
 
     m: int
     r: int | None
     probability: float
     checks: int
-    carrier_labels: tuple = ()
+    carrier_row: int | None = None
     state: np.ndarray | None = None
     record: dict = field(default_factory=dict)
 
@@ -320,20 +326,15 @@ def decode_arrival(run: EncodeRun, rng=None) -> DecodeResult:
     carrier, extra = one_rows[0], one_rows[1:]
     fold = np.where(rng.random((len(extra), N)) < 0.5, 1, -1)
     folded = sum(1 << q for q in extra)
-    sign_record = [
-        pair
-        for q, row in zip(extra, fold.tolist())
-        for pair in zip(layout.row_labels(q), row)
-    ]
     survivors = classes.survivors(k, run.components)
     state = _carrier_density(survivors, carrier, folded)
     return DecodeResult(
         m=m, r=r, probability=record_p, checks=checks,
-        carrier_labels=layout.row_labels(carrier), state=state,
+        carrier_row=carrier, state=state,
         record={
             "lead_pattern": lead_pattern,
             "ghz_outcomes": ghz_outcomes,
-            "fold_signs": sign_record,
+            "fold_signs": tuple(zip(extra, map(tuple, fold.tolist()))),
         },
     )
 

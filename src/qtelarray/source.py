@@ -128,7 +128,8 @@ class IntensityDistribution:
         grid = native_grid(N, d)
         weights = np.asarray(weights, dtype=float)
         if weights.size != N:
-            raise ConfigError("need one weight per grid point")
+            raise ConfigError(f"need one weight per grid point: N = {N}, "
+                              f"got {weights.size} weights")
         return cls(grid, weights, normalize=normalize)
 
     def __len__(self):

@@ -39,7 +39,7 @@ from itertools import repeat
 import numpy as np
 
 from .qcore.optics import linear_optics_matrix
-from .util import ConfigError, count, make_rng, qft_matrix, unit_amplitudes
+from .util import ConfigError, count, make_rng, qft_matrix, real, unit_amplitudes
 
 BRANCH_PRUNE = 1e-12
 RATIO_TOL = 1e-9
@@ -120,16 +120,6 @@ def _norm_amps(amps) -> np.ndarray:
     if amps.ndim != 1 or amps.size < 2:
         raise TransferError("need which-site amplitudes for at least 2 sites")
     return unit_amplitudes(amps)
-
-
-def _check_alpha(alpha) -> float:
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= ALPHA_MAX:
-        raise TransferError(
-            f"ancilla amplitude {alpha} must be >= 0 and at most "
-            f"ALPHA_MAX = {ALPHA_MAX:.6g}, where alpha ** 2 stays finite"
-        )
-    return alpha
 
 
 # ---- per-site amplitude tables ---------------------------------------------------
@@ -234,7 +224,7 @@ def coherent_amplitude_table(alpha: float, cutoff: int) -> AmplitudeTable:
     truncation leakage.
     """
     # in float64 whatever the type given, which still names the table
-    x = _check_alpha(alpha)
+    x = real(alpha, "ancilla amplitude alpha", 0, ALPHA_MAX, "ALPHA_MAX")
     cutoff = count(cutoff, "cutoff", 1)
     if x == 0.0:
         half = 2 ** -0.5
@@ -376,7 +366,8 @@ def transfer_branches(table: AmplitudeTable, amps):
 
 def _enumerate(alpha, amps, table, cutoff):
     """The records of ``table``, or of the coherent table at ``alpha`` and
-    ``cutoff``: (table, branches, mass)."""
+    ``cutoff``: (table, branches, mass). A table given with either of the
+    others is refused, never read past."""
     if table is None:
         if alpha is None or cutoff is None:
             raise TransferError(
@@ -385,6 +376,8 @@ def _enumerate(alpha, amps, table, cutoff):
                 "deterministic_fidelity_closed and heralded_rate_closed"
             )
         table = coherent_amplitude_table(alpha, cutoff)
+    elif alpha is not None or cutoff is not None:
+        raise TransferError("give a table, or alpha with a cutoff")
     return (table, *transfer_branches(table, amps))
 
 
@@ -455,7 +448,7 @@ def deterministic_fidelity_closed(alpha: float, amps=(2 ** -0.5, 2 ** -0.5)) -> 
     # imported here so that no other route pays for loading scipy
     from scipy.special import ive
 
-    alpha = _check_alpha(alpha)
+    alpha = real(alpha, "ancilla amplitude alpha", 0, ALPHA_MAX, "ALPHA_MAX")
     w = np.abs(_norm_amps(amps)) ** 2
     s2 = float(w @ w)
     x = alpha ** 2
@@ -475,7 +468,7 @@ def heralded_rate_closed(alpha: float) -> float:
     """
     from scipy.special import ive
 
-    alpha = _check_alpha(alpha)
+    alpha = real(alpha, "ancilla amplitude alpha", 0, ALPHA_MAX, "ALPHA_MAX")
     return _check_value(ive(1, 2.0 * alpha ** 2), alpha)
 
 
@@ -536,9 +529,8 @@ def _teleport(eta: float, theta: float, kind: str, extra: dict) -> TransferOutco
     bunch, and a single count from it means the other photon was lost. No
     value depends on the input phase theta.
     """
-    if not math.isfinite(theta):
-        raise TransferError(f"input phase theta = {theta} must be finite")
-    T = float(eta) ** 2
+    real(theta, "input phase theta")
+    T = eta ** 2
     single, double = T * (2.0 - T) / 4.0, T * T / 8.0
     f_single = (3.0 - T) / (2.0 * (2.0 - T))
     records = (((0, 0), (1.0 - T / 2.0) ** 2, 0.5), ((0, 1), single, f_single),
@@ -574,27 +566,22 @@ def lossy_transfer(eta: float, theta: float = 0.0) -> TransferOutcome:
     the (0, 1) record). Loss admits two-photon events disguised as single
     counts, trading acceptance for fidelity.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise TransferError(f"transmission eta = {eta} must lie in [0, 1]")
+    eta = real(eta, "transmission eta", 0, 1)
     return _teleport(eta, theta, "lossy_teleport", {"eta": eta, "theta": theta})
 
 
 # ---- network scaling ----------------------------------------------------------------
 
 
-def _check_network(N: int, p1: float) -> int:
-    """N as an int, once N and p1 pass their checks."""
-    N = count(N, "N", 2)
-    if not 0.0 <= p1 <= 1.0:
-        raise TransferError(f"per-site success p1 = {p1} must lie in [0, 1]")
-    return N
+def _check_network(N: int, p1: float) -> tuple:
+    """N as an int and p1 as a float, once both pass their checks."""
+    return count(N, "N", 2), real(p1, "per-site success p1", 0, 1)
 
 
 def network_fidelity(N: int, f2: float) -> float:
     """W-state fidelity over N sites from the pairwise fidelity f2."""
     N = count(N, "N", 2)
-    if not 0.0 <= f2 <= 1.0:
-        raise TransferError("pairwise fidelity f2 must lie in [0, 1]")
+    f2 = real(f2, "pairwise fidelity f2", 0, 1)
     return (1.0 + (N - 1) * (2.0 * f2 - 1.0)) / N
 
 
@@ -605,7 +592,7 @@ def network_failure_probability(N: int, p1: float) -> float:
     attempt fails when the photon's site failed or fewer than two sites
     succeeded. Equals (1-p1) (1 + p1 (1-p1)^(N-2)).
     """
-    N = _check_network(N, p1)
+    N, p1 = _check_network(N, p1)
     q = 1.0 - p1
     return q * (1.0 + p1 * q ** (N - 2))
 
@@ -617,6 +604,7 @@ def network_pair_distribution(N: int, p1: float) -> dict:
     is the chance the photon sits among the k survivors.
     """
     N = count(N, "N", 2, MAX_PAIR_SITES, "MAX_PAIR_SITES")
+    p1 = real(p1, "per-site success p1", 0, 1)
     p_fail = network_failure_probability(N, p1)
     if p_fail >= 1.0:
         raise TransferError("the network never succeeds at p1 = 0")
@@ -729,7 +717,7 @@ def network_monte_carlo(N: int, p1: float, trials: int, rng=None) -> dict:
     Other bit generators run on one thread and draw every success uniform
     twice, once to reach the photon sites and once to tally.
     """
-    N = _check_network(N, p1)
+    N, p1 = _check_network(N, p1)
     trials = count(trials, "trials", 1)
     bit_generator = make_rng(rng).bit_generator
     after = _skipped(bit_generator, trials * N)

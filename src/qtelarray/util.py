@@ -1,9 +1,11 @@
-"""Shared helpers: the input error, the integer-count rule, seeded RNG
-plumbing, config parsing, the site-amplitude normalizer, the DFT unitary."""
+"""Shared helpers: the input error, the integer-count and real-number
+rules, seeded RNG plumbing, config parsing, the site-amplitude normalizer,
+the DFT unitary."""
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import sys
 
@@ -35,6 +37,29 @@ def count(value, name: str, low: int = 0, high: int | None = None,
         bound = f"{high_name} = {high}" if high_name else high
         raise ConfigError(f"{name} = {value} outside {low}..{bound}")
     return value
+
+
+def real(value, name: str, low: float = -math.inf, high: float = math.inf,
+         high_name: str | None = None) -> float:
+    """``value`` as a finite float in [low, high], or ConfigError naming
+    ``name``, the value and the bound it broke.
+
+    Anything ``numbers.Real`` takes counts, numpy's real scalars included;
+    a string, None, a complex number or an array does not. ``high_name``
+    names the constant ``high`` comes from.
+    """
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} = {value!r} must be a real number")
+    try:
+        value = float(value)
+    except OverflowError:  # an int past the float range
+        value = math.inf if value > 0 else -math.inf
+    if math.isfinite(value) and low <= value <= high:
+        return value
+    if low == -math.inf and high == math.inf:
+        raise ConfigError(f"{name} = {value} must be finite")
+    bound = f"{high_name} = {high:.6g}" if high_name else high
+    raise ConfigError(f"{name} = {value} must lie in [{low}, {bound}]")
 
 
 def make_rng(seed_or_rng) -> np.random.Generator:

@@ -16,9 +16,20 @@ from qtelarray.netdecode import RETRY_CAP, DecodeError
 from qtelarray.qcore import QuantumState, StateError, SupportState, qubit_registry
 
 
+def site_labels(layout, i):
+    """Labels of site i's memory qubits in row order: row q is
+    ``f"s{i}_{names[q]}"``."""
+    return tuple(f"s{i}_{name}" for name in layout.names)
+
+
+def row_labels(layout, q):
+    """Labels of row q's qubits across the sites, site 0 first."""
+    return tuple(f"s{i}_{layout.names[q]}" for i in range(layout.config.N))
+
+
 def gate_labels(layout):
     """Memory labels of every site, site by site in row order."""
-    return sum((layout.site_labels(i) for i in range(layout.config.N)), ())
+    return sum((site_labels(layout, i) for i in range(layout.config.N)), ())
 
 
 def expand(layout, state, labels) -> SupportState:
@@ -30,7 +41,7 @@ def expand(layout, state, labels) -> SupportState:
     rows = [q for q in range(layout.qubits_per_site) if state.pattern >> q & 1]
     amps = {}
     for i, a in enumerate(state.amps):
-        site = layout.site_labels(i)
+        site = site_labels(layout, i)
         mask = sum(1 << pos[site[q]] for q in rows)
         amps[mask] = amps.get(mask, 0.0) + a
     return SupportState(labels, amps)
@@ -114,12 +125,12 @@ def write_photon(layout, m, r, amps, rng=None, verify=False) -> SupportState:
     work = SupportState.zeros(gate_labels(layout)).tensor(photon)
     rows, bits = write_pattern(layout, m, r)
     for i in range(N):
-        site = layout.site_labels(i)
+        site = site_labels(layout, i)
         for q, b in zip(rows, bits):
             if b:
                 work = work.apply_cnot(recv[i], site[q])
     for i in range(N):
-        site = layout.site_labels(i)
+        site = site_labels(layout, i)
         labels = tuple(site[q] for q in rows)
         work = measure_and_correct(work, recv[i], labels, bits, rng, verify)
     return work
@@ -158,7 +169,7 @@ def compress(layout, comps, rng=None, verify=False):
     for w, sup, meta in comps:
         work = sup
         for i in range(layout.config.N):
-            site = layout.site_labels(i)
+            site = site_labels(layout, i)
             comp = tuple(site[q] for q in layout.comp_rows())
             for r in range(1, R + 1):
                 flag = site[layout.flag_row(r)]
@@ -220,9 +231,9 @@ def decode(layout, comps, rng):
     """
     cfg, book, N = layout.config, layout.book, layout.config.N
     if cfg.layout == "sequential":
-        lead_rows = [layout.row_labels(q) for q in layout.code_rows()]
+        lead_rows = [row_labels(layout, q) for q in layout.code_rows()]
     else:
-        lead_rows = [layout.row_labels(q) for q in layout.comp_rows()]
+        lead_rows = [row_labels(layout, q) for q in layout.comp_rows()]
     comps = [(w, sup) for w, sup, _ in comps]
     lead_pattern, record_p, survivors = sample_pattern(comps, lead_rows, rng)
     ghz_outcomes = [ghz_outcome_pattern(b, N, rng) for b in lead_pattern]
@@ -234,7 +245,7 @@ def decode(layout, comps, rng):
         r = int("".join(str(b) for b in lead_pattern), 2) or None
         m = 0
         if r:
-            time_rows = [layout.row_labels(q) for q in layout.time_rows(r)]
+            time_rows = [row_labels(layout, q) for q in layout.time_rows(r)]
             time_pattern, p_time, survivors = sample_pattern(
                 survivors, time_rows, rng
             )
@@ -315,15 +326,28 @@ def carrier_by_dense(survivors, carrier, signs):
     return excitation_density(state)
 
 
-def assert_decodes_agree(res, ref, tol=1e-12):
+def labelled_record(layout, record):
+    """A production decode record with each folded row's signs given per
+    qubit label, as the gate route records them."""
+    out = dict(record)
+    if "fold_signs" in out:
+        out["fold_signs"] = [
+            pair for q, signs in record["fold_signs"]
+            for pair in zip(row_labels(layout, q), signs)
+        ]
+    return out
+
+
+def assert_decodes_agree(res, ref, layout, tol=1e-12):
     """A production DecodeResult against the gate route's decode."""
     assert (res.m, res.r) == (ref["m"], ref["r"])
     assert res.probability == ref["probability"]
     assert res.checks == ref["checks"]
-    assert res.record == ref["record"]
+    assert labelled_record(layout, res.record) == ref["record"]
     if res.m == 0:
+        assert res.carrier_row is None
         assert res.state is None
         return
-    assert res.carrier_labels == ref["carrier"]
+    assert row_labels(layout, res.carrier_row) == ref["carrier"]
     want = carrier_by_dense(ref["survivors"], ref["carrier"], ref["signs"])
     np.testing.assert_allclose(res.state, want, rtol=0, atol=tol)

@@ -340,8 +340,8 @@ class TestTransferCommand:
          "empty, not finite or not strictly increasing"),
         # alpha ** 2 past the float range
         (["alpha_max=1e298", "alpha_step=1e297"],
-         "ancilla amplitude 1e+297 must be >= 0 and at most ALPHA_MAX = "
-         "1.34078e+154"),
+         "ancilla amplitude alpha = 1e+297 must lie in [0, ALPHA_MAX = "
+         "1.34078e+154]"),
     ], ids=["alpha-count", "eta-count", "overflow", "merged", "printed",
             "alpha-squared"])
     def test_malformed_grid_exits_2(self, sets, message, capsys):
@@ -478,6 +478,8 @@ class TestLibraryRejects:
         ("imaging --set N=1e200", f"N = {int(1e200)} outside 1..MAX_SITES"),
         ("imaging --set N=1e200 --set source=point:0",
          f"N = {int(1e200)} outside 1..MAX_SITES"),
+        ("imaging --set source=0.5,0.5,0.5",
+         "need one weight per grid point: N = 4, got 3 weights"),
         ("transfer --set mode=lossy --set eta_max=1.5",
          "transmission eta = 1.1 must lie in [0, 1]"),
     ])

@@ -37,7 +37,7 @@ def gate_view(run):
     labels = gate_route.gate_labels(run.layout)
     if run.compressed:
         flags = {
-            run.layout.site_labels(i)[run.layout.flag_row(r)]
+            gate_route.site_labels(run.layout, i)[run.layout.flag_row(r)]
             for i in range(run.config.N) for r in range(1, run.config.R + 1)
         }
         labels = tuple(lab for lab in labels if lab not in flags)
@@ -144,22 +144,23 @@ class TestMemoryLayout:
         layout = MemoryLayout(RunConfig(M=5, R=2, layout="sequential"))
         assert layout.qubits_per_site == 4
         rows, bits = gate_route.write_pattern(layout, 5, 2)
-        labels = tuple(layout.site_labels(0)[q] for q in rows)
+        labels = tuple(gate_route.site_labels(layout, 0)[q] for q in rows)
         assert labels == ("s0_c0", "s0_c1", "s0_c2", "s0_c3")
         assert bits == (1, 0, 1, 1)
-        assert layout.row_labels(2) == ("s0_c2", "s1_c2")
+        assert gate_route.row_labels(layout, 2) == ("s0_c2", "s1_c2")
 
     def test_parallel_footprint(self):
         layout = MemoryLayout(RunConfig(M=16, R=4, layout="parallel"))
         # 4 time registers of 5, 4 flags, 3 compressed
         assert layout.qubits_per_site == 27
-        assert len(layout.site_labels(1)) == 27
+        site = gate_route.site_labels(layout, 1)
+        assert len(site) == 27
         rows, bits = gate_route.write_pattern(layout, 3, 2)
-        labels = tuple(layout.site_labels(1)[q] for q in rows)
+        labels = tuple(site[q] for q in rows)
         assert labels == ("s1_r2_t0", "s1_r2_t1", "s1_r2_t2", "s1_r2_t3",
                           "s1_r2_t4", "s1_f2")
         assert bits == (0, 0, 0, 1, 1, 1)
-        comp = tuple(layout.site_labels(1)[q] for q in layout.comp_rows())
+        comp = tuple(site[q] for q in layout.comp_rows())
         assert comp == ("s1_k0", "s1_k1", "s1_k2")
 
     @pytest.mark.parametrize(
@@ -169,6 +170,14 @@ class TestMemoryLayout:
     def test_band_codes(self, R, r, code):
         layout = MemoryLayout(RunConfig(M=2, R=R, layout="parallel"))
         assert layout.band_code(r) == code
+
+    @pytest.mark.parametrize("R", range(1, 40))
+    def test_compress_folds_write_the_band_code(self, R):
+        layout = MemoryLayout(RunConfig(M=2, R=R, layout="parallel"))
+        for r, (flag, flip) in enumerate(layout.compress_folds, start=1):
+            assert flag == 1 << layout.flag_row(r)
+            assert flip == flag | pattern_of(layout.comp_rows(),
+                                              layout.band_code(r))
 
     def test_new_run_shares_one_layout_per_config(self):
         cfg = RunConfig(M=16, R=4, N=3, layout="parallel", seed=5)
@@ -185,8 +194,6 @@ class TestMemoryLayout:
     def test_cached_tables_survive_a_roundtrip(self, layout):
         cfg = RunConfig(M=16, R=4, N=3, layout=layout, seed=8)
         shared = new_run(cfg).layout
-        rows = range(shared.qubits_per_site)
-        labels = tuple(shared.row_labels(q) for q in rows)
         folds = shared.compress_folds if layout == "parallel" else None
         for m, r in ((7, 3), (16, 4), (1, 1)):
             run = encode_single_photon(cfg, m, r, amps=[1, 1j, -1])
@@ -195,9 +202,7 @@ class TestMemoryLayout:
             decode_arrival(run)
             assert run.layout is shared
         fresh = MemoryLayout(cfg)
-        assert tuple(shared.row_labels(q) for q in rows) == labels
-        assert labels == tuple(fresh.row_labels(q) for q in rows)
-        assert all(shared.row_labels(q) is labels[q] for q in rows)
+        assert shared.names == fresh.names
         if layout == "parallel":
             assert shared.compress_folds is folds
             assert folds == fresh.compress_folds

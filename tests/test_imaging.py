@@ -659,7 +659,7 @@ class TestPairCounts:
         # the imaging frames' pair weights put at most one CDF entry in a
         # guide cell, so _pair_counts resolves each block in one pass
         vis, _ = on_grid_model(N, np.ones(N))
-        weight = pair_weights(np.diagonal(vis.g).real / N)[2]
+        weight = pair_weights((np.diagonal(vis.g) / N).real)[2]
         cdf = (weight / weight.sum()).cumsum()
         cdf /= cdf[-1]
         assert _max_steps(_guide(cdf), weight.size) <= 1
@@ -718,12 +718,29 @@ class TestReadoutLawIsShared:
     @pytest.mark.parametrize("scene", ["flat", "point", "random"])
     def test_classical_route_draws_by_the_readout_law(self, scene, N,
                                                       monkeypatch):
-        # the pair probabilities w_state_readout picks from are the
-        # classical route's pair weights over N, bit for bit, and a
-        # collapsed pair's correlators are the route's bulk ones for it
         weights = {"flat": np.ones(N), "point": np.eye(N)[N // 3],
                    "random": np.random.default_rng(N).random(N) + 0.05}
         vis, _ = on_grid_model(N, weights[scene])
+        self._assert_readout_law(vis, monkeypatch)
+
+    @pytest.mark.parametrize("N", [3, 5, 7, 12, 100])
+    def test_near_unit_diagonal(self, N, monkeypatch):
+        # g's diagonal may lie up to 1e-12 off 1: the classical route still
+        # takes rho = g / N's diagonal, whose complex quotient by N rounds
+        # unlike the real one in most entries
+        vis, _ = on_grid_model(N, np.random.default_rng(N).random(N) + 0.05)
+        g = vis.g.copy()
+        g[np.diag_indices(N)] += np.random.default_rng(N).uniform(
+            -1e-12, 1e-12, N)
+        self._assert_readout_law(VisibilityModel(vis.geometry, g),
+                                 monkeypatch)
+
+    @staticmethod
+    def _assert_readout_law(vis, monkeypatch):
+        # the pair probabilities w_state_readout picks from are the
+        # classical route's pair weights over N, bit for bit, and a
+        # collapsed pair's correlators are the route's bulk ones for it
+        N = vis.geometry.N
         picked, drawn = [], []
         pick, pair_counts = netdecode._pick, imaging._pair_counts
         monkeypatch.setattr(netdecode, "_pick",

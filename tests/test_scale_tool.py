@@ -16,9 +16,10 @@ TOOL = ROOT / "tools" / "scale.py"
 SCHEMA = {
     "imaging": (None, {"scene", "visibility", "closed", "conjugation",
                        "sample_qft", "classical"}, {"digest"}),
-    "photon": ("layout", {"write", "decode", "readout"}, {"density_gap"}),
+    "photon": ("layout", {"write", "decode", "readout"},
+               {"density_gap", "digest"}),
     "mixture": ("layout", {"prepare", "first_decode", "replay_decode"},
-                {"components"}),
+                {"components", "digest"}),
     "transfer": (None, {"table", "enumerate"}, {"records", "kept", "digest"}),
     "network": ("workers", {"monte_carlo"}, {"trials", "digest"}),
 }
@@ -89,6 +90,8 @@ def test_every_stage_in_process(scale, stage, monkeypatch):
     assert [row.get(key) for row in rows] == cases
     for row in rows:
         check_row(stage, row)
+        if "digest" in row["checks"]:
+            assert re.fullmatch("[0-9a-f]{16}", row["checks"]["digest"])
     if stage == "network":
         assert rows[0]["checks"] == rows[1]["checks"] == {
             "trials": 2048, "digest": rows[0]["checks"]["digest"]}

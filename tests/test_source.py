@@ -115,7 +115,8 @@ def _pair_on_grid(N, d, weights, normalize=False):
     grid = native_grid(N, d)
     weights = np.asarray(weights, dtype=float)
     if weights.size != N:
-        raise ConfigError("need one weight per grid point")
+        raise ConfigError(f"need one weight per grid point: N = {N}, "
+                          f"got {weights.size} weights")
     return _pair_route(list(zip(grid, weights)), normalize=normalize)
 
 

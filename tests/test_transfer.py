@@ -53,6 +53,7 @@ from qtelarray.transfer import (
     plus_ancilla_transfer,
     transfer_branches,
 )
+from qtelarray.util import real
 
 UNIFORM = (2 ** -0.5, 2 ** -0.5)
 
@@ -206,7 +207,7 @@ def _coherent_raw(alpha, i, j):
 def _coherent_by_entry(alpha, cutoff):
     """The (c0, c1) dicts and kind of the coherent table, one entry at a
     time: the route the one-pass builder replaced, with the same errors."""
-    transfer._check_alpha(alpha)
+    real(alpha, "ancilla amplitude alpha", 0, transfer.ALPHA_MAX, "ALPHA_MAX")
     if cutoff < 1:
         raise TransferError(f"cutoff = {cutoff} must be >= 1")
     if alpha == 0.0:
@@ -788,6 +789,14 @@ class TestClosedForms:
                 fn(0.88, amps=np.ones(3))
             with pytest.raises(TransferError, match="cutoff"):
                 fn()
+        # a table given with alpha or a cutoff is refused, not read past
+        table = coherent_amplitude_table(0.88, 5)
+        for fn in (deterministic_transfer, heralded_transfer):
+            for extra in ({"alpha": 0.88}, {"cutoff": 5},
+                          {"alpha": 0.88, "cutoff": 5}):
+                with pytest.raises(TransferError, match=re.escape(
+                        "give a table, or alpha with a cutoff")):
+                    fn(table=table, **extra)
         # the enumeration route still answers for three coherent sites;
         # cutoff 12 gives 0.0753473858377, so cutoff 6 is 1e-7 off
         enumerated = heralded_transfer(0.88, amps=np.ones(3), cutoff=6)

@@ -11,6 +11,10 @@ Usage, from the repository root::
   it with seeded amplitudes.
 * ``network N``: network_monte_carlo on ``one`` worker and on ``all``.
 
+The photon and mixture rows digest every decode's draws and the decode
+generator's end state, so two sweeps that made the same draws show the
+same digest.
+
 A SIZE is an int, or ``SITES:CUTOFF`` for ``transfer``; a malformed one
 exits with the usage line. Each (size, case) runs REPEATS times; each step
 gives the first, best, median and max of its samples in seconds, one more
@@ -65,6 +69,14 @@ def digest(*chunks) -> str:
     return h.hexdigest()[:16]
 
 
+def drawn(res) -> bytes:
+    """What a decode drew: (m, r), the bits of its probability, the lead
+    pattern, the GHZ outcomes and the folded rows with their signs."""
+    rec = res.record
+    return repr((res.m, res.r, res.probability.hex(), rec["lead_pattern"],
+                 rec["ghz_outcomes"], rec.get("fold_signs"))).encode()
+
+
 def imaging_frame(N, _case):
     dist = timed("scene", source.IntensityDistribution.flat_on_grid, N, 1.0)
     vis = timed("visibility", source.visibility_from_intensity, dist,
@@ -86,11 +98,13 @@ def photon(N, layout):
     run = timed("write", encode_single_photon, cfg, m, r, amps=amps)
     if layout == "parallel":
         run = timed("compress", parallel_frequency_compress, run)
-    res = timed("decode", decode_arrival, run)
+    rng = np.random.default_rng(cfg.seed + 2)  # decode_arrival's default
+    res = timed("decode", decode_arrival, run, rng=rng)
     timed("readout", w_state_readout, res.state, rng=N)
     assert (res.m, res.r) == (m, r)
     gap = np.abs(res.state - np.outer(amps, amps.conj())).max()
-    return {"density_gap": float(gap)}
+    state = repr(rng.bit_generator.state).encode()
+    return {"density_gap": float(gap), "digest": digest(drawn(res), state)}
 
 
 def mixture(N, layout):
@@ -102,10 +116,14 @@ def mixture(N, layout):
         return run
     run = timed("prepare", prepare)
     rng = np.random.default_rng(N)
-    timed("first_decode", decode_arrival, run.replay(), rng=rng)
+    # each decode's draws as bytes: the densities are not kept
+    draws = [drawn(timed("first_decode", decode_arrival, run.replay(),
+                         rng=rng))]
     for _ in range(REPLAYS):
-        timed("replay_decode", decode_arrival, run.replay(), rng=rng)
-    return {"components": len(run.components)}
+        draws.append(drawn(timed("replay_decode", decode_arrival,
+                                 run.replay(), rng=rng)))
+    return {"components": len(run.components),
+            "digest": digest(*draws, repr(rng.bit_generator.state).encode())}
 
 
 def enumeration(size, _case):
