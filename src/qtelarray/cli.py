@@ -12,10 +12,10 @@ Every subcommand reads an optional ``key=value`` config file, applies
 ``#`` header records the tool version, the resolved config, and the seed.
 Exit codes: 0 on success, 2 for malformed input or an ``--output`` path
 that cannot be written, 3 when a built-in consistency check fails. The
-library checks its own inputs and raises ``ConfigError`` naming the bad one
-(``transfer.TransferError`` is the same class under another name). Every
-count (N, M, R, shots, trials, seed, ...) must be an integer within its
-bounds, so ``N=2.5`` is refused, not rounded. The runners check only the
+library checks its own inputs and raises ``ConfigError`` naming the bad one,
+through three rules in ``util``: ``count`` for integers (N, M, R, shots,
+trials, seed, ...; ``N=2.5`` is refused, not rounded), ``real`` for float
+scalars and ``array`` for numeric arrays. The runners check only the
 CLI's own keys and reports, and :func:`main` alone turns an error into
 exit 2. ``transfer`` and its ``qcore.optics`` are imported by the
 two runners that use them, so ``encode`` and ``imaging`` never load them.

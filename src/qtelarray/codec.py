@@ -33,6 +33,7 @@ on as the reference in the tests, on :class:`~qtelarray.qcore.SupportState`.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -40,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .source import coherence_matrix
-from .util import ConfigError, count, real, unit_amplitudes  # re-exported: codec.ConfigError
+from .util import ConfigError, array, count, real, unit_amplitudes  # re-exported: codec.ConfigError
 
 LAYOUTS = ("sequential", "parallel")
 
@@ -345,11 +346,7 @@ def new_run(config: RunConfig) -> EncodeRun:
 
 def _photon_amps(amps, N: int) -> np.ndarray:
     """Per-site amplitudes of a spatial single photon, as a unit vector."""
-    amps = np.asarray(amps, dtype=complex)
-    if amps.shape != (N,):
-        raise ConfigError(f"photon amplitudes need shape ({N},) for N={N} "
-                          f"sites, got {amps.shape}")
-    return unit_amplitudes(amps)
+    return unit_amplitudes(array(amps, "photon amplitudes", complex, (N,)))
 
 
 def encode_bin(run: EncodeRun, m: int, photon=None) -> EncodeRun:
@@ -369,7 +366,11 @@ def encode_bin(run: EncodeRun, m: int, photon=None) -> EncodeRun:
     if photon is None:
         run.book.time_bin(m)
         return run
-    r, amps = photon
+    try:
+        r, amps = photon
+    except (TypeError, ValueError):  # not a pair
+        raise ConfigError(f"photon = {reprlib.repr(photon)} must be None or "
+                          f"an (r, amps) pair") from None
     written = SiteState(
         _photon_amps(amps, run.config.N), run.layout.write_mask(m, r)
     )
@@ -396,7 +397,8 @@ def _band_matrices(config, band_g):
         band_g = [band_g] * R
     mats = []
     for g in band_g:
-        if np.isscalar(g):
+        g = array(g, "band g", complex)
+        if not g.ndim:
             c = complex(g)
             g = np.full((N, N), c)
             g[np.tril_indices(N, -1)] = np.conj(c)

@@ -29,8 +29,8 @@ from functools import wraps
 import numpy as np
 
 from .netdecode import _cdf, pair_weights
-from .source import VisibilityModel
-from .util import ConfigError, count, make_rng, qft_matrix
+from .source import MAX_SITES, VisibilityModel
+from .util import ConfigError, array, count, make_rng, qft_matrix
 
 QUADRATURE_MODES = ("auto", "real", "both")
 SAMPLERS = ("w_state", "direct_pair")
@@ -56,6 +56,7 @@ class ImagingEstimate:
 
 def natural_weights(N: int) -> np.ndarray:
     """Triangular baseline weights w_k = 2 (N - k) / N^2 for k = 1..N-1."""
+    N = count(N, "N", 1, MAX_SITES, "MAX_SITES")
     k = np.arange(1, N)
     return 2.0 * (N - k) / N ** 2
 
@@ -97,10 +98,8 @@ def _phase_table(N: int) -> np.ndarray:
 
 def image_from_visibilities(gk, N: int) -> np.ndarray:
     """Natural-weighting image from baseline visibilities g_1..g_{N-1}."""
-    gk = np.asarray(gk, dtype=complex)
-    if gk.shape != (N - 1,):
-        raise ConfigError(
-            f"need {N - 1} baseline visibilities, got {gk.shape}")
+    N = count(N, "N", 1, MAX_SITES, "MAX_SITES")
+    gk = array(gk, "baseline visibilities", complex, (N - 1,))
     phases = _phase_table(N)
     return 1.0 / N + (phases * (natural_weights(N) * gk)).real.sum(axis=1)
 
@@ -126,8 +125,8 @@ def qft_process(vis_or_rho) -> np.ndarray:
     if isinstance(vis_or_rho, VisibilityModel):
         rho = vis_or_rho.g / vis_or_rho.geometry.N
     else:
-        rho = np.asarray(vis_or_rho, dtype=complex)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        rho = array(vis_or_rho, "which-site density", complex, (None, None))
+        if rho.shape[0] != rho.shape[1]:
             raise ConfigError("which-site density must be square")
     F, F_dag = _qft_pair(rho.shape[0])
     return F @ rho @ F_dag

@@ -53,8 +53,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codec import ConfigError, EncodeError, EncodeRun
-from .util import count, make_rng
+from .codec import EncodeError, EncodeRun
+from .util import ConfigError, array, count, make_rng
 
 RETRY_CAP = 64
 
@@ -371,11 +371,9 @@ def w_state_readout(rho, rng, max_attempts: int = RETRY_CAP,
     carrier intact.
     """
     max_attempts = count(max_attempts, "max_attempts", 1)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    rho = array(rho, "which-site density", complex, (None, None))
+    if rho.shape[0] != rho.shape[1]:
         raise ConfigError("which-site density must be square")
-    if not np.isfinite(rho).all():
-        raise ConfigError("which-site density must be finite")
     diag = rho.diagonal().real
     if (diag < 0).any():
         raise ConfigError("which-site density has a negative diagonal")
@@ -413,7 +411,7 @@ def pair_correlators(density: np.ndarray) -> dict:
     second site) basis; the estimator g_hat = <XX> - i <XY> recovers the
     off-diagonal coherence 2 rho_01.
     """
-    rho01 = complex(density[0, 1])
+    rho01 = complex(array(density, "pair density", complex, (2, 2))[0, 1])
     return {
         "XX": 2 * rho01.real,
         "XY": -2 * rho01.imag,
@@ -425,10 +423,8 @@ def pair_correlators(density: np.ndarray) -> dict:
 
 def sample_pair_products(density: np.ndarray, setting: str, shots: int, rng):
     """Sampled +-1 products of local X/Y measurements on a collapsed pair."""
-    if np.shape(density) != (2, 2):
-        raise ConfigError("pair density must be 2 x 2")
-    shots = count(shots, "shots")
     corr = pair_correlators(density)
+    shots = count(shots, "shots")
     if setting not in ("XX", "XY", "YX", "YY"):
         raise ConfigError(f"unknown setting {setting!r}")
     p_plus = 0.5 * (1.0 + corr[setting])

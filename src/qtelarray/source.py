@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .util import ConfigError, count
+from .util import ConfigError, array, count, real
 
 # Complex entries of one block of the visibility phase matrix (16 MiB).
 VIS_BLOCK = 1 << 20
@@ -34,13 +34,11 @@ class ArrayGeometry:
             raise ConfigError("give positions, or both N and d")
         if positions is None:
             N = count(N, "N", 2, MAX_SITES, "MAX_SITES")
-            pos = d * np.arange(N) / (N - 1)
-        else:
-            pos = np.asarray(positions, dtype=float)
-        if pos.ndim != 1 or pos.size < 2:
+            d = real(d, "maximal baseline d")
+            positions = d * np.arange(N) / (N - 1)  # inf where d * k overflows
+        pos = array(positions, "positions", float, (None,))
+        if pos.size < 2:
             raise ConfigError("need at least two sites")
-        if not np.all(np.isfinite(pos)):
-            raise ConfigError("positions must be finite")
         if np.any(np.diff(pos) <= 0):
             raise ConfigError("positions must be strictly increasing")
         self.positions = pos
@@ -67,11 +65,12 @@ class ArrayGeometry:
 def native_grid(N: int, d: float) -> np.ndarray:
     """Reconstruction grid y_j = (N-1) j / (N d), j = 0..N-1.
 
-    Raises ConfigError when N is not a count in 1..MAX_SITES, or when the
-    grid leaves the float range: an N d past it collapses the grid onto 0,
-    and a tiny d sends its last point to inf.
+    Raises ConfigError when N is not a count in 1..MAX_SITES, d not a
+    finite real, or the grid leaves the float range: an N d past it
+    collapses the grid onto 0, and a tiny d sends its last point to inf.
     """
     N = count(N, "native grid N", 1, MAX_SITES, "MAX_SITES")
+    d = real(d, "native grid d")
     span = N * d
     if not (0 < span < math.inf and (N - 1) / span * (N - 1) < math.inf):
         raise ConfigError(
@@ -85,16 +84,14 @@ class IntensityDistribution:
     """Discrete source intensity: float arrays y_j and I_j, sum I_j = 1."""
 
     def __init__(self, y, weights, normalize=False):
-        y = np.asarray(y, dtype=float)
-        w = np.asarray(weights, dtype=float)
-        if y.ndim != 1 or w.shape != y.shape:
-            raise ConfigError("need 1-D positions and weights of equal length")
+        y = array(y, "sample positions", float, (None,))
+        w = array(weights, "intensities", float, (None,))
+        if w.size != y.size:
+            raise ConfigError(f"need {y.size} intensities, got {w.size}")
         if not y.size:
             raise ConfigError("need at least one sample")
-        if not np.all(np.isfinite(y)):
-            raise ConfigError("sample positions must be finite")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise ConfigError("intensities must be finite and nonnegative")
+        if np.any(w < 0):
+            raise ConfigError("intensities must be nonnegative")
         # finite weights can still sum past the float range
         with np.errstate(over="ignore"):
             total = w.sum()
@@ -125,12 +122,7 @@ class IntensityDistribution:
 
     @classmethod
     def on_grid(cls, N, d, weights, normalize=False) -> "IntensityDistribution":
-        grid = native_grid(N, d)
-        weights = np.asarray(weights, dtype=float)
-        if weights.size != N:
-            raise ConfigError(f"need one weight per grid point: N = {N}, "
-                              f"got {weights.size} weights")
-        return cls(grid, weights, normalize=normalize)
+        return cls(native_grid(N, d), weights, normalize=normalize)
 
     def __len__(self):
         return self.y.size
@@ -139,12 +131,8 @@ class IntensityDistribution:
 def coherence_matrix(g, N: int) -> np.ndarray:
     """g as a complex N x N array, checked: finite, with a unit diagonal
     and conjugate-symmetric to 1e-12. ConfigError names the rule it breaks."""
-    g = np.asarray(g, dtype=complex)
-    if g.shape != (N, N):
-        raise ConfigError("g must be N x N")
-    # NaN passes the tolerance checks below, so reject it first
-    if not np.isfinite(g).all():
-        raise ConfigError("g must be finite")
+    # array refuses NaN, which would pass the tolerance checks below
+    g = array(g, "g", complex, (N, N))
     if np.max(np.abs(np.diagonal(g) - 1.0)) > 1e-12:
         raise ConfigError("g must have unit diagonal")
     # row blocks against the matching columns keep the temporaries at
@@ -184,7 +172,7 @@ def visibility_function(intensity: IntensityDistribution, x) -> np.ndarray:
     about VIS_BLOCK entries, so memory stays bounded on irregular arrays,
     where almost all N^2 baselines are distinct.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.atleast_1d(array(x, "baselines x", float))
     blocks = max(1, -(-x.size * len(intensity) // VIS_BLOCK))
     return np.concatenate([
         _phases(part, intensity.y) @ intensity.weights

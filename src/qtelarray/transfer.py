@@ -39,7 +39,7 @@ from itertools import repeat
 import numpy as np
 
 from .qcore.optics import linear_optics_matrix
-from .util import ConfigError, count, make_rng, qft_matrix, real, unit_amplitudes
+from .util import ConfigError, array, count, make_rng, qft_matrix, real, unit_amplitudes
 
 BRANCH_PRUNE = 1e-12
 RATIO_TOL = 1e-9
@@ -54,10 +54,6 @@ GRID_POINTS_MAX = 2 ** 20
 MAX_PAIR_SITES = 1029
 # The largest ancilla amplitude whose alpha ** 2 is a finite float.
 ALPHA_MAX = math.sqrt(sys.float_info.max)
-
-
-# malformed transfer input: the one input error, under this module's name
-TransferError = ConfigError
 
 
 @dataclass(frozen=True)
@@ -116,10 +112,10 @@ class TransferOutcome:
 
 
 def _norm_amps(amps) -> np.ndarray:
-    amps = np.asarray(amps, dtype=complex)
-    if amps.ndim != 1 or amps.size < 2:
-        raise TransferError("need which-site amplitudes for at least 2 sites")
-    return unit_amplitudes(amps)
+    amps = unit_amplitudes(amps)
+    if amps.size < 2:
+        raise ConfigError("need which-site amplitudes for at least 2 sites")
+    return amps
 
 
 # ---- per-site amplitude tables ---------------------------------------------------
@@ -145,23 +141,13 @@ class AmplitudeTable:
     def __post_init__(self):
         outs = tuple(self.outs)
         if len(set(outs)) != len(outs):
-            raise TransferError(
+            raise ConfigError(
                 f"table {self.kind!r}: outcomes {self.outs!r} are not distinct"
             )
         object.__setattr__(self, "outs", outs)
         for name in ("amp0", "amp1"):
-            given = getattr(self, name)
-            try:
-                column = np.array(given, dtype=complex)
-                ok = column.shape == (len(outs),) and np.isfinite(column).all()
-            except (TypeError, ValueError):
-                ok = False
-            if not ok:
-                raise TransferError(
-                    f"table {self.kind!r}: {name} = {given!r} must hold one "
-                    f"finite complex amplitude for each of its {len(outs)} "
-                    f"outcomes"
-                )
+            column = array(getattr(self, name), f"table {self.kind!r}: {name}",
+                           complex, (len(outs),)).copy()
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 
@@ -249,7 +235,7 @@ def coherent_amplitude_table(alpha: float, cutoff: int) -> AmplitudeTable:
         mass2 = sum(map(pow, map(abs, part.tolist()), repeat(2)))
         # a subnormal mass has lost its digits, and a zero one divides by 0
         if mass2 < sys.float_info.min:
-            raise TransferError(
+            raise ConfigError(
                 f"ancilla amplitude {alpha} at cutoff {cutoff}: the table's "
                 f"mass underflows; raise the cutoff toward alpha ** 2"
             )
@@ -370,14 +356,14 @@ def _enumerate(alpha, amps, table, cutoff):
     others is refused, never read past."""
     if table is None:
         if alpha is None or cutoff is None:
-            raise TransferError(
+            raise ConfigError(
                 "need an amplitude table, or alpha with a cutoff for the "
                 "coherent table; the closed forms are "
                 "deterministic_fidelity_closed and heralded_rate_closed"
             )
         table = coherent_amplitude_table(alpha, cutoff)
     elif alpha is not None or cutoff is not None:
-        raise TransferError("give a table, or alpha with a cutoff")
+        raise ConfigError("give a table, or alpha with a cutoff")
     return (table, *transfer_branches(table, amps))
 
 
@@ -425,7 +411,7 @@ def heralded_transfer(alpha=None, amps=(2 ** -0.5, 2 ** -0.5),
 def _check_value(value, alpha: float) -> float:
     # scipy's ive turns NaN once its argument passes about 1.07e9
     if not math.isfinite(value):
-        raise TransferError(
+        raise ConfigError(
             f"ancilla amplitude {alpha} is past the range of the closed "
             f"forms: scipy.special.ive returns {value} there"
         )
@@ -474,13 +460,13 @@ def heralded_rate_closed(alpha: float) -> float:
 
 def value_grid(lo: float, hi: float, step: float, name: str) -> np.ndarray:
     """The alpha or eta grid lo, lo + step, ... <= hi, rounded to 10
-    decimals and clamped to [lo, hi]; TransferError names a bad one."""
+    decimals and clamped to [lo, hi]; ConfigError names a bad one."""
     if not (all(map(math.isfinite, (lo, hi, step))) and lo <= hi and step > 0):
-        raise TransferError(f"bad {name} grid [{lo}, {hi}] step {step}: need "
+        raise ConfigError(f"bad {name} grid [{lo}, {hi}] step {step}: need "
                             f"finite lo <= hi and a finite step > 0")
     count = (hi - lo) / step
     if not count < GRID_POINTS_MAX:  # also an overflowing span or count
-        raise TransferError(
+        raise ConfigError(
             f"{name} grid [{lo}, {hi}] with {name}_step = {step} has "
             f"{count:.4g} points, more than GRID_POINTS_MAX = {GRID_POINTS_MAX}"
         )
@@ -495,7 +481,7 @@ def value_grid(lo: float, hi: float, step: float, name: str) -> np.ndarray:
     shown = np.array(["%.12g" % p for p in kept.tolist()], dtype=float)
     if not (np.isfinite(pts).all() and kept.size
             and np.all(np.diff(shown) > 0)):
-        raise TransferError(
+        raise ConfigError(
             f"{name} grid [{lo}, {hi}] with {name}_step = {step} is empty, "
             f"not finite or not strictly increasing once rounded to 10 "
             f"decimals and printed to 12 digits"
@@ -573,11 +559,6 @@ def lossy_transfer(eta: float, theta: float = 0.0) -> TransferOutcome:
 # ---- network scaling ----------------------------------------------------------------
 
 
-def _check_network(N: int, p1: float) -> tuple:
-    """N as an int and p1 as a float, once both pass their checks."""
-    return count(N, "N", 2), real(p1, "per-site success p1", 0, 1)
-
-
 def network_fidelity(N: int, f2: float) -> float:
     """W-state fidelity over N sites from the pairwise fidelity f2."""
     N = count(N, "N", 2)
@@ -592,7 +573,10 @@ def network_failure_probability(N: int, p1: float) -> float:
     attempt fails when the photon's site failed or fewer than two sites
     succeeded. Equals (1-p1) (1 + p1 (1-p1)^(N-2)).
     """
-    N, p1 = _check_network(N, p1)
+    return _failure(count(N, "N", 2), real(p1, "per-site success p1", 0, 1))
+
+
+def _failure(N: int, p1: float) -> float:
     q = 1.0 - p1
     return q * (1.0 + p1 * q ** (N - 2))
 
@@ -605,9 +589,9 @@ def network_pair_distribution(N: int, p1: float) -> dict:
     """
     N = count(N, "N", 2, MAX_PAIR_SITES, "MAX_PAIR_SITES")
     p1 = real(p1, "per-site success p1", 0, 1)
-    p_fail = network_failure_probability(N, p1)
+    p_fail = _failure(N, p1)
     if p_fail >= 1.0:
-        raise TransferError("the network never succeeds at p1 = 0")
+        raise ConfigError("the network never succeeds at p1 = 0")
     q = 1.0 - p1
     return {
         k: math.comb(N, k) * p1 ** k * q ** (N - k) * k / (N * (1.0 - p_fail))
@@ -660,12 +644,12 @@ def _photon_sites(rng, N: int, trials: int) -> np.ndarray:
     try:
         photon = np.empty(trials, dtype=dtype)
     except MemoryError:
-        raise TransferError(
+        raise ConfigError(
             f"trials = {trials} needs {trials * dtype.itemsize} bytes for "
             f"its photon sites"
         ) from None
     except ValueError:  # numpy's size error: more than an intp can count
-        raise TransferError(
+        raise ConfigError(
             f"trials = {trials} exceeds numpy's largest array size, "
             f"{np.iinfo(np.intp).max}"
         ) from None
@@ -717,7 +701,8 @@ def network_monte_carlo(N: int, p1: float, trials: int, rng=None) -> dict:
     Other bit generators run on one thread and draw every success uniform
     twice, once to reach the photon sites and once to tally.
     """
-    N, p1 = _check_network(N, p1)
+    N = count(N, "N", 2)
+    p1 = real(p1, "per-site success p1", 0, 1)
     trials = count(trials, "trials", 1)
     bit_generator = make_rng(rng).bit_generator
     after = _skipped(bit_generator, trials * N)

@@ -1,12 +1,14 @@
-"""Shared helpers: the input error, the integer-count and real-number
-rules, seeded RNG plumbing, config parsing, the site-amplitude normalizer,
-the DFT unitary."""
+"""Shared helpers: the input error and its three rules (``count`` for
+integers, ``real`` for float scalars, ``array`` for numeric arrays), seeded
+RNG plumbing, config parsing, the site-amplitude normalizer, the DFT
+unitary."""
 
 from __future__ import annotations
 
 import math
 import numbers
 import operator
+import reprlib
 import sys
 
 import numpy as np
@@ -62,6 +64,35 @@ def real(value, name: str, low: float = -math.inf, high: float = math.inf,
     raise ConfigError(f"{name} = {value} must lie in [{low}, {bound}]")
 
 
+def array(value, name: str, dtype, shape=None) -> np.ndarray:
+    """``value`` as a finite ndarray of ``dtype`` (float or complex) in
+    ``shape``, or ConfigError naming ``name``, what it got and the rule.
+
+    Converts with ``np.asarray``, so an ndarray of ``dtype`` is not copied.
+    Strings, None, other objects, ragged nesting and, for a float ``dtype``,
+    complex numbers are refused. ``shape`` None takes any shape, a None
+    axis in it any length, and ``()`` a scalar.
+    """
+    kind = "complex" if dtype is complex else "real"
+    try:
+        out = np.asarray(value)
+    except ValueError:  # ragged nesting
+        out = np.asarray(None)  # an object, refused below
+    if out.dtype.kind not in ("biufc" if dtype is complex else "biuf"):
+        raise ConfigError(f"{name} must be an array of {kind} numbers, "
+                          f"got {reprlib.repr(value)}")
+    if shape is not None and out.shape != shape and (len(shape) != out.ndim
+            or any(n not in (None, k) for n, k in zip(shape, out.shape))):
+        need = str(tuple(shape)).replace("None", "any")
+        raise ConfigError(f"{name} must have shape {need}, got {out.shape}")
+    out = np.asarray(out, dtype=dtype)
+    if np.count_nonzero(np.isfinite(out)) != out.size:  # faster than all()
+        at = np.unravel_index(np.argmin(np.isfinite(out)), out.shape)
+        where = f" at index {tuple(map(int, at))}" if at else ""
+        raise ConfigError(f"{name} must be finite, got {out[at]}{where}")
+    return out
+
+
 def make_rng(seed_or_rng) -> np.random.Generator:
     """Coerce a seed, SeedSequence, or Generator into a Generator."""
     if isinstance(seed_or_rng, np.random.Generator):
@@ -99,19 +130,17 @@ def unit_amplitudes(amps) -> np.ndarray:
     """Site amplitudes over their norm, in the bits ``np.linalg.norm`` gives;
     a squared norm past the normal float range (inf, subnormal or 0) is taken
     again after dividing by the largest part, with no numpy warning. Raises
-    ConfigError for a non-finite or all-zero input."""
-    amps = np.asarray(amps, dtype=complex)
+    ConfigError for input ``array`` refuses as a complex vector, or one that
+    is all zero."""
+    amps = array(amps, "site amplitudes", complex, (None,))
     re, im = amps.real, amps.imag
     with np.errstate(over="ignore", under="ignore"):
-        # np.linalg.norm's sum; a NaN or inf entry also leaves the range
-        sq = float(re.dot(re) + im.dot(im))
+        sq = float(re.dot(re) + im.dot(im))  # np.linalg.norm's sum
     if sys.float_info.min <= sq < math.inf:
         return amps / math.sqrt(sq)
-    if not np.isfinite(amps).all():
-        raise ConfigError("site amplitudes must be finite")
-    top = max(np.abs(re).max(), np.abs(im).max())
-    if top == 0:
+    if not amps.any():
         raise ConfigError("site amplitudes are all zero")
+    top = max(np.abs(re).max(), np.abs(im).max())
     # part by part, since a complex division by a subnormal overflows
     return unit_amplitudes(re / top + 1j * (im / top))
 

@@ -20,7 +20,8 @@ from qtelarray.qcore import (
     qubit,
     ModeRegistry,
 )
-from qtelarray.transfer import BRANCH_PRUNE, Branch, TransferError, TransferOutcome
+from qtelarray.transfer import BRANCH_PRUNE, Branch, TransferOutcome
+from qtelarray.util import ConfigError
 
 
 def _teleport_registry() -> ModeRegistry:
@@ -83,7 +84,7 @@ def lossy_transfer(eta: float, theta: float = 0.0) -> TransferOutcome:
     counts, trading acceptance for fidelity.
     """
     if not 0.0 <= eta <= 1.0:
-        raise TransferError("transmission must lie in [0, 1]")
+        raise ConfigError("transmission must lie in [0, 1]")
     state = beam_splitter(_teleport_input(theta), "a", "b")
     target = np.array([1.0, np.exp(1j * theta)]) / np.sqrt(2.0)
     branches = []

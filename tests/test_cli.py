@@ -479,7 +479,7 @@ class TestLibraryRejects:
         ("imaging --set N=1e200 --set source=point:0",
          f"N = {int(1e200)} outside 1..MAX_SITES"),
         ("imaging --set source=0.5,0.5,0.5",
-         "need one weight per grid point: N = 4, got 3 weights"),
+         "need 4 intensities, got 3"),
         ("transfer --set mode=lossy --set eta_max=1.5",
          "transmission eta = 1.1 must lie in [0, 1]"),
     ])
@@ -504,8 +504,7 @@ class TestLibraryRejects:
 
         assert cli.ConfigError is codec.ConfigError is util.ConfigError
         assert issubclass(util.ConfigError, ValueError)
-        assert issubclass(transfer.TransferError, util.ConfigError)
-        assert not issubclass(transfer.TransferError, RuntimeError)
+        assert not hasattr(transfer, "TransferError")
 
     def test_runners_convert_no_errors(self):
         tree = ast.parse((ROOT / "src" / "qtelarray" / "cli.py").read_text())

@@ -8,7 +8,6 @@ import pytest
 import gate_route
 from qtelarray.codec import (
     Codebook,
-    ConfigError,
     EncodeError,
     EncodeRun,
     MemoryLayout,
@@ -24,6 +23,7 @@ from qtelarray.codec import (
 )
 from qtelarray.netdecode import decode_arrival
 from qtelarray.qcore import SupportState
+from qtelarray.util import ConfigError
 
 
 def basis_mask(labels, bits_by_label):

@@ -14,7 +14,13 @@ import pytest
 
 from qtelarray import codec, netdecode, transfer
 from qtelarray.codec import Codebook, MemoryLayout, RunConfig, encode_bin, new_run
-from qtelarray.imaging import SHOTS_MAX, classical_pipeline, sample_qft
+from qtelarray.imaging import (
+    SHOTS_MAX,
+    classical_pipeline,
+    image_from_visibilities,
+    natural_weights,
+    sample_qft,
+)
 from qtelarray.source import (
     MAX_SITES,
     ArrayGeometry,
@@ -63,6 +69,12 @@ SITES = {
         lambda v, rng: netdecode.w_state_readout(np.eye(3) / 3, rng,
                                                  max_attempts=v),
         "max_attempts", 1, None, None, (0, -1), 8),
+    "natural_weights N": Site(
+        lambda v, rng: natural_weights(v),
+        "N", 1, MAX_SITES, "MAX_SITES", (0, -1, MAX_SITES + 1), 4),
+    "image_from_visibilities N": Site(
+        lambda v, rng: image_from_visibilities([0.5, 0.25, 0.125], v),
+        "N", 1, MAX_SITES, "MAX_SITES", (0, MAX_SITES + 1), 4),
     "ArrayGeometry N": Site(
         lambda v, rng: ArrayGeometry(v, 1.0),
         "N", 2, MAX_SITES, "MAX_SITES", (1, 0, MAX_SITES + 1), 4),
@@ -201,7 +213,16 @@ def test_count_returns_a_python_int():
     assert count(7, "k", 7, 7) == 7
 
 
+@pytest.mark.parametrize("photon", [(1, PHOTON, 3), (1,), 7, [1]],
+                         ids=["triple", "single", "int", "list"])
+def test_encode_bin_refuses_a_photon_that_is_not_a_pair(photon):
+    message = f"photon = {photon!r} must be None or an (r, amps) pair"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        encode_bin(new_run(CFG), 1, photon)
+
+
 def test_library_raises_one_input_error():
-    assert transfer.TransferError is ConfigError is codec.ConfigError
+    assert not hasattr(transfer, "TransferError")
+    assert codec.ConfigError is ConfigError
     with pytest.raises(TypeError):
         unit_amplitudes([1, 0], error=ConfigError)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 import gate_route
 from qtelarray.codec import (
     Codebook,
-    ConfigError,
     EncodeError,
     MemoryLayout,
     RunConfig,
@@ -18,6 +17,7 @@ from qtelarray.codec import (
 )
 from qtelarray.netdecode import decode_arrival, w_state_readout
 from qtelarray.qcore import SupportState
+from qtelarray.util import ConfigError
 
 # codebooks whose codewords occupy up to 9 rows: sequential (127, 2) has
 # 8-bit words, parallel (64, 8) has 7 time bits plus 4 compressed bits

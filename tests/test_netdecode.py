@@ -18,7 +18,6 @@ from dense_route import (
 )
 from qtelarray.codec import (
     Codebook,
-    ConfigError,
     EncodeError,
     EncodeRun,
     RunConfig,
@@ -40,6 +39,7 @@ from qtelarray.netdecode import (
     w_state_readout,
 )
 from qtelarray.qcore import QuantumState, cz, qubit_registry
+from qtelarray.util import ConfigError
 
 
 def single_excitation_state(amps, labels=None):
@@ -765,7 +765,7 @@ class TestPairCorrelators:
         assert np.array_equal(
             sample_pair_products(rho, "XX", np.int64(5), 6),
             sample_pair_products(rho, "XX", 5, 6))
-        shape = "pair density must be 2 x 2"
+        shape = "pair density must have shape (2, 2), got ("
         allocate = "must be at most the draws numpy can allocate"
         for density, shots, message in [
             (np.ones((1, 1)), 10, shape),

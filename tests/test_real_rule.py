@@ -16,6 +16,7 @@ import pytest
 
 from qtelarray import transfer
 from qtelarray.codec import RunConfig
+from qtelarray.source import ArrayGeometry, native_grid
 from qtelarray.util import ConfigError, real
 
 from test_count_rule import _plain, _rng
@@ -66,6 +67,12 @@ SITES = {
     "network_monte_carlo p1": Site(
         lambda v, rng: transfer.network_monte_carlo(3, v, 40, rng=rng),
         "per-site success p1", 0, 1, None, UNIT_BAD, 0.5),
+    "ArrayGeometry d": Site(
+        lambda v, rng: ArrayGeometry(4, v), "maximal baseline d", -INF, INF,
+        None, (math.nan, INF, -INF), 0.75),
+    "native_grid d": Site(
+        lambda v, rng: native_grid(4, v), "native grid d", -INF, INF, None,
+        (math.nan, INF, -INF), 0.75),
     "RunConfig eps": Site(lambda v, rng: RunConfig(eps=v), "eps", 0, 1, None,
                           (-0.1, 1.5, math.nan, INF), 0.0625),
 }
@@ -81,6 +88,8 @@ def test_refuses_a_value_that_is_not_real(site, value):
     rng = _rng()
     before = rng.bit_generator.state
     message = f"{case.name} = {value!r} must be a real number"
+    if site == "ArrayGeometry d" and value is None:  # None: d not given
+        message = "give positions, or both N and d"
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         case.call(value, rng)
     assert rng.bit_generator.state == before

@@ -94,10 +94,13 @@ def _pair_route(samples, normalize=False):
         raise ConfigError("need at least one sample")
     y = np.array([s[0] for s in samples])
     w = np.array([s[1] for s in samples])
-    if not np.all(np.isfinite(y)):
-        raise ConfigError("sample positions must be finite")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise ConfigError("intensities must be finite and nonnegative")
+    for name, v in (("sample positions", y), ("intensities", w)):
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise ConfigError(f"{name} must be finite, got {v[bad[0]]} at "
+                              f"index ({bad[0]},)")
+    if np.any(w < 0):
+        raise ConfigError("intensities must be nonnegative")
     with np.errstate(over="ignore"):
         total = w.sum()
     if normalize:
@@ -115,8 +118,7 @@ def _pair_on_grid(N, d, weights, normalize=False):
     grid = native_grid(N, d)
     weights = np.asarray(weights, dtype=float)
     if weights.size != N:
-        raise ConfigError(f"need one weight per grid point: N = {N}, "
-                          f"got {weights.size} weights")
+        raise ConfigError(f"need {N} intensities, got {weights.size}")
     return _pair_route(list(zip(grid, weights)), normalize=normalize)
 
 
@@ -194,12 +196,15 @@ class TestArraysMatchPairRoute:
         assert _outcome(IntensityDistribution, y, w, normalize=normalize) == (
             _outcome(_pair_route, samples, normalize=normalize))
 
-    @pytest.mark.parametrize("y, w", [
-        ([0.0, 1.0], [1.0]), ([0.0], [0.5, 0.5]), ([[0.0]], [[1.0]]),
-        (0.0, 1.0),
+    @pytest.mark.parametrize("y, w, message", [
+        ([0.0, 1.0], [1.0], "need 2 intensities, got 1"),
+        ([0.0], [0.5, 0.5], "need 1 intensities, got 2"),
+        ([[0.0]], [[1.0]],
+         "sample positions must have shape (any,), got (1, 1)"),
+        (0.0, 1.0, "sample positions must have shape (any,), got ()"),
     ])
-    def test_positions_and_weights_pair_up(self, y, w):
-        with pytest.raises(ConfigError, match="equal length"):
+    def test_positions_and_weights_pair_up(self, y, w, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             IntensityDistribution(y, w)
 
 

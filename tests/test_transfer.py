@@ -37,7 +37,6 @@ from qtelarray.transfer import (
     RATIO_TOL,
     Branch,
     Branches,
-    TransferError,
     coherent_amplitude_table,
     deterministic_fidelity_closed,
     deterministic_transfer,
@@ -53,7 +52,7 @@ from qtelarray.transfer import (
     plus_ancilla_transfer,
     transfer_branches,
 )
-from qtelarray.util import real
+from qtelarray.util import ConfigError, real
 
 UNIFORM = (2 ** -0.5, 2 ** -0.5)
 
@@ -209,7 +208,7 @@ def _coherent_by_entry(alpha, cutoff):
     time: the route the one-pass builder replaced, with the same errors."""
     real(alpha, "ancilla amplitude alpha", 0, transfer.ALPHA_MAX, "ALPHA_MAX")
     if cutoff < 1:
-        raise TransferError(f"cutoff = {cutoff} must be >= 1")
+        raise ConfigError(f"cutoff = {cutoff} must be >= 1")
     if alpha == 0.0:
         return ({(0, 0): 1.0}, {(1, 0): 2 ** -0.5, (0, 1): 2 ** -0.5},
                 "coherent(0)")
@@ -227,7 +226,7 @@ def _coherent_by_entry(alpha, cutoff):
     for table in (c0, c1):
         mass2 = sum(abs(a) ** 2 for a in table.values())
         if mass2 < sys.float_info.min:
-            raise TransferError(
+            raise ConfigError(
                 f"ancilla amplitude {alpha} at cutoff {cutoff}: the table's "
                 f"mass underflows; raise the cutoff toward alpha ** 2"
             )
@@ -305,17 +304,17 @@ class TestAmplitudeTable:
 
     def test_rejects_bad_arguments(self):
         for alpha in (-0.5, float("nan"), float("inf")):
-            with pytest.raises(TransferError, match="ancilla amplitude"):
+            with pytest.raises(ConfigError, match="ancilla amplitude"):
                 coherent_amplitude_table(alpha, 6)
-        with pytest.raises(TransferError):
+        with pytest.raises(ConfigError):
             coherent_amplitude_table(1.0, 0)
-        with pytest.raises(TransferError):
+        with pytest.raises(ConfigError):
             multiport_amplitude_table(0)
         for call, name in (
                 (lambda: coherent_amplitude_table(0.8, 2.5), "cutoff = 2.5"),
                 (lambda: coherent_amplitude_table(0.8, "5"), "cutoff = '5'"),
                 (lambda: multiport_amplitude_table(2.5), "ports = 2.5")):
-            with pytest.raises(TransferError, match=re.escape(name)):
+            with pytest.raises(ConfigError, match=re.escape(name)):
                 call()
         # any integer type numpy hands out still counts
         assert_same_table(coherent_amplitude_table(0.8, np.int64(5)),
@@ -332,7 +331,7 @@ class TestAmplitudeTable:
             warnings.simplefilter("error")
             for call in (lambda: coherent_amplitude_table(alpha, cutoff),
                          lambda: heralded_transfer(alpha, cutoff=cutoff)):
-                with pytest.raises(TransferError, match=re.escape(
+                with pytest.raises(ConfigError, match=re.escape(
                         f"amplitude {alpha} at cutoff {cutoff}: the table's "
                         f"mass underflows")):
                     call()
@@ -341,8 +340,8 @@ class TestAmplitudeTable:
 def _assert_same_table(alpha, cutoff):
     try:
         want = mapped_table(*_coherent_by_entry(alpha, cutoff))
-    except TransferError as exc:
-        with pytest.raises(TransferError, match=f"^{re.escape(str(exc))}$"):
+    except ConfigError as exc:
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(exc))}$"):
             coherent_amplitude_table(alpha, cutoff)
         return False
     assert_same_table(coherent_amplitude_table(alpha, cutoff), want)
@@ -379,9 +378,9 @@ class TestTableBuild:
 
     def test_coherent_rejects_what_the_entry_route_rejects(self):
         for alpha, cutoff in ((-0.5, 6), (float("nan"), 6), (1.0, 0)):
-            with pytest.raises(TransferError) as want:
+            with pytest.raises(ConfigError) as want:
                 _coherent_by_entry(alpha, cutoff)
-            with pytest.raises(TransferError, match=re.escape(
+            with pytest.raises(ConfigError, match=re.escape(
                     str(want.value))):
                 coherent_amplitude_table(alpha, cutoff)
 
@@ -435,17 +434,22 @@ class TestTableBuild:
         assert table.outcomes() == ((0,), (1,))
 
     @pytest.mark.parametrize("outs, amp0, amp1, named", [
-        ([(0,), (1,)], [1.0], [0.0, 1.0], "amp0 = [1.0] must hold one"),
-        ([(0,), (1,)], [1.0, 0.0], [[0.0, 1.0]], "amp1 = [[0.0, 1.0]] must hold"),
-        ([(0,), (1,)], [1.0, 0.0], "ab", "amp1 = 'ab' must hold"),
-        ([(0,)], [float("nan")], [1.0], "amp0 = [nan] must hold one finite"),
-        ([(0,)], [1.0], [complex(0, math.inf)], "amp1 = [infj] must hold one finite"),
+        ([(0,), (1,)], [1.0], [0.0, 1.0],
+         "amp0 must have shape (2,), got (1,)"),
+        ([(0,), (1,)], [1.0, 0.0], [[0.0, 1.0]],
+         "amp1 must have shape (2,), got (1, 2)"),
+        ([(0,), (1,)], [1.0, 0.0], "ab",
+         "amp1 must be an array of complex numbers, got 'ab'"),
+        ([(0,)], [float("nan")], [1.0],
+         "amp0 must be finite, got (nan+0j) at index (0,)"),
+        ([(0,)], [1.0], [complex(0, math.inf)],
+         "amp1 must be finite, got infj at index (0,)"),
         ([(0,), (1,), (0,)], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
          "outcomes [(0,), (1,), (0,)] are not distinct"),
     ], ids=["short", "2-D", "text", "nan", "inf", "duplicate"])
     def test_constructor_refuses_malformed_columns(self, outs, amp0, amp1,
                                                    named):
-        with pytest.raises(TransferError, match=re.escape(f"table 'm': {named}")):
+        with pytest.raises(ConfigError, match=re.escape(f"table 'm': {named}")):
             AmplitudeTable("m", outs, amp0, amp1)
 
     @pytest.mark.parametrize("make", [
@@ -689,7 +693,7 @@ class TestClosedForms:
         (0.0, 2.0, float("nan")), (float("nan"), 2.0, 0.005),
         (0.0, float("inf"), 0.005)])
     def test_heralded_optimum_rejects_bad_grids(self, lo, hi, step):
-        with pytest.raises(TransferError, match=re.escape(
+        with pytest.raises(ConfigError, match=re.escape(
                 f"bad alpha grid [{lo}, {hi}] step {step}")):
             find_heralded_optimum(lo, hi, step)
 
@@ -700,7 +704,7 @@ class TestClosedForms:
         (0.0, 2.0, 2.0 / GRID_POINTS_MAX, "1.049e+06"),
     ])
     def test_heralded_optimum_caps_its_points(self, lo, hi, step, count):
-        with pytest.raises(TransferError, match=re.escape(
+        with pytest.raises(ConfigError, match=re.escape(
                 f"alpha grid [{lo}, {hi}] with alpha_step = {step} has {count} "
                 f"points, more than GRID_POINTS_MAX = 1048576")):
             find_heralded_optimum(lo, hi, step)
@@ -710,7 +714,7 @@ class TestClosedForms:
         # nine points: (hi - lo) / step = 8 stays under the cap
         assert find_heralded_optimum(0.0, 2.0, 0.25)[0] == 1.0
         assert cli.main(["transfer", "--set", "alpha_step=0.25"]) == 0
-        with pytest.raises(TransferError, match="has 10 points"):
+        with pytest.raises(ConfigError, match="has 10 points"):
             find_heralded_optimum(0.0, 2.0, 0.2)
         assert cli.main(["transfer", "--set", "alpha_step=0.2"]) == 2
 
@@ -767,34 +771,34 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("alpha", [-0.5, -3.0, float("nan")])
     def test_closed_forms_reject_bad_alpha(self, alpha):
-        with pytest.raises(TransferError):
+        with pytest.raises(ConfigError):
             deterministic_fidelity_closed(alpha)
-        with pytest.raises(TransferError):
+        with pytest.raises(ConfigError):
             heralded_rate_closed(alpha)
 
     def test_closed_forms_reject_alpha_past_limit(self):
         # scipy's ive returns NaN past an argument of about 1.07e9
         for alpha in (1e5, float("inf")):
             for fn in (deterministic_fidelity_closed, heralded_rate_closed):
-                with pytest.raises(TransferError, match=re.escape(str(alpha))):
+                with pytest.raises(ConfigError, match=re.escape(str(alpha))):
                     fn(alpha)
 
     def test_enumeration_needs_a_cutoff(self):
         # the closed forms are called by name; the transfer functions
         # always enumerate a table and never fall back to a closed form
         for fn in (deterministic_transfer, heralded_transfer):
-            with pytest.raises(TransferError, match="cutoff"):
+            with pytest.raises(ConfigError, match="cutoff"):
                 fn(0.88)
-            with pytest.raises(TransferError, match="cutoff"):
+            with pytest.raises(ConfigError, match="cutoff"):
                 fn(0.88, amps=np.ones(3))
-            with pytest.raises(TransferError, match="cutoff"):
+            with pytest.raises(ConfigError, match="cutoff"):
                 fn()
         # a table given with alpha or a cutoff is refused, not read past
         table = coherent_amplitude_table(0.88, 5)
         for fn in (deterministic_transfer, heralded_transfer):
             for extra in ({"alpha": 0.88}, {"cutoff": 5},
                           {"alpha": 0.88, "cutoff": 5}):
-                with pytest.raises(TransferError, match=re.escape(
+                with pytest.raises(ConfigError, match=re.escape(
                         "give a table, or alpha with a cutoff")):
                     fn(table=table, **extra)
         # the enumeration route still answers for three coherent sites;
@@ -842,9 +846,9 @@ class TestPlusAncillaPair:
         assert her.fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_degenerate_amplitudes(self):
-        with pytest.raises(TransferError):
+        with pytest.raises(ConfigError):
             transfer_branches(multiport_amplitude_table(1), (1.0,))
-        with pytest.raises(TransferError):
+        with pytest.raises(ConfigError):
             transfer_branches(multiport_amplitude_table(1), (0.0, 0.0))
 
     # unscaled, these squared sums overflow (probability, fidelity and
@@ -875,10 +879,10 @@ class TestPlusAncillaPair:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
                                      complex(0, np.nan)])
     def test_rejects_non_finite_amplitudes(self, bad):
-        with pytest.raises(TransferError, match="amplitudes must be finite"):
+        with pytest.raises(ConfigError, match="amplitudes must be finite"):
             heralded_transfer(0.8, amps=[bad, 1.0], cutoff=5)
         # the site amplitude is named, not the ancilla amplitude
-        with pytest.raises(TransferError, match="amplitudes must be finite"):
+        with pytest.raises(ConfigError, match="amplitudes must be finite"):
             deterministic_fidelity_closed(0.8, amps=[bad, 1.0])
 
 
@@ -955,7 +959,7 @@ class TestLossyTransfer:
         assert lossy_transfer(0.0).probability == 0.0
 
     def test_rejects_bad_transmission(self):
-        with pytest.raises(TransferError):
+        with pytest.raises(ConfigError):
             lossy_transfer(1.2)
 
 
@@ -1012,7 +1016,7 @@ class TestTeleportRoute:
     def test_rejects_non_finite_phase(self, theta):
         for call in (lambda: plus_ancilla_transfer(theta),
                      lambda: lossy_transfer(0.5, theta)):
-            with pytest.raises(TransferError,
+            with pytest.raises(ConfigError,
                                match=re.escape(f"theta = {theta}")):
                 call()
 
@@ -1204,16 +1208,16 @@ class TestNetwork:
         assert network_fidelity(4, 0.75) == pytest.approx(0.625, abs=1e-15)
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(TransferError, match="N = 1"):
+        with pytest.raises(ConfigError, match="N = 1"):
             network_fidelity(1, 0.9)
         for f2 in (float("nan"), -0.1, 1.5):
-            with pytest.raises(TransferError):
+            with pytest.raises(ConfigError):
                 network_fidelity(4, f2)
-        with pytest.raises(TransferError):
+        with pytest.raises(ConfigError):
             network_failure_probability(4, 1.5)
-        with pytest.raises(TransferError):
+        with pytest.raises(ConfigError):
             network_pair_distribution(4, 0.0)
-        with pytest.raises(TransferError,
+        with pytest.raises(ConfigError,
                            match=r"N = 1030 outside 2\.\.MAX_PAIR_SITES = 1029"):
             network_pair_distribution(1030, 0.5)
 
@@ -1229,6 +1233,6 @@ class TestNetwork:
                                                           trials, name):
         rng = np.random.default_rng(3)
         before = rng.bit_generator.state
-        with pytest.raises(TransferError, match=re.escape(name)):
+        with pytest.raises(ConfigError, match=re.escape(name)):
             network_monte_carlo(N, p1, trials, rng=rng)
         assert rng.bit_generator.state == before
