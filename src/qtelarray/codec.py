@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .source import coherence_matrix
-from .util import ConfigError, array, count, real, unit_amplitudes  # re-exported: codec.ConfigError
+from .util import ConfigError, _unit, array, count, real  # re-exported: codec.ConfigError
 
 LAYOUTS = ("sequential", "parallel")
 
@@ -152,13 +152,6 @@ class ResourceLedger:
     ghz_states: int = 0
     w_states: int = 0
     ancilla_qubits: int = 0
-
-    def add(self, name: str, amount: int = 1):
-        """Raise counter ``name`` by a nonnegative integer ``amount``."""
-        if name not in self.__dataclass_fields__:
-            raise KeyError(f"unknown ledger counter {name!r}")
-        amount = count(amount, "ledger amount")
-        setattr(self, name, getattr(self, name) + amount)
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -306,14 +299,7 @@ class EncodeRun:
         and their pattern-class index; the ledger is copied so each handle
         accounts its own consumption.
         """
-        run = EncodeRun(
-            config=self.config,
-            layout=self.layout,
-            ledger=self.ledger.copy(),
-            components=self.components,
-            compressed=self.compressed,
-            decoded=False,
-        )
+        run = replace(self, ledger=self.ledger.copy(), decoded=False)
         run._index = self._index
         return run
 
@@ -327,10 +313,9 @@ def _layout(config: RunConfig) -> MemoryLayout:
 def new_run(config: RunConfig) -> EncodeRun:
     """Fresh all-zeros memories with the ledger primed."""
     layout = _layout(config)
-    ledger = ResourceLedger()
-    ledger.add("memory_qubits_per_site", layout.qubits_per_site)
     # receiving qubits: one per band at each site, reset between bins
-    ledger.add("ancilla_qubits", config.N * config.R)
+    ledger = ResourceLedger(memory_qubits_per_site=layout.qubits_per_site,
+                            ancilla_qubits=config.N * config.R)
     try:
         vacuum = np.zeros(config.N, dtype=complex)
     except ValueError as exc:  # numpy's size error: N past its largest array
@@ -346,7 +331,7 @@ def new_run(config: RunConfig) -> EncodeRun:
 
 def _photon_amps(amps, N: int) -> np.ndarray:
     """Per-site amplitudes of a spatial single photon, as a unit vector."""
-    return unit_amplitudes(array(amps, "photon amplitudes", complex, (N,)))
+    return _unit(array(amps, "photon amplitudes", complex, (N,)))
 
 
 def encode_bin(run: EncodeRun, m: int, photon=None) -> EncodeRun:
@@ -382,10 +367,7 @@ def encode_bin(run: EncodeRun, m: int, photon=None) -> EncodeRun:
                 "this component already holds one"
             )
         out.append((w, written, {"m": m, "r": r}))
-    return EncodeRun(
-        config=run.config, layout=run.layout, ledger=run.ledger,
-        components=out, compressed=run.compressed,
-    )
+    return replace(run, components=out)
 
 
 def _band_matrices(config, band_g):
@@ -444,9 +426,7 @@ def encode_run_full(config: RunConfig, band_g=None) -> EncodeRun:
     if abs(total - 1.0) > 1e-10:
         raise EncodeError(f"branch weights sum to {total}")
     comps = [(w / total, s, meta) for w, s, meta in comps]
-    return EncodeRun(
-        config=config, layout=run.layout, ledger=run.ledger, components=comps
-    )
+    return replace(run, components=comps)
 
 
 def encode_single_photon(config: RunConfig, m: int, r: int, amps=None) -> EncodeRun:
@@ -480,7 +460,4 @@ def parallel_frequency_compress(run: EncodeRun) -> EncodeRun:
             if pattern & flag:
                 pattern ^= flip
         out.append((w, SiteState(state.amps, pattern), meta))
-    return EncodeRun(
-        config=run.config, layout=layout, ledger=run.ledger,
-        components=out, compressed=True,
-    )
+    return replace(run, components=out, compressed=True)

@@ -28,7 +28,7 @@ from functools import wraps
 
 import numpy as np
 
-from .netdecode import _cdf, pair_weights
+from .netdecode import _cdf, pair_weights, plus_probability
 from .source import MAX_SITES, VisibilityModel
 from .util import ConfigError, array, count, make_rng, qft_matrix
 
@@ -270,6 +270,9 @@ def classical_pipeline(vis: VisibilityModel, shots: int, rng=None,
     shots = count(shots, "shots", 1, SHOTS_MAX, "SHOTS_MAX")
     rng = make_rng(rng)
     N = vis.geometry.N
+    if not vis.geometry.is_uniform:  # pairs pool by site index difference
+        raise ConfigError(f"classical imaging needs a uniform array, got "
+                          f"positions {vis.geometry.positions}")
     mode = resolve_quadratures(vis, quadratures)
     settings = ("XX",) if mode == "real" else ("XX", "XY")
 
@@ -278,9 +281,9 @@ def classical_pipeline(vis: VisibilityModel, shots: int, rng=None,
     # quotient gives the bits of rho's diagonal
     a, b, weight = pair_weights((np.diagonal(vis.g) / N).real)
     cond = vis.g[a, b] / N / weight
-    corr_xx = 2.0 * cond.real
-    corr_xy = -2.0 * cond.imag
-    del cond  # the draws below hold no N^2 / 2 complex array
+    corr = {"XX": 2.0 * cond.real, "XY": -2.0 * cond.imag}
+    p_plus = [plus_probability(corr[s]) for s in settings]
+    del cond, corr  # the draws below hold no N^2 / 2 complex array
     if sampler == "w_state":
         # one readout attempt per shot; an all-zeros retry is lost
         successes = sum(int(np.count_nonzero(rng.random(m) >= 1.0 / N))
@@ -295,12 +298,8 @@ def classical_pipeline(vis: VisibilityModel, shots: int, rng=None,
     k_of_pair = b - a - 1
     n = np.zeros((len(settings), N - 1))
     total = np.zeros((len(settings), N - 1))
-    corr_by_setting = {"XX": corr_xx, "XY": corr_xy}
-    for s_i, setting in enumerate(settings):
-        n_sel = pair_counts[s_i]
-        corr = np.clip(corr_by_setting[setting], -1.0, 1.0)
-        p_plus = 0.5 * (1.0 + corr)
-        plus = rng.binomial(n_sel, p_plus)
+    for s_i, (n_sel, p) in enumerate(zip(pair_counts, p_plus)):
+        plus = rng.binomial(n_sel, p)
         n[s_i] = np.bincount(k_of_pair, weights=n_sel, minlength=N - 1)
         total[s_i] = np.bincount(k_of_pair, weights=2.0 * plus - n_sel,
                                  minlength=N - 1)

@@ -310,7 +310,10 @@ def decode_arrival(run: EncodeRun, rng=None) -> DecodeResult:
                 q for q, b in zip(time_rows, time_pattern) if b
             ] + one_rows
 
-    run.ledger.add("bell_pairs" if N == 2 else "ghz_states", checks)
+    if N == 2:
+        run.ledger.bell_pairs += checks
+    else:
+        run.ledger.ghz_states += checks
     run.decoded = True
 
     if m == 0:
@@ -385,7 +388,7 @@ def w_state_readout(rho, rng, max_attempts: int = RETRY_CAP,
     rng = make_rng(rng)
     for attempt in range(1, max_attempts + 1):
         if ledger is not None:
-            ledger.add("w_states", 1)
+            ledger.w_states += 1
         if rng.random() < 1.0 / n:
             continue
         k = _pick(p_pairs, rng)
@@ -421,16 +424,22 @@ def pair_correlators(density: np.ndarray) -> dict:
     }
 
 
+def plus_probability(corr):
+    """(1 + corr) / 2, the chance of a +1 product on a pair with correlator
+    ``corr`` (a float or an array), clipped to [0, 1]; ConfigError when a
+    correlator leaves [-1, 1] by more than 2e-12."""
+    if not (np.abs(corr) <= 1 + 2e-12).all():
+        raise ConfigError("pair correlator outside [-1, 1]")
+    return np.clip(0.5 * (1.0 + corr), 0.0, 1.0)
+
+
 def sample_pair_products(density: np.ndarray, setting: str, shots: int, rng):
     """Sampled +-1 products of local X/Y measurements on a collapsed pair."""
     corr = pair_correlators(density)
     shots = count(shots, "shots")
     if setting not in ("XX", "XY", "YX", "YY"):
         raise ConfigError(f"unknown setting {setting!r}")
-    p_plus = 0.5 * (1.0 + corr[setting])
-    if not -1e-12 <= p_plus <= 1 + 1e-12:
-        raise ConfigError("pair correlator outside [-1, 1]")
-    p_plus = min(max(p_plus, 0.0), 1.0)
+    p_plus = plus_probability(corr[setting])
     try:
         plus = make_rng(rng).binomial(1, p_plus, size=shots)
     except (ValueError, MemoryError):

@@ -160,7 +160,10 @@ class VisibilityModel:
 
     @classmethod
     def two_site(cls, g01, d=1.0) -> "VisibilityModel":
+        """Two sites d apart with coherence g01, a finite complex scalar."""
         geom = ArrayGeometry(N=2, d=d)
+        array(g01, "g01", complex, ())  # g keeps the caller's g01, so a
+        # real g01 gives +0 imaginary parts (a complex conj gives -0)
         g = np.array([[1.0, g01], [np.conj(g01), 1.0]])
         return cls(geom, g)
 

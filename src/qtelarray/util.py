@@ -132,7 +132,11 @@ def unit_amplitudes(amps) -> np.ndarray:
     again after dividing by the largest part, with no numpy warning. Raises
     ConfigError for input ``array`` refuses as a complex vector, or one that
     is all zero."""
-    amps = array(amps, "site amplitudes", complex, (None,))
+    return _unit(array(amps, "site amplitudes", complex, (None,)))
+
+
+def _unit(amps: np.ndarray) -> np.ndarray:
+    """:func:`unit_amplitudes` of a complex vector ``array`` has checked."""
     re, im = amps.real, amps.imag
     with np.errstate(over="ignore", under="ignore"):
         sq = float(re.dot(re) + im.dot(im))  # np.linalg.norm's sum
@@ -142,7 +146,7 @@ def unit_amplitudes(amps) -> np.ndarray:
         raise ConfigError("site amplitudes are all zero")
     top = max(np.abs(re).max(), np.abs(im).max())
     # part by part, since a complex division by a subnormal overflows
-    return unit_amplitudes(re / top + 1j * (im / top))
+    return _unit(re / top + 1j * (im / top))
 
 
 def qft_matrix(n: int) -> np.ndarray:

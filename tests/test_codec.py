@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import gate_route
+from qtelarray import codec, util
 from qtelarray.codec import (
     Codebook,
     EncodeError,
-    EncodeRun,
     MemoryLayout,
     ResourceLedger,
     RunConfig,
@@ -127,16 +127,14 @@ class TestRunConfig:
 class TestResourceLedger:
     def test_counters(self):
         led = ResourceLedger()
-        led.add("bell_pairs", 3)
-        led.add("bell_pairs")
+        assert led.as_dict() == dict.fromkeys(
+            ["memory_qubits_per_site", "bell_pairs", "ghz_states", "w_states",
+             "ancilla_qubits"], 0)
+        led.bell_pairs += 4
         before = led.copy()
-        led.add("w_states", 2)
-        assert led.bell_pairs == 4
-        assert (before.w_states, led.w_states) == (0, 2)
-        with pytest.raises(ValueError):
-            led.add("w_states", -1)
-        with pytest.raises(KeyError):
-            led.add("qubits", 1)
+        led.w_states += 2
+        assert (before.bell_pairs, before.w_states) == (4, 0)
+        assert led.as_dict()["w_states"] == 2
 
 
 class TestMemoryLayout:
@@ -241,6 +239,20 @@ class TestEncodeBin:
                 want = a / np.linalg.norm(a)
                 assert _photon_amps(a, n).tobytes() == want.tobytes()
 
+    def test_photon_amps_checks_its_input_once(self, monkeypatch):
+        names, rule = [], util.array
+
+        def spy(value, name, *args):
+            names.append(name)
+            return rule(value, name, *args)
+
+        monkeypatch.setattr(codec, "array", spy)
+        monkeypatch.setattr(util, "array", spy)
+        _photon_amps([1, 1j], 2)
+        assert names == ["photon amplitudes"]
+        with pytest.raises(ConfigError, match="site amplitudes are all zero"):
+            _photon_amps([0, 0], 2)
+
     @pytest.mark.parametrize("layout", ["sequential", "parallel"])
     def test_each_step_returns_a_fresh_class_index(self, layout):
         cfg = RunConfig(M=5, R=2, N=2, layout=layout)
@@ -259,9 +271,8 @@ class TestEncodeBin:
         assert replace(run, components=list(run.components))._index == {}
         # private: out of the repr and of equality
         assert "_index" not in repr(run)
-        same = EncodeRun(config=run.config, layout=run.layout, ledger=run.ledger,
-                         components=run.components, compressed=run.compressed)
-        assert same == run
+        same = replace(run)
+        assert same._index == {} and same == run
 
     def test_single_photon_writes_codeword_superposition(self):
         cfg = RunConfig(M=5, R=2, N=2, layout="sequential", seed=3)

@@ -49,12 +49,6 @@ LAYOUT = MemoryLayout(RunConfig(M=5, R=2, layout="parallel"))
 BOOK = Codebook(5, 2)
 PHOTON = [1.0, 1.0]
 
-def _ledger_add(amount):
-    ledger = codec.ResourceLedger()
-    ledger.add("w_states", amount)
-    return ledger
-
-
 SITES = {
     "sample_qft shots": Site(
         lambda v, rng: sample_qft(VIS, v, rng=rng),
@@ -137,9 +131,6 @@ SITES = {
     "network_monte_carlo trials": Site(
         lambda v, rng: transfer.network_monte_carlo(3, 0.5, v, rng=rng),
         "trials", 1, None, None, (0, -3), 40),
-    "ResourceLedger.add amount": Site(
-        lambda v, rng: _ledger_add(v), "ledger amount", 0, None, None,
-        (-1, -4), 3),
     "log2_ceil n": Site(lambda v, rng: codec.log2_ceil(v), "n", 1, None, None,
                         (0, -1), 5),
     "qft_matrix n": Site(lambda v, rng: qft_matrix(v), "n", 1, None, None,

@@ -1,5 +1,7 @@
 """QFT imaging and classical-pipeline tests."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -353,6 +355,26 @@ class TestClassicalPipeline:
             classical_pipeline(vis, 0)
         with pytest.raises(ValueError):
             classical_pipeline(vis, 10, sampler="median")
+
+    @pytest.mark.parametrize("quadratures", imaging.QUADRATURE_MODES)
+    def test_refuses_a_non_uniform_array(self, quadratures):
+        geom = ArrayGeometry(positions=[0, 0.1, 0.5, 1.3])
+        vis = visibility_from_intensity(IntensityDistribution.point(0.2), geom)
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        with pytest.raises(ConfigError, match=re.escape(
+                "classical imaging needs a uniform array, got positions "
+                "[0.  0.1 0.5 1.3]")):
+            classical_pipeline(vis, 100, rng=rng, quadratures=quadratures)
+        assert rng.bit_generator.state == before
+
+    def test_refuses_a_pair_correlator_outside_the_unit_interval(self):
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        with pytest.raises(ConfigError, match=re.escape(
+                "pair correlator outside [-1, 1]")):
+            classical_pipeline(VisibilityModel.two_site(1.5), 1000, rng=rng)
+        assert rng.bit_generator.state == before
 
     def test_reproducible_given_seed(self):
         vis, _ = on_grid_model(4, [0.4, 0.3, 0.2, 0.1])

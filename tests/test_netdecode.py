@@ -2,6 +2,7 @@
 
 import pickle
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from dense_route import (
 from qtelarray.codec import (
     Codebook,
     EncodeError,
-    EncodeRun,
     RunConfig,
     SiteState,
     encode_run_full,
@@ -35,6 +35,7 @@ from qtelarray.netdecode import (
     _seed_sequence,
     decode_arrival,
     pair_correlators,
+    plus_probability,
     sample_pair_products,
     w_state_readout,
 )
@@ -353,10 +354,7 @@ class TestCarrierDensity:
         run = parallel_frequency_compress(encode_single_photon(cfg, 3, 2))
         w, state, meta = run.components[0]
         stray = SiteState(state.amps, state.pattern | 1 << run.layout.time_rows(1)[0])
-        bad = EncodeRun(
-            config=cfg, layout=run.layout, ledger=run.ledger,
-            components=[(w, stray, meta)], compressed=True,
-        )
+        bad = replace(run, components=[(w, stray, meta)])
         with pytest.raises(DecodeError, match="not one photon on carrier row"):
             decode_arrival(bad)
 
@@ -372,8 +370,7 @@ class TestCarrierDensity:
             for w, m in zip(weights, (1, 2))
         ]
         run = new_run(cfg)
-        bad = EncodeRun(config=cfg, layout=run.layout, ledger=run.ledger,
-                        components=comps)
+        bad = replace(run, components=comps)
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         with np.errstate(invalid="ignore"):
@@ -547,6 +544,30 @@ class TestWReadout:
             w_state_readout(rho, rng=rng)
         assert rng.bit_generator.state == before
 
+    @pytest.mark.parametrize("layout, N, want", [
+        ("sequential", 2, dict(bell_pairs=5, ghz_states=0, w_states=7)),
+        ("sequential", 3, dict(bell_pairs=0, ghz_states=5, w_states=4)),
+        ("parallel", 2, dict(bell_pairs=5, ghz_states=0, w_states=4)),
+        ("parallel", 3, dict(bell_pairs=0, ghz_states=5, w_states=5)),
+    ])
+    def test_ledger_counts_are_python_ints(self, layout, N, want):
+        cfg = RunConfig(M=5, R=3, N=N, eps=0.5, layout=layout, seed=4)
+        run = encode_run_full(cfg)
+        if layout == "parallel":
+            run = parallel_frequency_compress(run)
+        handle = run.replay()
+        rng = np.random.default_rng(9)
+        result = decode_arrival(handle, rng)
+        for _ in range(4):
+            w_state_readout(result.state, rng, ledger=handle.ledger)
+        memory = dict(memory_qubits_per_site=5 if layout == "sequential"
+                      else 14, ancilla_qubits=3 * N)
+        assert handle.ledger.as_dict() == dict(memory, **want)
+        assert run.ledger.as_dict() == dict(
+            memory, bell_pairs=0, ghz_states=0, w_states=0)
+        for value in handle.ledger.as_dict().values():
+            assert type(value) is int
+
     def test_ledger_counts_attempts(self):
         from qtelarray.codec import ResourceLedger
 
@@ -687,10 +708,8 @@ class TestClassIndex:
         run = _full_rank_mixture(layout, 3)
         rng_a, rng_b = np.random.default_rng(2), np.random.default_rng(2)
         for _ in range(20):
-            hand = EncodeRun(config=run.config, layout=run.layout,
-                             ledger=run.ledger.copy(),
-                             components=list(run.components),
-                             compressed=run.compressed)
+            hand = replace(run, ledger=run.ledger.copy(),
+                           components=list(run.components))
             replay = run.replay()
             _assert_same_decode(decode_arrival(hand, rng=rng_a),
                                 decode_arrival(replay, rng=rng_b), hand, replay)
@@ -779,3 +798,35 @@ class TestPairCorrelators:
         ]:
             with pytest.raises(ConfigError, match=re.escape(message)):
                 sample_pair_products(density, "XX", shots, 6)
+
+
+class TestPlusProbability:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1 - 2e-12, 1 + 2e-12))
+    def test_clipping_after_scaling_gives_the_bits_of_clipping_before(
+            self, corr):
+        want = 0.5 * (1.0 + min(max(corr, -1.0), 1.0))
+        assert plus_probability(corr) == want
+        assert plus_probability(np.array([corr]))[0] == want
+
+    def test_law(self):
+        corr = np.array([-1 - 2e-12, -1.0, -0.3, 0.0, 0.6, 1.0, 1 + 2e-12])
+        assert plus_probability(corr).tolist() == [0, 0, 0.35, 0.5, 0.8, 1, 1]
+
+    @pytest.mark.parametrize("corr", [
+        1 + 3e-12, -1 - 3e-12, -1.5, np.nan, np.inf, np.array([0.2, 1.5])])
+    def test_refuses_a_correlator_outside_the_unit_interval(self, corr):
+        with pytest.raises(ConfigError, match=re.escape(
+                "pair correlator outside [-1, 1]")):
+            plus_probability(corr)
+
+    def test_pair_products_draw_by_it(self):
+        collapsed = np.array([[0.5, 0.75], [0.75, 0.5]])  # g01 = 1.5
+        with pytest.raises(ConfigError, match=re.escape(
+                "pair correlator outside [-1, 1]")):
+            sample_pair_products(collapsed, "XX", 10, 6)
+        rho = np.array([[0.5, 0.3], [0.3, 0.5]])
+        draws = sample_pair_products(rho, "XX", 1000, 6)
+        want = 2 * np.random.default_rng(6).binomial(
+            1, plus_probability(0.6), size=1000) - 1
+        assert np.array_equal(draws, want)

@@ -342,6 +342,21 @@ def test_single_photon_rho_two_site_matrix():
     assert rho[0, 0] == pytest.approx(0.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("g01", ["x", None, [1, 2], np.nan, object()])
+def test_two_site_refuses_a_g01_that_is_not_a_complex_scalar(g01):
+    with pytest.raises(ConfigError, match="g01"):
+        VisibilityModel.two_site(g01)
+
+
+def test_two_site_keeps_the_coherence_bits():
+    for g01 in (0.6, 1, np.float64(-0.25), True):
+        g = VisibilityModel.two_site(g01).g
+        assert not np.signbit(g.imag).any()
+        assert g[0, 1] == g[1, 0] == g01
+    g = VisibilityModel.two_site(0.3 + 0.4j).g
+    assert (g[0, 1], g[1, 0]) == (0.3 + 0.4j, 0.3 - 0.4j)
+
+
 def test_single_photon_rho_point_source_is_w_state():
     N, d = 3, 1.0
     vis = visibility_from_intensity(
