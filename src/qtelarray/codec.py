@@ -331,7 +331,8 @@ def new_run(config: RunConfig) -> EncodeRun:
 
 def _photon_amps(amps, N: int) -> np.ndarray:
     """Per-site amplitudes of a spatial single photon, as a unit vector."""
-    return _unit(array(amps, "photon amplitudes", complex, (N,)))
+    return _unit(array(amps, "photon amplitudes", complex, (N,)),
+                 "photon amplitudes")
 
 
 def encode_bin(run: EncodeRun, m: int, photon=None) -> EncodeRun:

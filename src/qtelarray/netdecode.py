@@ -35,8 +35,18 @@ row-major, one generator output per entry, so they consume the same stream
 as one draw per row (or per qubit) would: a range-2 integer takes one
 32-bit output and is never rejected, and the doubles come in the same order.
 The pick uses ``rng.choice``'s CDF and uniform, so it lands on the same
-class and leaves the same generator state; with no rng given the generator
-is ``default_rng(seed + 2)``.
+class and leaves the same generator state.
+
+With no rng given the generator is ``default_rng(seed + 2)``, so the draws
+depend on the config alone: the lead pick and block, in the parallel layout
+the time pick and block, then the fold block. A smaller fold, or a vacuum
+arrival, reads a prefix of that order. So a decode with no rng reads its
+config's stream, drawn once up to the largest fold and kept, read-only, in
+a cache of at most ``STREAM_CACHE`` configs: the GHZ bits and the fold
+signs at one byte per draw, the row parities and the two pick uniforms. An
+explicit generator is drawn live, and ends in the same state as if the
+blocks were drawn one by one. Either way the draws go through the same
+class picks, parity fixes and sign conversion.
 
 Readout entangles the carrier with a fresh W state by a CNOT per site and
 Z-measures the W qubits: the all-zeros outcome (probability exactly 1/N)
@@ -57,6 +67,7 @@ from .codec import EncodeError, EncodeRun
 from .util import ConfigError, array, count, make_rng
 
 RETRY_CAP = 64
+STREAM_CACHE = 32  # configs whose default decode draws are kept
 
 
 class DecodeError(RuntimeError):
@@ -95,18 +106,84 @@ class DecodeResult:
         return self.m == 0
 
 
-def _ghz_outcomes(pattern, n: int, rng) -> list:
+def _sign_rows(bits: bytes, n: int) -> list:
+    """Rows of n +-1 signs, one per byte of ``bits``: 0 is +1, 1 is -1."""
+    signs = [1 - 2 * b for b in bits]
+    return [tuple(signs[i:i + n]) for i in range(0, len(signs), n)]
+
+
+def _ghz_outcomes(pattern, block, n: int) -> list:
     """Uniform X-outcome patterns, one per row, with the row's bit as parity.
 
-    Row k of one (rows, n) draw gets its last sign flipped when its count
-    of minus signs has a parity other than ``pattern[k]``.
+    ``block`` is a drawn (bits, parities) pair, as :meth:`_Live.ghz` gives.
+    Row k of the bits (n bytes a row) gets its last bit flipped when its
+    parity is not ``pattern[k]``; a 1 bit is a minus sign.
     """
-    bits = rng.integers(0, 2, size=(len(pattern), n))
-    rows = (1 - 2 * bits).tolist()
-    for bit, row, minus in zip(pattern, rows, bits.sum(axis=1).tolist()):
-        if minus & 1 != bit:
-            row[-1] = -row[-1]
-    return list(map(tuple, rows))
+    bits, parities = bytearray(block[0]), block[1]
+    for k, (bit, parity) in enumerate(zip(pattern, parities)):
+        if parity != bit:
+            bits[k * n + n - 1] ^= 1
+    return _sign_rows(bits, n)
+
+
+class _Live:
+    """A decode's draws made live on a generator, in the order it reads
+    them: per row group (0 lead, 1 time) a pick uniform, then a GHZ block
+    of ``rows`` rows; then the fold block. A :class:`_Stream` reads the
+    same draws by group."""
+
+    __slots__ = ("rng", "n")
+
+    def __init__(self, rng, n: int):
+        self.rng, self.n = rng, n
+
+    def pick(self, group: int) -> float:
+        return self.rng.random()
+
+    def ghz(self, group: int, rows: int):
+        """The block's 0/1 draws, one byte each, and each row's parity."""
+        bits = self.rng.integers(0, 2, size=(rows, self.n))
+        parities = tuple((bits.sum(axis=1) & 1).tolist())
+        return bits.astype(np.uint8).tobytes(), parities
+
+    def fold(self, rows: int) -> bytes:
+        """One byte per X sign, 1 for -1: a uniform of 0.5 or more."""
+        return (self.rng.random((rows, self.n)) >= 0.5).tobytes()
+
+
+@dataclass(frozen=True)
+class _Stream:
+    """A default decode generator's draws, read in :class:`_Live`'s order:
+    the pick uniforms and GHZ blocks of each row group and the fold signs
+    of the largest fold. Immutable, so decodes share it."""
+
+    uniforms: tuple
+    blocks: tuple
+    signs: bytes
+    n: int
+
+    def pick(self, group: int) -> float:
+        return self.uniforms[group]
+
+    def ghz(self, group: int, rows: int):
+        return self.blocks[group]
+
+    def fold(self, rows: int) -> bytes:
+        return self.signs[:rows * self.n]
+
+
+@lru_cache(maxsize=STREAM_CACHE)
+def _stream(entropy: int, n: int, lead: int, time: int) -> _Stream:
+    """The draws of ``default_rng(entropy)`` for a decode of n sites with
+    ``lead`` lead rows and ``time`` time rows (0: no time group)."""
+    live = _Live(np.random.default_rng(entropy), n)
+    groups = (lead, time) if time else (lead,)
+    uniforms, blocks = [], []
+    for group, rows in enumerate(groups):
+        uniforms.append(live.pick(group))
+        blocks.append(live.ghz(group, rows))
+    return _Stream(tuple(uniforms), tuple(blocks),
+                   live.fold(lead + time - 1), n)
 
 
 def _cdf(weights):
@@ -185,9 +262,10 @@ class _Classes:
         self.cdf, self.total = _cdf(self.weights)
         self.sub: dict[int, _Classes] = {}
 
-    def draw(self, rng):
-        """Index and probability of a class drawn as :func:`_pick` does."""
-        k = bisect_right(self.cdf, rng.random())
+    def draw(self, u: float):
+        """Index and probability of the class :func:`_pick` draws with
+        uniform ``u``."""
+        k = bisect_right(self.cdf, u)
         return k, float(self.weights[k] / self.total)
 
     def subclasses(self, k: int, rows) -> "_Classes":
@@ -223,16 +301,6 @@ def _class_index(run: EncodeRun, rows) -> _Classes:
     return index
 
 
-@lru_cache(maxsize=16)
-def _seed_sequence(entropy: int) -> np.random.SeedSequence:
-    """Seed sequence of a default decode generator.
-
-    Only :func:`decode_arrival`'s own generators use it, and they never
-    leave it, so nothing can spawn from (and so change) a cached sequence.
-    """
-    return np.random.SeedSequence(entropy)
-
-
 def _carrier_density(survivors, carrier: int, folded: int) -> np.ndarray:
     """N x N which-site density of the survivors folded onto the carrier row.
 
@@ -264,21 +332,21 @@ def decode_arrival(run: EncodeRun, rng=None) -> DecodeResult:
     if run.config.layout == "parallel" and not run.compressed:
         raise EncodeError("compress the parallel flags before decoding")
     cfg, layout, book = run.config, run.layout, run.book
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(_seed_sequence(cfg.seed + 2)))
-    else:
-        rng = make_rng(rng)
     N = cfg.N
 
     if cfg.layout == "sequential":
-        lead_rows = layout.code_rows()
+        lead_rows, time = layout.code_rows(), 0
     else:
-        lead_rows = layout.comp_rows()
+        lead_rows, time = layout.comp_rows(), book.t_bits
+    if rng is None:
+        draws = _stream(cfg.seed + 2, N, len(lead_rows), time)
+    else:
+        draws = _Live(make_rng(rng), N)
 
     classes = _class_index(run, lead_rows)
-    k, record_p = classes.draw(rng)
+    k, record_p = classes.draw(draws.pick(0))
     lead_pattern = classes.patterns[k]
-    ghz_outcomes = _ghz_outcomes(lead_pattern, N, rng)
+    ghz_outcomes = _ghz_outcomes(lead_pattern, draws.ghz(0, len(lead_rows)), N)
     checks = len(lead_rows)
     one_rows = [q for q, b in zip(lead_rows, lead_pattern) if b]
 
@@ -297,10 +365,11 @@ def decode_arrival(run: EncodeRun, rng=None) -> DecodeResult:
         else:
             time_rows = layout.time_rows(r)
             classes = classes.subclasses(k, time_rows)
-            k, p_time = classes.draw(rng)
+            k, p_time = classes.draw(draws.pick(1))
             time_pattern = classes.patterns[k]
             record_p *= p_time
-            ghz_outcomes += _ghz_outcomes(time_pattern, N, rng)
+            ghz_outcomes += _ghz_outcomes(
+                time_pattern, draws.ghz(1, len(time_rows)), N)
             checks += len(time_rows)
             m = classes.values[k]
             if not 1 <= m <= cfg.M:
@@ -327,7 +396,7 @@ def decode_arrival(run: EncodeRun, rng=None) -> DecodeResult:
     # outcome -1 on site i flips a_i, which the carrier's Z correction on
     # site i undoes, so the signs go to the record only
     carrier, extra = one_rows[0], one_rows[1:]
-    fold = np.where(rng.random((len(extra), N)) < 0.5, 1, -1)
+    fold = _sign_rows(draws.fold(len(extra)), N)
     folded = sum(1 << q for q in extra)
     survivors = classes.survivors(k, run.components)
     state = _carrier_density(survivors, carrier, folded)
@@ -337,7 +406,7 @@ def decode_arrival(run: EncodeRun, rng=None) -> DecodeResult:
         record={
             "lead_pattern": lead_pattern,
             "ghz_outcomes": ghz_outcomes,
-            "fold_signs": tuple(zip(extra, map(tuple, fold.tolist()))),
+            "fold_signs": tuple(zip(extra, fold)),
         },
     )
 

@@ -132,21 +132,23 @@ def unit_amplitudes(amps) -> np.ndarray:
     again after dividing by the largest part, with no numpy warning. Raises
     ConfigError for input ``array`` refuses as a complex vector, or one that
     is all zero."""
-    return _unit(array(amps, "site amplitudes", complex, (None,)))
+    return _unit(array(amps, "site amplitudes", complex, (None,)),
+                 "site amplitudes")
 
 
-def _unit(amps: np.ndarray) -> np.ndarray:
-    """:func:`unit_amplitudes` of a complex vector ``array`` has checked."""
+def _unit(amps: np.ndarray, name: str) -> np.ndarray:
+    """:func:`unit_amplitudes` of a complex vector ``array`` has checked as
+    ``name``, the name its all-zero error gives."""
     re, im = amps.real, amps.imag
     with np.errstate(over="ignore", under="ignore"):
         sq = float(re.dot(re) + im.dot(im))  # np.linalg.norm's sum
     if sys.float_info.min <= sq < math.inf:
         return amps / math.sqrt(sq)
     if not amps.any():
-        raise ConfigError("site amplitudes are all zero")
+        raise ConfigError(f"{name} are all zero")
     top = max(np.abs(re).max(), np.abs(im).max())
     # part by part, since a complex division by a subnormal overflows
-    return _unit(re / top + 1j * (im / top))
+    return _unit(re / top + 1j * (im / top), name)
 
 
 def qft_matrix(n: int) -> np.ndarray:

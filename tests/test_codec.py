@@ -250,7 +250,7 @@ class TestEncodeBin:
         monkeypatch.setattr(util, "array", spy)
         _photon_amps([1, 1j], 2)
         assert names == ["photon amplitudes"]
-        with pytest.raises(ConfigError, match="site amplitudes are all zero"):
+        with pytest.raises(ConfigError, match="photon amplitudes are all zero"):
             _photon_amps([0, 0], 2)
 
     @pytest.mark.parametrize("layout", ["sequential", "parallel"])

@@ -2,6 +2,7 @@
 
 import pickle
 import re
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -29,10 +30,11 @@ from qtelarray.codec import (
 )
 from qtelarray.netdecode import (
     RETRY_CAP,
+    STREAM_CACHE,
     DecodeError,
     _cdf,
     _pick,
-    _seed_sequence,
+    _stream,
     decode_arrival,
     pair_correlators,
     plus_probability,
@@ -715,23 +717,133 @@ class TestClassIndex:
                                 decode_arrival(replay, rng=rng_b), hand, replay)
             assert hand._index is not run._index
 
-    def test_default_generator_is_default_rng_of_seed_plus_two(self):
-        for seed in (0, 5, 2**40):
-            got = np.random.Generator(np.random.PCG64(_seed_sequence(seed + 2)))
-            want = np.random.default_rng(seed + 2)
-            assert got.random(7).tolist() == want.random(7).tolist()
-            assert (got.integers(0, 2, size=(3, 5)).tolist()
-                    == want.integers(0, 2, size=(3, 5)).tolist())
-            assert got.bit_generator.state == want.bit_generator.state
-        for layout in ("sequential", "parallel"):
-            run = _full_rank_mixture(layout, 3)
-            rng = np.random.default_rng(run.config.seed + 2)
-            for _ in range(3):
-                a, b = run.replay(), run.replay()
-                _assert_same_decode(decode_arrival(a),
-                                    decode_arrival(b, rng=rng), a, b)
-                rng = np.random.default_rng(run.config.seed + 2)
-            assert _seed_sequence(run.config.seed + 2).n_children_spawned == 0
+
+def _photon_run(cfg, m, r, rng):
+    amps = rng.normal(size=cfg.N) + 1j * rng.normal(size=cfg.N)
+    run = encode_single_photon(cfg, m, r, amps=amps)
+    if cfg.layout == "parallel":
+        return parallel_frequency_compress(run)
+    return run
+
+
+def _assert_default_is_seed_plus_two(run):
+    """A decode with no rng against one on ``default_rng(seed + 2)``."""
+    a, b = run.replay(), run.replay()
+    got = decode_arrival(a)
+    _assert_same_decode(got, decode_arrival(
+        b, rng=np.random.default_rng(run.config.seed + 2)), a, b)
+    return got
+
+
+class TestDefaultStream:
+    """A decode with no rng reads its config's stream, drawn once: the same
+    draws as ``default_rng(seed + 2)`` drawn live."""
+
+    @pytest.mark.parametrize("layout", ["sequential", "parallel"])
+    @pytest.mark.parametrize("seed", [0, 5, 2**40])
+    def test_every_codeword_at_two_sites(self, layout, seed):
+        cfg = RunConfig(M=64, R=8, N=2, layout=layout, seed=seed)
+        rng = np.random.default_rng(seed)
+        for m in range(1, cfg.M + 1):
+            for r in range(1, cfg.R + 1):
+                got = _assert_default_is_seed_plus_two(
+                    _photon_run(cfg, m, r, rng))
+                assert (got.m, got.r) == (m, r)
+
+    @pytest.mark.parametrize("layout", ["sequential", "parallel"])
+    @pytest.mark.parametrize("seed", [0, 5, 2**40])
+    @pytest.mark.parametrize("N", [3, 8, 20])
+    def test_sampled_codewords_on_more_sites(self, layout, seed, N):
+        cfg = RunConfig(M=64, R=8, N=N, layout=layout, seed=seed)
+        rng = np.random.default_rng(N)
+        words = [(1, 1), (64, 8), (63, 7), (32, 4)] + [
+            (int(m), int(r)) for m, r in zip(rng.integers(1, 65, 8),
+                                             rng.integers(1, 9, 8))]
+        for m, r in words:
+            got = _assert_default_is_seed_plus_two(_photon_run(cfg, m, r, rng))
+            assert (got.m, got.r) == (m, r)
+
+    @pytest.mark.parametrize("layout", ["sequential", "parallel"])
+    @pytest.mark.parametrize("seed", [0, 5, 2**40])
+    def test_mixtures_with_vacuum_draws(self, layout, seed):
+        run = _full_rank_mixture(layout, 3)
+        run = replace(run, config=replace(run.config, seed=seed))
+        vacuum = 0
+        for _ in range(40):
+            vacuum += _assert_default_is_seed_plus_two(run).is_vacuum
+            # the next replays draw the same config stream: vary the run
+            run = replace(run, config=replace(run.config,
+                                              seed=run.config.seed + 1))
+        assert 0 < vacuum < 40
+
+    @pytest.mark.parametrize("layout", ["sequential", "parallel"])
+    def test_an_explicit_generator_is_drawn_live(self, layout):
+        """Its end state is that of the blocks drawn one after another."""
+        run = _full_rank_mixture(layout, 3)
+        N, rng = run.config.N, np.random.default_rng(17)
+        lead = len(run.layout.code_rows() if layout == "sequential"
+                   else run.layout.comp_rows())
+        want = np.random.default_rng(17)
+        for _ in range(30):
+            res = decode_arrival(run.replay(), rng=rng)
+            want.random()
+            want.integers(0, 2, size=(lead, N))
+            if layout == "parallel" and not res.is_vacuum:
+                want.random()
+                want.integers(0, 2, size=(run.book.t_bits, N))
+            if not res.is_vacuum:
+                want.random((len(res.record["fold_signs"]), N))
+            assert rng.bit_generator.state == want.bit_generator.state
+
+    def test_records_do_not_share_the_stream(self):
+        cfg = RunConfig(M=64, R=8, N=3, layout="sequential", seed=4)
+        run = _photon_run(cfg, 63, 8, np.random.default_rng(0))
+        first = decode_arrival(run.replay())
+        first.record["ghz_outcomes"].clear()
+        second = decode_arrival(run.replay())
+        rows = len(run.layout.code_rows())
+        assert len(second.record["ghz_outcomes"]) == rows
+        assert second.record == decode_arrival(run.replay()).record
+        entry = _stream(cfg.seed + 2, cfg.N, rows, 0)
+        with pytest.raises(AttributeError):
+            entry.signs = b""
+
+    def test_two_threads_get_identical_records(self):
+        cfg = RunConfig(M=64, R=8, N=3, layout="parallel", seed=123)
+        runs = [_photon_run(cfg, m, r, np.random.default_rng(m * 8 + r))
+                for m in range(1, 65, 3) for r in range(1, 9)]
+        _stream.cache_clear()
+        start, out = threading.Barrier(2), [[], []]
+
+        def work(i):
+            start.wait()
+            for run in runs:
+                res = decode_arrival(run.replay())
+                out[i].append((res.m, res.r, res.probability, res.carrier_row,
+                               res.record, res.state.tobytes()))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(out[0]) == len(runs) and out[0] == out[1]
+
+    def test_the_cache_stays_within_its_bound(self):
+        assert _stream.cache_info().maxsize == STREAM_CACHE
+        for seed in range(STREAM_CACHE + 8):
+            for layout in ("sequential", "parallel"):
+                cfg = RunConfig(M=5, R=3, N=4, layout=layout, seed=seed)
+                rng = np.random.default_rng(seed)
+                decode_arrival(_photon_run(cfg, 5, 3, rng))
+                assert _stream.cache_info().currsize <= STREAM_CACHE
+        assert _stream.cache_info().currsize == STREAM_CACHE  # full, evicting
+        # each entry: one byte per drawn GHZ bit and fold sign
+        lead, time, N = 3, 3, 4
+        entry = _stream(7, N, lead, time)
+        assert [len(bits) for bits, _ in entry.blocks] == [lead * N, time * N]
+        assert len(entry.signs) == (lead + time - 1) * N
+        assert len(entry.uniforms) == 2
 
 
 class TestPairCorrelators:

@@ -20,11 +20,12 @@ SCHEMA = {
                {"density_gap", "digest"}),
     "mixture": ("layout", {"prepare", "first_decode", "replay_decode"},
                 {"components", "digest"}),
+    "codebook": ("layout", {"write", "decode"}, {"words", "digest"}),
     "transfer": (None, {"table", "enumerate"}, {"records", "kept", "digest"}),
     "network": ("workers", {"monte_carlo"}, {"trials", "digest"}),
 }
-SMALLEST = {"imaging": "2", "photon": "2", "mixture": "2", "transfer": "2:1",
-            "network": "2"}
+SMALLEST = {"imaging": "2", "photon": "2", "mixture": "2", "codebook": "2",
+            "transfer": "2:1", "network": "2"}
 
 
 def _env_with_src() -> dict:
@@ -47,8 +48,9 @@ def check_row(stage, row):
     key, steps, checks = SCHEMA[stage]
     assert set(row) == {"size", "steps", "peak_mib", "checks"} | (
         {key} if key else set())
-    # only a parallel photon has its compression timed on its own
-    parallel = stage == "photon" and row["layout"] == "parallel"
+    # only a parallel photon or book has its compression timed on its own
+    parallel = (stage in ("photon", "codebook")
+                and row["layout"] == "parallel")
     assert set(row["steps"]) == steps | ({"compress"} if parallel else set())
     for stats in row["steps"].values():
         assert set(stats) == {"first", "best", "median", "max"}
@@ -97,6 +99,21 @@ def test_every_stage_in_process(scale, stage, monkeypatch):
             "trials": 2048, "digest": rows[0]["checks"]["digest"]}
     if stage == "transfer":
         assert rows[0]["checks"]["records"] >= rows[0]["checks"]["kept"] > 0
+    if stage == "codebook":
+        assert [row["checks"]["words"] for row in rows] == [16, 16]
+
+
+def test_codebook_digest_is_the_live_generators(scale, monkeypatch):
+    """The book decoded with no rng digests as with ``default_rng(seed + 2)``
+    drawn live, decode by decode."""
+    default = scale.measure("codebook", "3")
+    decode = scale.decode_arrival
+    monkeypatch.setattr(scale, "decode_arrival", lambda run: decode(
+        run, rng=scale.np.random.default_rng(run.config.seed + 2)))
+    live = scale.measure("codebook", "3")
+    assert [row["checks"] for row in live] == [
+        row["checks"] for row in default]
+    assert [row["checks"]["words"] for row in live] == [24, 24]
 
 
 def test_network_restores_the_worker_count(scale, monkeypatch):

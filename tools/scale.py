@@ -7,13 +7,15 @@ Usage, from the repository root::
 * ``imaging N``: one flat on-grid frame of SHOTS shots, stage by stage.
 * ``photon N``: one seeded photon through an M=64, R=8 codebook, per layout.
 * ``mixture N``: the exact M=64, R=8 mixture with g = I, per layout.
+* ``codebook M``: every codeword of an M x 8 book at N=2, per layout,
+  decoded with the default generator.
 * ``transfer SITES:CUTOFF``: the coherent table, then heralded_transfer on
   it with seeded amplitudes.
 * ``network N``: network_monte_carlo on ``one`` worker and on ``all``.
 
-The photon and mixture rows digest every decode's draws and the decode
-generator's end state, so two sweeps that made the same draws show the
-same digest.
+The photon, mixture and codebook rows digest every decode's draws (and
+for photon and mixture the decode generator's end state), so two sweeps
+that made the same draws show the same digest.
 
 A SIZE is an int, or ``SITES:CUTOFF`` for ``transfer``; a malformed one
 exits with the usage line. Each (size, case) runs REPEATS times; each step
@@ -126,6 +128,22 @@ def mixture(N, layout):
             "digest": digest(*draws, repr(rng.bit_generator.state).encode())}
 
 
+def codebook(M, layout):
+    cfg = RunConfig(M=M, R=8, N=2, layout=layout, seed=M)
+    rng = np.random.default_rng(M)
+    draws = []
+    for m in range(1, cfg.M + 1):
+        for r in range(1, cfg.R + 1):
+            amps = np.exp(1j * rng.uniform(0, 2 * np.pi, 2)) / np.sqrt(2)
+            run = timed("write", encode_single_photon, cfg, m, r, amps=amps)
+            if layout == "parallel":
+                run = timed("compress", parallel_frequency_compress, run)
+            res = timed("decode", decode_arrival, run)  # default generator
+            assert (res.m, res.r) == (m, r)
+            draws.append(drawn(res))
+    return {"words": len(draws), "digest": digest(*draws)}
+
+
 def enumeration(size, _case):
     sites, cutoff = size
     rng = np.random.default_rng(AMPS_SEED + sites)
@@ -161,6 +179,7 @@ STAGES = {
     "imaging": (imaging_frame, (None, [None]), "32 128 512 1024"),
     "photon": (photon, ("layout", list(WORDS)), "16 64 256 1024"),
     "mixture": (mixture, ("layout", list(WORDS)), "16 64 128"),
+    "codebook": (codebook, ("layout", list(WORDS)), "64 256 1024"),
     "transfer": (enumeration, (None, [None]), "2:10 2:16 2:30 3:5 3:8 4:4"),
     "network": (monte_carlo, ("workers", ["one", "all"]), "2 8 64 1024 4096"),
 }
