@@ -2,7 +2,7 @@
 
 The pipeline uses one of its functions, ``linear_optics_matrix``, for the
 multiport ancilla table of the transfer step; ``qcore.optics`` loads only
-numpy at import. The names below resolve on first use (PEP 562), so
+numpy and ``qtelarray.util`` at import. The names below resolve on first use (PEP 562), so
 importing this package loads none of its modules.
 """
 

@@ -29,7 +29,8 @@ class MeasurementError(ValueError):
 
 
 def apply_matrix(vec, registry: ModeRegistry, matrix, labels) -> np.ndarray:
-    """Apply a dense or :class:`FockMatrix` matrix to the named modes of a vector."""
+    """Apply a dense (d, d) matrix to the named modes of a vector, d the
+    product of their dimensions."""
     labels = tuple(labels)
     axes = registry.axes(labels)
     dims = registry.dims

@@ -17,6 +17,8 @@ import math
 
 import numpy as np
 
+from ..util import array, count
+
 LEAKAGE_DEFAULT = 1e-9
 
 
@@ -36,6 +38,8 @@ def coherent_amplitudes(alpha, cutoff: int):
     renormalized over n = 0..cutoff and ``tail`` is the discarded weight of
     the untruncated distribution.
     """
+    alpha = array(alpha, "alpha", complex, ())
+    cutoff = count(cutoff, "cutoff", 0)
     n = np.arange(cutoff + 1)
     a = abs(alpha)
     if a == 0.0:
@@ -53,91 +57,6 @@ def coherent_amplitudes(alpha, cutoff: int):
 # ---- linear-optics matrices --------------------------------------------------
 
 
-_LO_CACHE = {}
-
-
-class FockMatrix:
-    """Sparse (dim_out, dim_in) matrix stored as row-sorted triples.
-
-    ``rows``, ``cols`` and ``vals`` list the nonzero entries in row order;
-    ``matrix @ x`` contracts the first axis of ``x`` and ``toarray()``
-    gives the dense matrix.
-    """
-
-    def __init__(self, rows, cols, vals, shape):
-        rows = np.asarray(rows, dtype=np.int64)
-        order = np.argsort(rows, kind="stable")
-        self.rows = rows[order]
-        self.cols = np.asarray(cols, dtype=np.int64)[order]
-        self.vals = np.asarray(vals, dtype=complex)[order]
-        self.shape = (int(shape[0]), int(shape[1]))
-        # first entry of each nonempty row, for np.add.reduceat
-        self._starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
-        self._out_rows = self.rows[self._starts]
-
-    def __matmul__(self, x):
-        x = np.asarray(x)
-        if x.ndim == 0 or x.shape[0] != self.shape[1]:
-            raise ValueError(
-                f"matrix of shape {self.shape} cannot act on shape {x.shape}"
-            )
-        dtype = np.result_type(self.vals, x)
-        out = np.zeros((self.shape[0],) + x.shape[1:], dtype=dtype)
-        terms = x[self.cols].astype(dtype, copy=False)
-        terms *= self.vals.reshape((-1,) + (1,) * (x.ndim - 1))
-        out[self._out_rows] = np.add.reduceat(terms, self._starts, axis=0)
-        return out
-
-    def toarray(self) -> np.ndarray:
-        dense = np.zeros(self.shape, dtype=complex)
-        np.add.at(dense, (self.rows, self.cols), self.vals)
-        return dense
-
-
-def _lo_columns_general(S, dims_in, dims_out, log_fact):
-    """Column data for a k-port device via polynomial expansion.
-
-    Monomials are keyed by their flat output index; digit p of a key is the
-    photon count of output port p.
-    """
-    rows, cols, vals = [], [], []
-    n_cols = int(np.prod(dims_in))
-    leakage = np.zeros(n_cols)
-    ports = [(p, int(np.prod(dims_out[p + 1:], dtype=np.int64)), d)
-             for p, d in enumerate(dims_out)]  # (port, stride, dimension)
-    S = S.tolist()  # Python complex scalars: same products, far less overhead
-    for col, occ in enumerate(np.ndindex(*dims_in)):
-        poly = {0: 1.0 + 0.0j}
-        for m, n_m in enumerate(occ):
-            row_m = S[m]
-            for _ in range(n_m):
-                nxt = {}
-                for key, coeff in poly.items():
-                    for p, stride, dim in ports:
-                        if key // stride % dim + 1 == dim:
-                            continue
-                        new = key + stride
-                        nxt[new] = nxt.get(new, 0.0) + coeff * row_m[p]
-                poly = nxt
-                if not poly:
-                    break
-            if not poly:
-                break
-        log_in = sum(log_fact[n_m] for n_m in occ)
-        kept2 = 0.0
-        for row, coeff in poly.items():
-            log_out = sum(log_fact[row // stride % dim] for _, stride, dim in ports)
-            amp = coeff * np.exp(0.5 * (log_out - log_in))
-            if abs(amp) == 0.0:
-                continue
-            rows.append(row)
-            cols.append(col)
-            vals.append(amp)
-            kept2 += abs(amp) ** 2
-        leakage[col] = max(0.0, 1.0 - kept2)
-    return rows, cols, vals, leakage
-
-
 def linear_optics_matrix(S, cutoffs, out_cutoffs=None):
     """Truncated Fock-space matrix of a k-port linear-optics device.
 
@@ -151,37 +70,48 @@ def linear_optics_matrix(S, cutoffs, out_cutoffs=None):
     Returns
     -------
     (matrix, leakage)
-        ``matrix`` is a :class:`FockMatrix` of shape (dim_out, dim_in);
-        ``leakage[c]`` is the probability weight the basis input ``c``
-        pushes past the output cutoffs. Columns are exact up to that
-        truncation.
+        ``matrix`` is a dense complex ndarray of shape (dim_out, dim_in),
+        built fresh on each call; ``leakage[c]`` is the probability weight
+        the basis input ``c`` pushes past the output cutoffs. Columns are
+        exact up to that truncation.
+
+    Column n is a_m^dagger / sqrt(n_m) applied to column n - e_m, where m
+    is the last occupied input mode and a_m^dagger = sum_p S[m, p] b_p^dagger.
+    A raise past an output cutoff is dropped; photon counts only grow, so
+    where the truncation happens does not change the column.
     """
-    S = np.asarray(S, dtype=complex)
+    S = array(S, "S", complex, (None, None))
     k = S.shape[0]
     if S.shape != (k, k):
         raise ValueError("S must be square")
     if np.max(np.abs(S @ S.conj().T - np.eye(k))) > 1e-12:
         raise ValueError("S must be unitary to 1e-12")
-    cutoffs = tuple(int(c) for c in cutoffs)
-    out_cutoffs = cutoffs if out_cutoffs is None else tuple(int(c) for c in out_cutoffs)
+    cutoffs = tuple(count(c, "cutoff", 0) for c in cutoffs)
+    out_cutoffs = (cutoffs if out_cutoffs is None
+                   else tuple(count(c, "cutoff", 0) for c in out_cutoffs))
     if len(cutoffs) != k or len(out_cutoffs) != k:
         raise ValueError("need one cutoff per port")
-    key = (S.tobytes(), cutoffs, out_cutoffs)
-    hit = _LO_CACHE.get(key)
-    if hit is not None:
-        return hit
-    dims_in = tuple(c + 1 for c in cutoffs)
     dims_out = tuple(c + 1 for c in out_cutoffs)
-    max_n = max(sum(cutoffs), sum(out_cutoffs)) + 1
-    log_fact = _log_factorials(max_n)
-    rows, cols, vals, leakage = _lo_columns_general(
-        S, dims_in, dims_out, log_fact
-    )
-    mat = FockMatrix(
-        rows, cols, vals, (int(np.prod(dims_out)), int(np.prod(dims_in)))
-    )
-    _LO_CACHE[key] = (mat, leakage)
-    return mat, leakage
+    # the output modes' axes, then the input modes': column n is cols[..., *n]
+    cols = np.zeros(dims_out + tuple(c + 1 for c in cutoffs), dtype=complex)
+    cols[(0,) * (2 * k)] = 1.0
+    for m, c_m in enumerate(cutoffs):
+        # the columns whose last occupied mode is m, a block per n_m that
+        # keeps the earlier input modes' axes
+        later = (0,) * (k - 1 - m)
+        # sqrt(j + 1) along output axis p of a block, for the raise j -> j + 1
+        root = [np.sqrt(np.arange(1.0, d)).reshape(
+            (-1,) + (1,) * (k + m - 1 - p)) for p, d in enumerate(dims_out)]
+        for n_m in range(1, c_m + 1):
+            src = cols[(..., n_m - 1) + later]
+            dst = cols[(..., n_m) + later]
+            for p in range(k):
+                lower = (slice(None),) * p + (slice(None, -1),)
+                upper = (slice(None),) * p + (slice(1, None),)
+                dst[upper] += S[m, p] / math.sqrt(n_m) * root[p] * src[lower]
+    matrix = cols.reshape(math.prod(dims_out), -1)
+    leakage = np.maximum(0.0, 1.0 - np.sum(np.abs(matrix) ** 2, axis=0))
+    return matrix, leakage
 
 
 def apply_linear_optics(state, S, labels, max_leakage=LEAKAGE_DEFAULT):

@@ -267,7 +267,7 @@ def multiport_amplitude_table(ports: int) -> AmplitudeTable:
                for head in np.eye(2)]
     outputs = [np.where(np.abs(out) > 1e-14, out, 0) for out in outputs]
     # flat index order over the count tuples is their sorted order
-    flat = np.union1d(*map(np.flatnonzero, outputs))
+    flat = np.flatnonzero((outputs[0] != 0) | (outputs[1] != 0))
     counts = np.unravel_index(flat, (k + 1,) * k)
     outs = tuple(zip(*(x.tolist() for x in counts)))
     return AmplitudeTable(f"multiport({ports})", outs,

@@ -23,6 +23,7 @@ from qtelarray.netdecode import (
     sample_pair_products,
     w_state_readout,
 )
+from qtelarray.qcore import coherent_amplitudes, linear_optics_matrix
 from qtelarray.source import (
     ArrayGeometry,
     IntensityDistribution,
@@ -47,7 +48,7 @@ class Site(NamedTuple):
     kind: str  # "real" or "complex"
     wrong: object  # a value of the wrong shape
     shape_message: str  # what the wrong shape is told
-    good: list  # integer values, so every dtype holds them exactly
+    good: list | int  # integer values, so every dtype holds them exactly
 
 
 CFG = RunConfig(M=3, R=1, N=2)
@@ -129,6 +130,12 @@ SITES = {
         lambda v, rng: unit_amplitudes(v), "site amplitudes", "complex",
         [[1, 1]], "site amplitudes must have shape (any,), got (1, 2)",
         [1, 1]),
+    "linear_optics_matrix S": Site(
+        lambda v, rng: linear_optics_matrix(v, (1, 1)), "S", "complex",
+        [1, 0], f"S {SQUARE}", [[1, 0], [0, 1]]),
+    "coherent_amplitudes alpha": Site(
+        lambda v, rng: coherent_amplitudes(v, 3), "alpha", "complex",
+        [1, 0], "alpha must have shape (), got (2,)", 1),
 }
 SITE_IDS = list(SITES)
 
@@ -172,8 +179,8 @@ def test_refuses_a_value_that_is_not_finite(site, bad):
     value.flat[-1] = bad
     at = np.unravel_index(value.size - 1, value.shape)
     shown = complex(bad, 0) if case.kind == "complex" else bad
-    _refused(case, value, f"{case.name} must be finite, got {shown} at "
-                          f"index {tuple(map(int, at))}")
+    where = f" at index {tuple(map(int, at))}" if at else ""  # a scalar: ()
+    _refused(case, value, f"{case.name} must be finite, got {shown}{where}")
 
 
 @pytest.mark.parametrize("site", [s for s in SITE_IDS
@@ -212,8 +219,9 @@ def _forms(case):
     dtypes = [np.int64, np.float32, np.float64]
     if case.kind == "complex":
         dtypes.append(np.complex128)
-    return ([case.good, tuple(case.good)]
-            + [np.asarray(case.good, dtype=t) for t in dtypes])
+    plain = [case.good, tuple(case.good)] if np.ndim(case.good) else [
+        case.good]
+    return plain + [np.asarray(case.good, dtype=t) for t in dtypes]
 
 
 @pytest.mark.parametrize("site", SITE_IDS)

@@ -620,7 +620,8 @@ IMPORT_GRAPH = {
     "util": set(),
     "qcore": set(),
     "qcore.gates": {"qcore.registry", "qcore.states", "util"},
-    "qcore.optics": {"qcore.gates", "qcore.registry", "qcore.states"},
+    "qcore.optics": {"qcore.gates", "qcore.registry", "qcore.states",
+                     "util"},
     "qcore.registry": set(),
     "qcore.states": {"qcore.gates", "qcore.registry"},
     "qcore.support": {"qcore.states"},

@@ -21,6 +21,7 @@ from qtelarray.imaging import (
     natural_weights,
     sample_qft,
 )
+from qtelarray.qcore import coherent_amplitudes, linear_optics_matrix
 from qtelarray.source import (
     MAX_SITES,
     ArrayGeometry,
@@ -135,6 +136,15 @@ SITES = {
                         (0, -1), 5),
     "qft_matrix n": Site(lambda v, rng: qft_matrix(v), "n", 1, None, None,
                          (0, -1), 3),
+    "linear_optics_matrix cutoffs": Site(
+        lambda v, rng: linear_optics_matrix(np.eye(2), (v, 1)),
+        "cutoff", 0, None, None, (-1,), 2),
+    "linear_optics_matrix out_cutoffs": Site(
+        lambda v, rng: linear_optics_matrix(np.eye(2), (1, 1), (0, v)),
+        "cutoff", 0, None, None, (-3,), 2),
+    "coherent_amplitudes cutoff": Site(
+        lambda v, rng: coherent_amplitudes(1.0, v),
+        "cutoff", 0, None, None, (-1,), 3),
 }
 SITE_IDS = list(SITES)
 

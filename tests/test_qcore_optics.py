@@ -1,5 +1,9 @@
 """Beam splitters, coherent amplitudes, linear optics, lossy detectors."""
 
+import itertools
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -167,13 +171,12 @@ def test_linear_optics_columns_orthonormal_below_cutoff():
     S = random_unitary(2, rng)
     cutoff = 8
     mat, leakage = linear_optics_matrix(S, [cutoff, cutoff])
-    dense = mat.toarray()
     for na in range(cutoff + 1):
         for nb in range(cutoff + 1):
             col = na * (cutoff + 1) + nb
             if na + nb <= cutoff:
                 assert leakage[col] == pytest.approx(0.0, abs=1e-12)
-                assert np.linalg.norm(dense[:, col]) == pytest.approx(
+                assert np.linalg.norm(mat[:, col]) == pytest.approx(
                     1.0, abs=1e-10
                 )
             else:
@@ -190,35 +193,57 @@ def test_log_factorials_match_gammaln():
     )
 
 
-def _fock_devices():
-    rng = np.random.default_rng(2024)
-    for c in range(1, 19):
-        yield pytest.param(HADAMARD_MATRIX, (c, c), None, id=f"hadamard-c{c}")
-    for eta in (0.0, 0.25, 0.6, 0.9, 1.0):
-        yield pytest.param(loss_mixer(eta), (6, 6), None, id=f"loss-{eta}")
-    for k in (2, 3, 4):
-        yield pytest.param(qft_matrix(k), (1,) * k, (k,) * k, id=f"qft-{k}")
-    for cutoffs in ((4, 7), (9, 9), (2, 3, 2), (4, 4, 4)):
-        S = random_unitary(len(cutoffs), rng)
-        yield pytest.param(S, cutoffs, None, id=f"random-{cutoffs}")
+def _two_port_exact(S, cutoff):
+    """The (cutoff+1)^2-square matrix of the real two-port map S at 50
+    digits, by the binomial expansion of a^dagger^a b^dagger^b, rounded to
+    complex128 at the end.
+
+    a^dagger -> S00 c^dagger + S01 d^dagger and b^dagger -> S10 c^dagger +
+    S11 d^dagger, so <i, j|a, b> = sqrt(i! j! / (a! b!)) sum_s C(a, s)
+    C(b, i - s) S00^s S01^(a-s) S10^(i-s) S11^(b-i+s) with j = a + b - i.
+    """
+    d = cutoff + 1
+    exact = np.zeros((d * d, d * d), dtype=complex)
+    with mpmath.workdps(50):
+        s00, s01, s10, s11 = map(mpmath.mpf, S.real.ravel().tolist())
+        fact = [mpmath.factorial(n) for n in range(2 * d)]
+        for a, b in itertools.product(range(d), repeat=2):
+            for i in range(max(0, a + b - cutoff), min(cutoff, a + b) + 1):
+                j = a + b - i
+                coef = mpmath.fsum(
+                    math.comb(a, s) * math.comb(b, i - s) * s00 ** s
+                    * s01 ** (a - s) * s10 ** (i - s) * s11 ** (b - i + s)
+                    for s in range(max(0, i - b), min(a, i) + 1))
+                amp = coef * mpmath.sqrt(fact[i] * fact[j]
+                                         / (fact[a] * fact[b]))
+                exact[i * d + j, a * d + b] = float(amp)
+    return exact
 
 
-@pytest.mark.parametrize("S, cutoffs, out_cutoffs", list(_fock_devices()))
-def test_fock_matrix_apply_matches_csr(S, cutoffs, out_cutoffs):
-    """The numpy row-sum apply equals scipy's CSR product on the same triples."""
-    from scipy.sparse import csr_matrix
-
-    mat, _ = linear_optics_matrix(S, cutoffs, out_cutoffs)
-    oracle = csr_matrix((mat.vals, (mat.rows, mat.cols)), shape=mat.shape)
-    np.testing.assert_array_equal(mat.toarray(), oracle.toarray())
-    rng = np.random.default_rng(sum(mat.shape))
-    for shape in ((mat.shape[1],), (mat.shape[1], 1), (mat.shape[1], 7)):
-        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        got = mat @ x
-        assert got.shape == (mat.shape[0],) + shape[1:]
-        np.testing.assert_allclose(got, oracle @ x, rtol=0, atol=1e-12)
-    with pytest.raises(ValueError, match="cannot act on shape"):
-        mat @ np.ones(mat.shape[1] + 1)
+@pytest.mark.parametrize("S, top", [
+    pytest.param(HADAMARD_MATRIX, 18, id="hadamard"),
+    *(pytest.param(loss_mixer(eta), 12, id=f"loss-{eta}")
+      for eta in (0.3, 0.6, 0.9)),
+])
+def test_two_port_entries_match_the_binomial_expansion(S, top):
+    """Every entry at cutoffs 1..top against the 50-digit expansion: to
+    1e-14 on columns whose photons fit every output port (a + b <= c), to
+    1e-11 elsewhere, where the truncated columns carry the most rounding."""
+    exact = _two_port_exact(S, top)
+    for cutoff in range(1, top + 1):
+        d = cutoff + 1
+        # the cutoff-c matrix is the exact one's block of counts <= c
+        flat = (np.arange(d)[:, None] * (top + 1) + np.arange(d)).ravel()
+        want = exact[np.ix_(flat, flat)]
+        mat, leakage = linear_optics_matrix(S, (cutoff, cutoff))
+        assert type(mat) is np.ndarray and mat.shape == (d * d, d * d)
+        err = np.abs(mat - want).max(axis=0)
+        fits = (np.add.outer(np.arange(d), np.arange(d)) <= cutoff).ravel()
+        assert err[fits].max() < 1e-14
+        assert err.max() < 1e-11
+        np.testing.assert_allclose(
+            leakage, 1 - np.sum(np.abs(want) ** 2, axis=0), rtol=0,
+            atol=1e-11)
 
 
 def test_multiport_qft_single_photon_distribution():

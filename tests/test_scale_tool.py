@@ -23,9 +23,10 @@ SCHEMA = {
     "codebook": ("layout", {"write", "decode"}, {"words", "digest"}),
     "transfer": (None, {"table", "enumerate"}, {"records", "kept", "digest"}),
     "network": ("workers", {"monte_carlo"}, {"trials", "digest"}),
+    "optics": (None, {"build"}, {"shape", "digest"}),
 }
 SMALLEST = {"imaging": "2", "photon": "2", "mixture": "2", "codebook": "2",
-            "transfer": "2:1", "network": "2"}
+            "transfer": "2:1", "network": "2", "optics": "multiport:2"}
 
 
 def _env_with_src() -> dict:
@@ -101,6 +102,9 @@ def test_every_stage_in_process(scale, stage, monkeypatch):
         assert rows[0]["checks"]["records"] >= rows[0]["checks"]["kept"] > 0
     if stage == "codebook":
         assert [row["checks"]["words"] for row in rows] == [16, 16]
+    if stage == "optics":
+        assert rows[0]["size"] == ("multiport", 2)
+        assert rows[0]["checks"]["shape"] == [64, 8]
 
 
 def test_codebook_digest_is_the_live_generators(scale, monkeypatch):
@@ -154,6 +158,7 @@ def test_tools_name_pythonpath_when_the_package_is_missing(tool, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["imaging", "x"], ["transfer", "3"], ["network", "2.5"],
     ["transfer", "2:x"], ["transfer", "2:3:4"], ["photon", "4", "2:2"],
+    ["optics", "3"], ["optics", "laser:3"], ["optics", "hadamard:x"],
 ])
 def test_malformed_size_exits_with_the_usage_line(scale, argv):
     with pytest.raises(SystemExit) as exc:
@@ -165,6 +170,7 @@ def test_malformed_size_exits_with_the_usage_line(scale, argv):
 def test_sizes_parse_once_per_stage(scale):
     assert scale.parse_size("imaging", "64") == 64
     assert scale.parse_size("transfer", "3:8") == (3, 8)
+    assert scale.parse_size("optics", "hadamard:18") == ("hadamard", 18)
 
 
 def test_size_the_library_refuses_exits_with_its_message(scale):

@@ -12,6 +12,7 @@ import sys
 import threading
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -384,11 +385,11 @@ class TestTableBuild:
                     str(want.value))):
                 coherent_amplitude_table(alpha, cutoff)
 
-    # sha256 of the entries' keys and hex floats as the dict-by-dict
-    # builder made them
-    @pytest.mark.parametrize("ports, digest", [(1, "de1c4cd7f5c4b2b1"),
-                                               (2, "e51f09d8d5601fdd"),
-                                               (3, "f7cfdeae73f54e21")])
+    # sha256 of the entries' keys and hex floats as the dense Fock matrix
+    # and one matrix-vector product per ancilla column make them
+    @pytest.mark.parametrize("ports, digest", [(1, "e8e135fd971fe89c"),
+                                               (2, "a3c4211f53937233"),
+                                               (3, "6976beadf1ec27e1")])
     def test_multiport_tables_unchanged(self, ports, digest):
         table = multiport_amplitude_table(ports)
         text = repr([[(k, v.real.hex(), v.imag.hex()) for k, v in m.items()]
@@ -396,6 +397,33 @@ class TestTableBuild:
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
         # every outcome has an entry in one view at least
         assert_same_table(table, mapped_table(table.c0, table.c1, table.kind))
+
+    @pytest.mark.parametrize("ports", [1, 2, 3])
+    def test_multiport_tables_match_the_permanent_expansion(self, ports):
+        """Every entry, present or not, within 1e-15 of the 50-digit sum
+        over ancilla photon sets of perm(U[in, out]) / sqrt(prod o!), with
+        U the exact (P+1)-port Fourier matrix and each set weighted
+        2^(-P/2)."""
+        k = ports + 1
+        table = multiport_amplitude_table(ports)
+        with mpmath.workdps(50):
+            U = [[mpmath.expjpi(mpmath.mpf(2 * j * p) / k) / mpmath.sqrt(k)
+                  for p in range(k)] for j in range(k)]
+            weight = mpmath.mpf(2) ** (-mpmath.mpf(ports) / 2)
+            for head, view in ((0, table.c0), (1, table.c1)):
+                for out in itertools.product(range(k + 1), repeat=k):
+                    cols = [p for p in range(k) for _ in range(out[p])]
+                    exact = mpmath.mpc(0)
+                    for photons in itertools.product((0, 1), repeat=ports):
+                        rows = [m for m, n in enumerate((head, *photons)) if n]
+                        if len(rows) != len(cols):
+                            continue
+                        exact += weight * mpmath.fsum(
+                            mpmath.fprod(U[r][c] for r, c in zip(rows, perm))
+                            for perm in itertools.permutations(cols))
+                    exact /= mpmath.sqrt(mpmath.fprod(
+                        mpmath.factorial(n) for n in out))
+                    assert abs(view.get(out, 0) - complex(exact)) < 1e-15
 
     def test_views_are_new_dicts_of_the_nonzero_entries(self):
         # at alpha = 5e-324 and cutoff 40 the high-count entries underflow

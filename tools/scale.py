@@ -12,18 +12,22 @@ Usage, from the repository root::
 * ``transfer SITES:CUTOFF``: the coherent table, then heralded_transfer on
   it with seeded amplitudes.
 * ``network N``: network_monte_carlo on ``one`` worker and on ``all``.
+* ``optics DEVICE:N``: one linear_optics_matrix build, of the Hadamard
+  splitter at cutoff N (``hadamard:N``) or of the (N+1)-port Fourier
+  interferometer that multiport_amplitude_table(N) builds (``multiport:N``);
+  the row gives the matrix shape and digests the matrix and its leakage.
 
 The photon, mixture and codebook rows digest every decode's draws (and
 for photon and mixture the decode generator's end state), so two sweeps
 that made the same draws show the same digest.
 
-A SIZE is an int, or ``SITES:CUTOFF`` for ``transfer``; a malformed one
-exits with the usage line. Each (size, case) runs REPEATS times; each step
-gives the first, best, median and max of its samples in seconds, one more
-run the tracemalloc peak. One size runs in this process, several (or
-none: the defaults) each in a fresh interpreter, with cold caches. The
-output is one JSON document: stage, commit, src_sha256, host, protocol and
-sweep rows.
+A SIZE is an int, ``SITES:CUTOFF`` for ``transfer`` or ``DEVICE:N`` for
+``optics``; a malformed one exits with the usage line. Each (size, case)
+runs REPEATS times; each step gives the first, best, median and max of its
+samples in seconds, one more run the tracemalloc peak. One size runs in
+this process, several (or none: the defaults) each in a fresh interpreter,
+with cold caches. The output is one JSON document: stage, commit,
+src_sha256, host, protocol and sweep rows.
 """
 
 import hashlib
@@ -46,12 +50,19 @@ from qtelarray import imaging, source, transfer
 from qtelarray.codec import (RunConfig, encode_run_full, encode_single_photon,
                              parallel_frequency_compress)
 from qtelarray.netdecode import decode_arrival, w_state_readout
-from qtelarray.util import ConfigError
+from qtelarray.qcore import H, linear_optics_matrix
+from qtelarray.util import ConfigError, qft_matrix
 
 REPEATS, REPLAYS, SHOTS = 3, 50, 200_000
 WORDS = {"sequential": (63, 8), "parallel": (63, 7)}
 ALPHA, AMPS_SEED = 1.2, 3
 UNIFORMS, P1, MC_SEED = 64_000_000, 0.469041575982343, 7
+# optics device -> N -> (S, cutoffs, out_cutoffs)
+DEVICES = {
+    "hadamard": lambda c: (H, (c, c), None),
+    "multiport": lambda p: (qft_matrix(p + 1), (1,) * (p + 1),
+                            (p + 1,) * (p + 1)),
+}
 _samples = {}
 
 
@@ -174,6 +185,12 @@ def monte_carlo(N, workers):
     return {"trials": UNIFORMS // N, "digest": digest(text.encode())}
 
 
+def optics(size, _case):
+    device, n = size
+    matrix, leakage = timed("build", linear_optics_matrix, *DEVICES[device](n))
+    return {"shape": list(matrix.shape), "digest": digest(matrix, leakage)}
+
+
 # stage -> (function of (size, case), (case key, cases), default sizes)
 STAGES = {
     "imaging": (imaging_frame, (None, [None]), "32 128 512 1024"),
@@ -182,19 +199,27 @@ STAGES = {
     "codebook": (codebook, ("layout", list(WORDS)), "64 256 1024"),
     "transfer": (enumeration, (None, [None]), "2:10 2:16 2:30 3:5 3:8 4:4"),
     "network": (monte_carlo, ("workers", ["one", "all"]), "2 8 64 1024 4096"),
+    "optics": (optics, (None, [None]), "hadamard:6 hadamard:12 hadamard:18 "
+               "hadamard:31 multiport:1 multiport:2 multiport:3 multiport:4"),
 }
 
 
 USAGE = (f"usage: scale.py {{{','.join(STAGES)}}} [SIZE ...], "
-         f"SIZE an int or, for transfer, SITES:CUTOFF")
+         f"SIZE an int or, for transfer, SITES:CUTOFF or, for optics, "
+         f"{{{','.join(DEVICES)}}}:N")
 
 
 def parse_size(stage, spec):
-    """The size ``spec`` names: an int, or for ``transfer`` the pair
-    (sites, cutoff); ValueError when it is malformed."""
+    """The size ``spec`` names: an int, for ``transfer`` the pair (sites,
+    cutoff) and for ``optics`` the pair (device, N); ValueError when it is
+    malformed."""
     parts = spec.split(":")
-    if len(parts) != (2 if stage == "transfer" else 1):
+    if len(parts) != (2 if stage in ("transfer", "optics") else 1):
         raise ValueError(f"malformed {stage} size {spec!r}")
+    if stage == "optics":
+        if parts[0] not in DEVICES:
+            raise ValueError(f"unknown optics device {parts[0]!r}")
+        return parts[0], int(parts[1])
     sizes = tuple(int(part) for part in parts)
     return sizes if stage == "transfer" else sizes[0]
 
