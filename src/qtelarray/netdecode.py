@@ -22,10 +22,11 @@ is drawn up front. A run's first decode builds its class index: each
 component's class over the lead rows (codeword rows, or the compressed band
 rows of the parallel layout), with each class's members, summed weight and
 the CDF the pick draws from; a parallel band's classes over its time rows
-are built on that band's first use. The index lives on the run and
-:meth:`~qtelarray.codec.EncodeRun.replay` hands it to every replay, so a
-replayed decode only draws, gathers the picked class and builds its
-density. Densities are never cached.
+are built on that band's first use. A single photon's run has one
+component, so each index is that one class, taken without grouping. The
+index lives on the run and :meth:`~qtelarray.codec.EncodeRun.replay` hands
+it to every replay, so a replayed decode only draws, gathers the picked
+class and builds its density. Densities are never cached.
 
 A decode makes a fixed number of rng draws, whatever the codeword: one
 uniform picks the joint parity pattern of a row group, one
@@ -41,12 +42,15 @@ With no rng given the generator is ``default_rng(seed + 2)``, so the draws
 depend on the config alone: the lead pick and block, in the parallel layout
 the time pick and block, then the fold block. A smaller fold, or a vacuum
 arrival, reads a prefix of that order. So a decode with no rng reads its
-config's stream, drawn once up to the largest fold and kept, read-only, in
-a cache of at most ``STREAM_CACHE`` configs: the GHZ bits and the fold
-signs at one byte per draw, the row parities and the two pick uniforms. An
-explicit generator is drawn live, and ends in the same state as if the
-blocks were drawn one by one. Either way the draws go through the same
-class picks, parity fixes and sign conversion.
+config's stream, drawn once up to the largest fold and kept, immutable, in
+a cache of at most ``STREAM_CACHE`` configs: the two pick uniforms, each
+GHZ row as an (even, odd) pair of +-1 sign rows (the drawn row at the index
+of its minus-sign parity, the row with its last sign flipped at the other)
+and the fold signs as +-1 rows. A row check takes the row of its pattern
+bit and a fold the rows it needs, so nothing is converted per decode. An
+explicit generator is drawn live into the same shapes, and ends in the same
+state as if the blocks were drawn one by one. Either way the draws go
+through the same class picks and row choices.
 
 Readout entangles the carrier with a fresh W state by a CNOT per site and
 Z-measures the W qubits: the all-zeros outcome (probability exactly 1/N)
@@ -106,24 +110,14 @@ class DecodeResult:
         return self.m == 0
 
 
-def _sign_rows(bits: bytes, n: int) -> list:
-    """Rows of n +-1 signs, one per byte of ``bits``: 0 is +1, 1 is -1."""
-    signs = [1 - 2 * b for b in bits]
-    return [tuple(signs[i:i + n]) for i in range(0, len(signs), n)]
-
-
-def _ghz_outcomes(pattern, block, n: int) -> list:
+def _ghz_outcomes(pattern, rows) -> list:
     """Uniform X-outcome patterns, one per row, with the row's bit as parity.
 
-    ``block`` is a drawn (bits, parities) pair, as :meth:`_Live.ghz` gives.
-    Row k of the bits (n bytes a row) gets its last bit flipped when its
-    parity is not ``pattern[k]``; a 1 bit is a minus sign.
+    ``rows`` is a drawn block as :meth:`_Live.ghz` gives it, an (even, odd)
+    pair of sign rows per row; row k's outcome is the one of parity
+    ``pattern[k]``.
     """
-    bits, parities = bytearray(block[0]), block[1]
-    for k, (bit, parity) in enumerate(zip(pattern, parities)):
-        if parity != bit:
-            bits[k * n + n - 1] ^= 1
-    return _sign_rows(bits, n)
+    return [row[bit] for row, bit in zip(rows, pattern)]
 
 
 class _Live:
@@ -140,36 +134,45 @@ class _Live:
     def pick(self, group: int) -> float:
         return self.rng.random()
 
-    def ghz(self, group: int, rows: int):
-        """The block's 0/1 draws, one byte each, and each row's parity."""
-        bits = self.rng.integers(0, 2, size=(rows, self.n))
-        parities = tuple((bits.sum(axis=1) & 1).tolist())
-        return bits.astype(np.uint8).tobytes(), parities
+    def ghz(self, group: int, rows: int) -> tuple:
+        """The block's rows as (even, odd) pairs of +-1 sign rows: the drawn
+        row (a 0/1 draw per site, 1 a minus sign) at the index of its
+        parity, the row with its last sign flipped at the other."""
+        signs = 1 - 2 * self.rng.integers(0, 2, size=(rows, self.n))
+        pairs = []
+        for row in signs.tolist():
+            drawn = tuple(row)
+            row[-1] = -row[-1]
+            pair = drawn, tuple(row)
+            pairs.append(pair[::-1] if drawn.count(-1) & 1 else pair)
+        return tuple(pairs)
 
-    def fold(self, rows: int) -> bytes:
-        """One byte per X sign, 1 for -1: a uniform of 0.5 or more."""
-        return (self.rng.random((rows, self.n)) >= 0.5).tobytes()
+    def fold(self, rows: int) -> tuple:
+        """One +-1 sign row per folded row: -1 for a uniform of 0.5 or
+        more."""
+        minus = self.rng.random((rows, self.n)) >= 0.5
+        return tuple(map(tuple, (1 - 2 * minus).tolist()))
 
 
 @dataclass(frozen=True)
 class _Stream:
-    """A default decode generator's draws, read in :class:`_Live`'s order:
-    the pick uniforms and GHZ blocks of each row group and the fold signs
-    of the largest fold. Immutable, so decodes share it."""
+    """A default decode generator's draws, read in :class:`_Live`'s order
+    and in its shapes: the pick uniforms and GHZ blocks of each row group
+    and the fold sign rows of the largest fold. Immutable, so decodes share
+    it."""
 
     uniforms: tuple
     blocks: tuple
-    signs: bytes
-    n: int
+    signs: tuple
 
     def pick(self, group: int) -> float:
         return self.uniforms[group]
 
-    def ghz(self, group: int, rows: int):
+    def ghz(self, group: int, rows: int) -> tuple:
         return self.blocks[group]
 
-    def fold(self, rows: int) -> bytes:
-        return self.signs[:rows * self.n]
+    def fold(self, rows: int) -> tuple:
+        return self.signs[:rows]
 
 
 @lru_cache(maxsize=STREAM_CACHE)
@@ -182,8 +185,7 @@ def _stream(entropy: int, n: int, lead: int, time: int) -> _Stream:
     for group, rows in enumerate(groups):
         uniforms.append(live.pick(group))
         blocks.append(live.ghz(group, rows))
-    return _Stream(tuple(uniforms), tuple(blocks),
-                   live.fold(lead + time - 1), n)
+    return _Stream(tuple(uniforms), tuple(blocks), live.fold(lead + time - 1))
 
 
 def _cdf(weights):
@@ -225,6 +227,33 @@ def _pick(weights, rng) -> int:
     return bisect_right(_cdf(weights)[0], rng.random())
 
 
+def _value(bits) -> int:
+    """The binary number of a bit tuple, its first bit the highest."""
+    value = 0
+    for b in bits:
+        value = value << 1 | b
+    return value
+
+
+def _group(pats, ws, rows):
+    """The values, bit patterns, members and weights of :class:`_Classes`
+    over ``rows``, found by grouping the inputs by their bits."""
+    value_of: dict[int, int] = {}
+    bits_of: dict[int, tuple] = {}
+    groups: dict[int, list[int]] = {}
+    for j, pat in enumerate(pats):
+        value = value_of.get(pat)
+        if value is None:
+            bits = tuple(pat >> q & 1 for q in rows)
+            value = value_of[pat] = _value(bits)
+            bits_of[value] = bits
+        groups.setdefault(value, []).append(j)
+    values = sorted(groups)
+    members = [groups[v] for v in values]
+    return (values, [bits_of[v] for v in values], members,
+            [sum(map(ws.__getitem__, g)) for g in members])
+
+
 class _Classes:
     """Pattern classes over some rows of a weighted list of components.
 
@@ -242,23 +271,13 @@ class _Classes:
                  "weights", "cdf", "total", "sub")
 
     def __init__(self, source, pats, ws, rows):
-        value_of: dict[int, int] = {}
-        bits_of: dict[int, tuple] = {}
-        groups: dict[int, list[int]] = {}
-        for j, pat in enumerate(pats):
-            value = value_of.get(pat)
-            if value is None:
-                bits = tuple(pat >> q & 1 for q in rows)
-                value = 0
-                for b in bits:
-                    value = value << 1 | b
-                value_of[pat], bits_of[value] = value, bits
-            groups.setdefault(value, []).append(j)
         self.source, self.pats, self.ws = source, pats, ws
-        self.values = sorted(groups)
-        self.patterns = [bits_of[v] for v in self.values]
-        self.members = [groups[v] for v in self.values]
-        self.weights = [sum(map(ws.__getitem__, g)) for g in self.members]
+        if len(pats) == 1:  # a single photon: one class, nothing to group
+            bits = tuple(pats[0] >> q & 1 for q in rows)
+            grouped = [_value(bits)], [bits], [[0]], [ws[0]]
+        else:
+            grouped = _group(pats, ws, rows)
+        self.values, self.patterns, self.members, self.weights = grouped
         self.cdf, self.total = _cdf(self.weights)
         self.sub: dict[int, _Classes] = {}
 
@@ -314,8 +333,12 @@ def _carrier_density(survivors, carrier: int, folded: int) -> np.ndarray:
                 f"register pattern {st.pattern & ~folded:#b} is not one "
                 f"photon on carrier row {carrier}"
             )
-    amps = np.array([st.amps for _, st in survivors])
-    weights = np.array([w for w, _ in survivors])
+    if len(survivors) == 1:  # a single photon: its amplitudes as one row
+        (weights, st), = survivors
+        amps = st.amps[None]
+    else:
+        amps = np.array([st.amps for _, st in survivors])
+        weights = np.array([w for w, _ in survivors])
     return (amps.T * weights) @ amps.conj()
 
 
@@ -346,7 +369,7 @@ def decode_arrival(run: EncodeRun, rng=None) -> DecodeResult:
     classes = _class_index(run, lead_rows)
     k, record_p = classes.draw(draws.pick(0))
     lead_pattern = classes.patterns[k]
-    ghz_outcomes = _ghz_outcomes(lead_pattern, draws.ghz(0, len(lead_rows)), N)
+    ghz_outcomes = _ghz_outcomes(lead_pattern, draws.ghz(0, len(lead_rows)))
     checks = len(lead_rows)
     one_rows = [q for q, b in zip(lead_rows, lead_pattern) if b]
 
@@ -368,8 +391,8 @@ def decode_arrival(run: EncodeRun, rng=None) -> DecodeResult:
             k, p_time = classes.draw(draws.pick(1))
             time_pattern = classes.patterns[k]
             record_p *= p_time
-            ghz_outcomes += _ghz_outcomes(
-                time_pattern, draws.ghz(1, len(time_rows)), N)
+            ghz_outcomes += _ghz_outcomes(time_pattern,
+                                          draws.ghz(1, len(time_rows)))
             checks += len(time_rows)
             m = classes.values[k]
             if not 1 <= m <= cfg.M:
@@ -396,7 +419,7 @@ def decode_arrival(run: EncodeRun, rng=None) -> DecodeResult:
     # outcome -1 on site i flips a_i, which the carrier's Z correction on
     # site i undoes, so the signs go to the record only
     carrier, extra = one_rows[0], one_rows[1:]
-    fold = _sign_rows(draws.fold(len(extra)), N)
+    fold = draws.fold(len(extra))
     folded = sum(1 << q for q in extra)
     survivors = classes.survivors(k, run.components)
     state = _carrier_density(survivors, carrier, folded)

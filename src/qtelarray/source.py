@@ -22,11 +22,19 @@ SYMMETRY_ROWS = 256
 MAX_SITES = np.iinfo(np.intp).max // 8
 
 
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``values``, which a caller's later edits leave
+    alone."""
+    values = values.copy()
+    values.flags.writeable = False
+    return values
+
+
 class ArrayGeometry:
     """Telescope site positions along a line.
 
     Either uniform (``N`` sites from 0 to the maximal baseline ``d``) or an
-    explicit strictly increasing position list.
+    explicit strictly increasing position list, kept as a read-only copy.
     """
 
     def __init__(self, N=None, d=None, positions=None):
@@ -36,21 +44,19 @@ class ArrayGeometry:
             N = count(N, "N", 2, MAX_SITES, "MAX_SITES")
             d = real(d, "maximal baseline d")
             positions = d * np.arange(N) / (N - 1)  # inf where d * k overflows
-        pos = array(positions, "positions", float, (None,))
+        pos = _frozen(array(positions, "positions", float, (None,)))
         if pos.size < 2:
             raise ConfigError("need at least two sites")
-        if np.any(np.diff(pos) <= 0):
+        spacing = np.diff(pos)
+        if np.any(spacing <= 0):
             raise ConfigError("positions must be strictly increasing")
         self.positions = pos
         self.N = int(pos.size)
         self.d = float(pos[-1] - pos[0])
-
-    @property
-    def is_uniform(self) -> bool:
-        spacing = np.diff(self.positions)
         # positions round relative to their size, so spans far above 1 need
         # a tolerance relative to the spacing as well
-        return bool(np.allclose(spacing, spacing[0], rtol=1e-9, atol=1e-12))
+        self.is_uniform = bool(np.allclose(spacing, spacing[0], rtol=1e-9,
+                                           atol=1e-12))
 
     def baseline(self, k: int) -> float:
         """x_k = d k / (N - 1) for uniform arrays."""
@@ -81,7 +87,8 @@ def native_grid(N: int, d: float) -> np.ndarray:
 
 
 class IntensityDistribution:
-    """Discrete source intensity: float arrays y_j and I_j, sum I_j = 1."""
+    """Discrete source intensity: float arrays y_j and I_j, sum I_j = 1,
+    kept as read-only copies."""
 
     def __init__(self, y, weights, normalize=False):
         y = array(y, "sample positions", float, (None,))
@@ -103,8 +110,8 @@ class IntensityDistribution:
             w = w / total
         elif abs(total - 1.0) > 1e-12:
             raise ConfigError(f"intensities sum to {total}, not 1")
-        self.y = y
-        self.weights = w
+        self.y = _frozen(y)
+        self.weights = _frozen(w)
 
     @classmethod
     def point(cls, y0: float) -> "IntensityDistribution":

@@ -33,6 +33,9 @@ from qtelarray.netdecode import (
     STREAM_CACHE,
     DecodeError,
     _cdf,
+    _Classes,
+    _group,
+    _Live,
     _pick,
     _stream,
     decode_arrival,
@@ -795,6 +798,46 @@ class TestDefaultStream:
                 want.random((len(res.record["fold_signs"]), N))
             assert rng.bit_generator.state == want.bit_generator.state
 
+    @pytest.mark.parametrize("layout", ["sequential", "parallel"])
+    @pytest.mark.parametrize("N", [2, 3, 20])
+    def test_stream_rows_are_the_live_draws(self, layout, N):
+        """Plain, flipped and fold rows built once are what a live generator
+        yields, as tuples of +-1 ints; a drawn row sits at its parity."""
+        for seed in (0, 9, 2**40):
+            run = _photon_run(RunConfig(M=64, R=8, N=N, layout=layout,
+                                        seed=seed), 63, 7,
+                              np.random.default_rng(seed))
+            lead = len(_lead_rows(run))
+            time = run.book.t_bits if layout == "parallel" else 0
+            entropy = seed + 2
+            entry = _stream(entropy, N, lead, time)
+            live = _Live(np.random.default_rng(entropy), N)
+            ref = np.random.default_rng(entropy)
+            groups = (lead, time) if time else (lead,)
+            assert isinstance(entry.blocks, tuple)
+            assert len(entry.blocks) == len(groups)
+            for group, rows in enumerate(groups):
+                assert entry.pick(group) == live.pick(group) == ref.random()
+                block = entry.ghz(group, rows)
+                assert block == live.ghz(group, rows)
+                bits = ref.integers(0, 2, size=(rows, N)).tolist()
+                assert isinstance(block, tuple) and len(block) == rows
+                for pair, row in zip(block, bits):
+                    drawn = tuple(1 - 2 * b for b in row)
+                    flipped = drawn[:-1] + (-drawn[-1],)
+                    want = (drawn, flipped) if sum(row) % 2 == 0 else (
+                        flipped, drawn)
+                    assert isinstance(pair, tuple) and pair == want
+                    assert all(type(x) is int for x in pair[0] + pair[1])
+            folds = lead + time - 1
+            assert entry.fold(folds) == live.fold(folds)
+            signs = [tuple(-1 if u >= 0.5 else 1 for u in row)
+                     for row in ref.random((folds, N)).tolist()]
+            assert entry.signs == tuple(signs)
+            assert all(isinstance(row, tuple) and type(row[0]) is int
+                       for row in entry.signs)
+            assert entry.fold(2) == entry.signs[:2]
+
     def test_records_do_not_share_the_stream(self):
         cfg = RunConfig(M=64, R=8, N=3, layout="sequential", seed=4)
         run = _photon_run(cfg, 63, 8, np.random.default_rng(0))
@@ -838,12 +881,72 @@ class TestDefaultStream:
                 decode_arrival(_photon_run(cfg, 5, 3, rng))
                 assert _stream.cache_info().currsize <= STREAM_CACHE
         assert _stream.cache_info().currsize == STREAM_CACHE  # full, evicting
-        # each entry: one byte per drawn GHZ bit and fold sign
+        # each entry: an (even, odd) pair of N-sign rows per GHZ row, and
+        # one N-sign row per fold row of the largest fold
         lead, time, N = 3, 3, 4
         entry = _stream(7, N, lead, time)
-        assert [len(bits) for bits, _ in entry.blocks] == [lead * N, time * N]
-        assert len(entry.signs) == (lead + time - 1) * N
+        assert [len(rows) for rows in entry.blocks] == [lead, time]
+        assert {len(row) for rows in entry.blocks for pair in rows
+                for row in pair} == {N}
+        assert len(entry.signs) == lead + time - 1
+        assert {len(row) for row in entry.signs} == {N}
         assert len(entry.uniforms) == 2
+
+
+def _lead_rows(run):
+    if run.config.layout == "sequential":
+        return run.layout.code_rows()
+    return run.layout.comp_rows()
+
+
+def _hex(xs):
+    return [float(x).hex() for x in xs]
+
+
+class TestOneInputClass:
+    """A single photon's one class equals the grouping of its one input."""
+
+    @staticmethod
+    def _assert_grouped(classes, pats, ws, rows):
+        values, patterns, members, weights = _group(pats, ws, rows)
+        cdf, total = _cdf(weights)
+        assert classes.values == values and classes.patterns == patterns
+        assert classes.members == members
+        assert _hex(classes.weights) == _hex(weights)
+        assert _hex(classes.cdf) == _hex(cdf)
+        assert float(classes.total).hex() == float(total).hex()
+
+    @pytest.mark.parametrize("layout", ["sequential", "parallel"])
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_every_codeword(self, layout, N):
+        cfg = RunConfig(M=64, R=8, N=N, layout=layout, seed=N)
+        rng = np.random.default_rng(N)
+        for m in range(1, cfg.M + 1):
+            for r in range(1, cfg.R + 1):
+                run = _photon_run(cfg, m, r, rng)
+                (w, st, _), = run.components
+                lead = _lead_rows(run)
+                classes = _Classes(range(1), [st.pattern], [w], lead)
+                self._assert_grouped(classes, [st.pattern], [w], lead)
+                if layout == "parallel":
+                    time = run.layout.time_rows(r)
+                    sub = classes.subclasses(0, time)
+                    self._assert_grouped(sub, [st.pattern], [w / w], time)
+                    assert sub.values == [m] and classes.values == [r]
+                else:
+                    assert classes.values == [int(run.book.codeword(m, r), 2)]
+
+    @pytest.mark.parametrize("w", [float("nan"), 0.0, -0.0, float("inf"),
+                                   -0.5])
+    def test_a_bad_single_weight_raises(self, w):
+        with pytest.raises(DecodeError, match="outcome weights"):
+            _Classes(range(1), [0b101], [w], (0, 1, 2))
+        cfg = RunConfig(M=4, R=2, N=2, layout="sequential", seed=1)
+        run = _photon_run(cfg, 3, 2, np.random.default_rng(0))
+        (_, st, meta), = run.components
+        bad = replace(run, components=[(w, st, meta)])
+        with pytest.raises(DecodeError, match="outcome weights"):
+            decode_arrival(bad)
 
 
 class TestPairCorrelators:

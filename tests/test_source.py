@@ -45,6 +45,30 @@ def test_geometry_validation():
         geom.baseline(1)
 
 
+def test_geometry_keeps_its_own_read_only_positions():
+    pos = np.array([0.0, 0.5, 1.0])
+    geom = ArrayGeometry(positions=pos)
+    pos[1] = 7.0  # the caller's edit after construction
+    assert geom.positions.tolist() == [0.0, 0.5, 1.0]
+    assert geom.is_uniform and geom.d == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        geom.positions[1] = 7.0
+    with pytest.raises(ValueError, match="read-only"):
+        ArrayGeometry(N=3, d=1.0).positions[0] = 1.0
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_intensity_keeps_its_own_read_only_arrays(normalize):
+    y, w = np.array([0.0, 0.5, 1.0]), np.array([0.25, 0.25, 0.5])
+    dist = IntensityDistribution(y, w, normalize=normalize)
+    y[0], w[0] = 9.0, 5.0  # the caller's edits after construction
+    assert dist.y.tolist() == [0.0, 0.5, 1.0]
+    assert dist.weights.tolist() == [0.25, 0.25, 0.5]
+    for values in (dist.y, dist.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+
+
 @pytest.mark.parametrize("kwargs", [
     {"N": 5, "d": 3.0, "positions": [0.0, 1.0]},
     {"N": 2, "positions": [0.0, 1.0]},

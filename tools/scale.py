@@ -17,9 +17,10 @@ Usage, from the repository root::
   interferometer that multiport_amplitude_table(N) builds (``multiport:N``);
   the row gives the matrix shape and digests the matrix and its leakage.
 
-The photon, mixture and codebook rows digest every decode's draws (and
-for photon and mixture the decode generator's end state), so two sweeps
-that made the same draws show the same digest.
+The photon, mixture and codebook rows digest every decode's draws (for
+photon and mixture also the decode generator's end state, for codebook
+each decode's density bytes), so two sweeps that made the same draws
+(and densities) show the same digest.
 
 A SIZE is an int, ``SITES:CUTOFF`` for ``transfer`` or ``DEVICE:N`` for
 ``optics``; a malformed one exits with the usage line. Each (size, case)
@@ -151,8 +152,8 @@ def codebook(M, layout):
                 run = timed("compress", parallel_frequency_compress, run)
             res = timed("decode", decode_arrival, run)  # default generator
             assert (res.m, res.r) == (m, r)
-            draws.append(drawn(res))
-    return {"words": len(draws), "digest": digest(*draws)}
+            draws += drawn(res), res.state.tobytes()
+    return {"words": cfg.M * cfg.R, "digest": digest(*draws)}
 
 
 def enumeration(size, _case):
